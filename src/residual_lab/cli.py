@@ -13,6 +13,7 @@ import sys
 
 from . import harness
 from .dynamics import (
+    DEFAULT_SCALE,
     DUFFING,
     VANDERPOL,
     generate_dataset,
@@ -181,8 +182,8 @@ def _cmd_aggregate(args) -> int:
 def _cmd_fit_symbolic(args) -> int:
     cfg = _experiment_config(args)
     spec = oscillator(cfg.system)
-    branch = _branch_for(args, cfg, spec, 2.5)
-    surface = sample_surface(branch, spec, GridSpec(), 2.5)
+    branch = _branch_for(args, cfg, spec, DEFAULT_SCALE)
+    surface = sample_surface(branch, spec, GridSpec(), DEFAULT_SCALE)
     fit = stlsq_fit(surface, threshold=args.threshold)
     for name, coef in fit.active.items():
         print(f"{name} {coef:+.6g}")
@@ -193,8 +194,8 @@ def _cmd_fit_symbolic(args) -> int:
 def _cmd_export_surface(args) -> int:
     cfg = _experiment_config(args)
     spec = oscillator(cfg.system)
-    branch = _branch_for(args, cfg, spec, 2.5)
-    surface = sample_surface(branch, spec, GridSpec(), 2.5)
+    branch = _branch_for(args, cfg, spec, DEFAULT_SCALE)
+    surface = sample_surface(branch, spec, GridSpec(), DEFAULT_SCALE)
     root = output_root(args.out)
     os.makedirs(root, exist_ok=True)
     prefix = os.path.join(root, f"{cfg.system}-surface")
@@ -208,7 +209,7 @@ def _cmd_verify_grads(args) -> int:
     spec = oscillator(cfg.system)
     arch, _ = resolve_arch(cfg)
     branch = new_branch(arch, args.seed)
-    system = HybridSystem(spec, branch, cfg.dt, cfg.integrator, 2.5)
+    system = HybridSystem(spec, branch, cfg.dt, cfg.integrator, DEFAULT_SCALE)
     report = verify_gradients(branch, system, n_points=args.points,
                               tolerance=args.tolerance,
                               bptt_tolerance=args.bptt_tolerance)

@@ -16,6 +16,7 @@ byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -208,10 +209,20 @@ def make_train_config(cfg: ExperimentConfig, arch: Arch, seed: int) -> TrainConf
 
 def _dataset_for(cfg: ExperimentConfig, seed: int):
     data_seed = cfg.data_seed + seed if cfg.per_seed_data else cfg.data_seed
-    return generate_dataset(
-        oscillator(cfg.system), cfg.n_train_ics, cfg.n_test_ics, cfg.dt,
-        cfg.data_steps, seed=data_seed, noise_std=cfg.noise_std,
-    )
+    return _shared_dataset(cfg.system, cfg.n_train_ics, cfg.n_test_ics, cfg.dt,
+                           cfg.data_steps, data_seed, cfg.noise_std)
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_dataset(system, n_train_ics, n_test_ics, dt, data_steps, data_seed, noise_std):
+    """The dataset of one set of data fields, generated once and shared by
+    every seed and config that asks for it.  Its trajectory arrays are
+    read-only, so no consumer can alter what a later seed sees."""
+    ds = generate_dataset(oscillator(system), n_train_ics, n_test_ics, dt, data_steps,
+                          seed=data_seed, noise_std=noise_std)
+    for traj in ds.train + ds.test:
+        traj.states.flags.writeable = False
+    return ds
 
 
 def run_single_seed(task: tuple[ExperimentConfig, int]) -> MetricRow:

@@ -17,6 +17,24 @@ Flat parameter layout, in layer order:
   n_out), then spline scales (n_in, n_out).
 * MLP layer: weights (n_in, n_out) C-order, then biases (n_out,).
 
+KAN layers use the local support of the spline basis: at each input only
+K = order + 1 of the M basis functions are nonzero, and
+``splines.basis_and_derivative`` returns just those (B, dB) plus the first
+nonzero column.  The forward pass gathers, per point and input, the K
+coefficients of every outgoing edge on that interval and contracts over K,
+not M; the input adjoint contracts dB the same way.  Only the coefficient
+gradient touches all M columns: the K weights are scattered into a dense
+(N, n_in, M) buffer (``splines.scatter_to_dense``) that one GEMM sums over
+the batch.
+
+``forward_batch`` returns one cache dict per layer, which ``backward_batch``
+consumes without re-evaluating anything.  KAN layer: ``U`` (N, n_in) layer
+input, ``sig``/``silu`` (N, n_in), ``B``/``dB`` (N, n_in, K) local basis
+values and u-derivatives, ``first`` (N, n_in) first nonzero column,
+``local`` (N, n_in, K, n_out) gathered coefficients, ``spl`` (N, n_in,
+n_out) edge spline values, ``mask`` (N, n_in) inputs inside the domain.
+MLP layer: ``U`` (N, n_in) and pre-activation ``Z`` (N, n_out).
+
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
 
@@ -28,12 +46,14 @@ from typing import Union
 import numpy as np
 
 from .rng import stream
-from .splines import SplineSpec, basis_and_derivative, fit_coefficients
+from .splines import SplineSpec, basis_and_derivative, fit_coefficients, scatter_to_dense
 
 KAN = "kan"
 MLP = "mlp"
 
 _FLOAT_FMT = "%.17g"
+# First field of a checkpoint header; load_branch rejects any other.
+CHECKPOINT_VERSION = "v2"
 
 
 def _check_widths(widths):
@@ -203,16 +223,27 @@ def forward_batch(branch: ResidualBranch, xn, vn):
     U = np.stack([xn, vn], axis=1)
     layers = []
     if isinstance(branch.arch, KanArch):
-        lo, hi = branch.arch.spline.domain
+        spec = branch.arch.spline
+        lo, hi = spec.domain
+        G, K = spec.grid_size, spec.order + 1
+        # Basis columns that are nonzero on each knot interval.
+        windows = np.arange(G)[:, None] + np.arange(K)
         for coef, base, scale in _kan_layers(branch.arch, branch.params):
+            n_in, n_out = base.shape
             Uc = np.clip(U, lo, hi)
-            B, dB = basis_and_derivative(branch.arch.spline, Uc)
+            B, dB, first = basis_and_derivative(spec, Uc)
+            # One table row per (input, interval) holds the K coefficients of
+            # that interval for every out unit; each point gathers one row per
+            # input, so local[n, i, c, o] = coef[i, o, first[n, i] + c].
+            table = coef[:, :, windows].transpose(0, 2, 3, 1).reshape(n_in * G, K * n_out)
+            local = np.take(table, first + G * np.arange(n_in), axis=0)
+            local = local.reshape(len(U), n_in, K, n_out)
             sig, silu = _silu(U)
-            spl = np.einsum("nim,iom->nio", B, coef)
+            spl = np.einsum("nic,nico->nio", B, local)
             Y = silu @ base + np.einsum("nio,io->no", spl, scale)
             layers.append(
-                {"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB, "spl": spl,
-                 "mask": (U >= lo) & (U <= hi)}
+                {"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB, "first": first,
+                 "local": local, "spl": spl, "mask": (U >= lo) & (U <= hi)}
             )
             U = Y
     else:
@@ -242,13 +273,18 @@ def backward_batch(branch, cache, upstream, want_params=True, want_inputs=True):
                 gcoef, gbase, gscale = gviews[li]
                 gbase += c["silu"].T @ Wy
                 gscale += np.einsum("nio,no->io", c["spl"], Wy)
-                gcoef += scale[:, :, None] * np.einsum("no,nim->iom", Wy, c["B"])
+                # Scatter the local weights into all M columns, then one GEMM
+                # sums them over the batch.
+                n_in, _, M = coef.shape
+                dense = scatter_to_dense(c["B"], c["first"], M)
+                gsum = dense.reshape(len(Wy), n_in * M).T @ Wy  # (n_in * M, n_out)
+                gcoef += scale[:, :, None] * gsum.reshape(n_in, M, -1).transpose(0, 2, 1)
             last = li == 0 and not want_inputs
             if not last:
                 dsilu = c["sig"] * (1.0 + c["U"] * (1.0 - c["sig"]))
-                dspl = np.einsum("nim,iom->nio", c["dB"], coef)
+                dspl = np.einsum("nic,nico->nio", c["dB"], c["local"])
                 Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum(
-                    "no,io,nio->ni", Wy, scale, dspl
+                    "nio,nio->ni", dspl, Wy[:, None, :] * scale
                 )
     else:
         views = _mlp_layers(branch.arch, branch.params)
@@ -339,33 +375,46 @@ def product_construction(spec: SplineSpec) -> ResidualBranch:
 
 
 def save_branch(branch: ResidualBranch, path, seed: int = 0) -> None:
-    """Checkpoint format: header ``kind,widths,G,k,lambda,seed`` then one
-    parameter per line at 17 significant digits."""
+    """Checkpoint format: one header line, then one parameter per line at 17
+    significant digits.  The header is ``v2,kan,widths,G,k,lambda,base_blend,
+    lo,hi,seed`` for a KAN (base_blend 1 or 0, [lo, hi] the spline domain) and
+    ``v2,mlp,widths,seed`` for an MLP, so it carries every arch field."""
     widths = "x".join(str(w) for w in branch.arch.widths)
     if isinstance(branch.arch, KanArch):
         sp = branch.arch.spline
-        if sp.domain != (-1.0, 1.0):
-            raise ValueError("checkpoint header carries no domain; only (-1, 1) branches serialize")
-        header = f"kan,{widths},{sp.grid_size},{sp.order},{_FLOAT_FMT % branch.arch.l1_weight},{seed}"
+        fields = [KAN, widths, sp.grid_size, sp.order, _FLOAT_FMT % branch.arch.l1_weight,
+                  int(branch.arch.base_blend), _FLOAT_FMT % sp.domain[0], _FLOAT_FMT % sp.domain[1]]
     else:
-        header = f"mlp,{widths},0,0,0,{seed}"
+        fields = [MLP, widths]
+    header = ",".join(str(f) for f in [CHECKPOINT_VERSION, *fields, seed])
     lines = [header] + [_FLOAT_FMT % p for p in branch.params]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_branch(path) -> tuple[ResidualBranch, int]:
-    """Inverse of save_branch; returns (branch, seed)."""
+    """Inverse of save_branch; returns (branch, seed).  Files without the
+    current version tag are rejected."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    kind, widths_s, g_s, k_s, lam_s, seed_s = lines[0].split(",")
+    fields = lines[0].split(",") if lines else [""]
+    if fields[0] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {fields[0]!r} in {path}; "
+                         f"expected {CHECKPOINT_VERSION!r}")
+    malformed = ValueError(f"malformed checkpoint header {lines[0]!r} in {path}")
+    if len(fields) < 4:
+        raise malformed
+    kind, widths_s, *arch_s, seed_s = fields[1:]
     widths = tuple(int(w) for w in widths_s.split("x"))
-    if kind == KAN:
-        arch: Arch = KanArch(widths, SplineSpec(int(g_s), int(k_s)), l1_weight=float(lam_s))
-    elif kind == MLP:
+    if kind == KAN and len(arch_s) == 6:
+        g_s, k_s, lam_s, blend_s, lo_s, hi_s = arch_s
+        spline = SplineSpec(int(g_s), int(k_s), (float(lo_s), float(hi_s)))
+        arch: Arch = KanArch(widths, spline, base_blend=bool(int(blend_s)),
+                             l1_weight=float(lam_s))
+    elif kind == MLP and not arch_s:
         arch = MlpArch(widths)
     else:
-        raise ValueError(f"unknown branch kind {kind!r} in {path}")
+        raise malformed
     params = np.array([float(x) for x in lines[1:] if x])
     return ResidualBranch(arch, params), int(seed_s)
 

@@ -42,7 +42,7 @@ from residual_lab.hybridcell import (
     teacher_forcing_loss,
 )
 from residual_lab.netcore import new_branch, param_count, product_construction
-from residual_lab.splines import SplineSpec, basis_and_derivative, fit_coefficients
+from residual_lab.splines import SplineSpec, dense_basis, fit_coefficients
 from residual_lab.trainer import verify_gradients
 
 EXPECTED_PARAMS = {
@@ -119,7 +119,7 @@ def test_criterion_04_spline_properties():
     worst_unity, worst_support = 0.0, 0
     for grid in (3, 5, 8, 20):
         for order in (0, 1, 2, 3):
-            B, _ = basis_and_derivative(SplineSpec(grid, order), u)
+            B, _ = dense_basis(SplineSpec(grid, order), u)
             worst_unity = max(worst_unity, float(np.abs(B.sum(axis=-1) - 1.0).max()))
             worst_support = max(worst_support,
                                 int(np.count_nonzero(B, axis=-1).max()) - (order + 1))
@@ -129,7 +129,7 @@ def test_criterion_04_spline_properties():
     for grid in (3, 5, 8, 20):
         spec = SplineSpec(grid, 3)
         coef = fit_coefficients(spec, cubic)
-        B, _ = basis_and_derivative(spec, dense)
+        B, _ = dense_basis(spec, dense)
         worst_cubic = max(worst_cubic, float(np.abs(B @ coef - cubic(dense)).max()))
     ok = worst_unity < 1e-10 and worst_support <= 0 and worst_cubic < 1e-9
     check(4, "partition of unity, local support, cubic reproduction", ok,

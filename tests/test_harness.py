@@ -346,3 +346,41 @@ class TestRunSingleSeed:
         assert row.test_mse < 1e-16
         # Oracle VdP surface is (1 - x^2) v: top term by |coef| is x^2*v.
         assert "x^2*v:" in row.fit_terms
+
+
+class TestSharedDataset:
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        """Count dataset generations, starting from an empty memo."""
+        from residual_lab import harness
+
+        calls = []
+        real = harness.generate_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        harness._shared_dataset.cache_clear()
+        monkeypatch.setattr(harness, "generate_dataset", counting)
+        yield calls
+        harness._shared_dataset.cache_clear()
+
+    def test_seeds_and_configs_of_one_dataset_generate_it_once(self, tmp_path, generations):
+        run_sweep(oracle_config(tmp_path, n_seeds=2))
+        run_sweep(oracle_config(tmp_path, n_seeds=2, config="G"))
+        assert generations == [0]
+
+    def test_per_seed_data_generates_per_seed(self, tmp_path, generations):
+        run_sweep(oracle_config(tmp_path, n_seeds=2, per_seed_data=True, data_seed=3))
+        assert generations == [3, 4]
+
+    def test_cached_trajectories_are_read_only(self, generations):
+        from residual_lab.harness import _dataset_for
+
+        cfg = ExperimentConfig(n_train_ics=2, n_test_ics=1, data_steps=50)
+        ds = _dataset_for(cfg, 0)
+        assert _dataset_for(cfg, 1) is ds
+        for traj in ds.train + ds.test:
+            with pytest.raises(ValueError):
+                traj.states[0, 0] = 1.0

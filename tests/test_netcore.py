@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from residual_lab.harness import ExperimentConfig, builtin_configs, resolve_arch
 from residual_lab.netcore import (
     KanArch,
     MlpArch,
@@ -368,9 +369,52 @@ class TestCheckpoint:
         path = tmp_path / "b.txt"
         save_branch(b, path, seed=5)
         header = path.read_text().splitlines()[0]
-        assert header == "kan,2x4x1,5,3,0,5"
+        assert header == "v2,kan,2x4x1,5,3,0,1,-1,1,5"
+        save_branch(new_branch(MlpArch((2, 26, 1)), seed=0), path, seed=5)
+        assert path.read_text().splitlines()[0] == "v2,mlp,2x26x1,5"
 
-    def test_non_unit_domain_rejected(self, tmp_path):
+    def test_non_unit_domain_roundtrip(self, tmp_path):
         b = product_construction(KAN53)  # internally uses domain (-2, 2)
-        with pytest.raises(ValueError):
-            save_branch(b, tmp_path / "p.txt")
+        path = tmp_path / "p.txt"
+        save_branch(b, path)
+        back, _ = load_branch(path)
+        assert back.arch == b.arch
+        assert np.array_equal(back.params, b.params)
+        assert branch_forward(back, 0.5, 0.4)[0] == branch_forward(b, 0.5, 0.4)[0]
+
+    @pytest.mark.parametrize("name", sorted(builtin_configs()))
+    def test_roundtrip_every_builtin_config(self, tmp_path, name):
+        arch, _ = resolve_arch(ExperimentConfig(config=name))
+        b = new_branch(arch, seed=4)
+        path = tmp_path / f"{name}.txt"
+        save_branch(b, path, seed=4)
+        back, seed = load_branch(path)
+        assert seed == 4
+        assert back.arch == b.arch
+        assert np.array_equal(back.params, b.params)
+        assert np.array_equal(trainable_mask(back.arch), trainable_mask(b.arch))
+
+    def test_spline_forced_keeps_its_frozen_base_scales(self, tmp_path):
+        # Config B freezes the 12 base scales: 108 of 120 params train.
+        arch, _ = resolve_arch(ExperimentConfig(config="B"))
+        path = tmp_path / "b.txt"
+        save_branch(new_branch(arch, seed=0), path)
+        back, _ = load_branch(path)
+        assert trainable_mask(back.arch).sum() == 108
+
+    @pytest.mark.parametrize("header", [
+        "kan,2x4x1,5,3,0,5",  # unversioned header of the first format
+        "v3,kan,2x4x1,5,3,0,1,-1,1,5",
+        "",
+    ])
+    def test_unknown_version_rejected(self, tmp_path, header):
+        path = tmp_path / "old.txt"
+        path.write_text(header + "\n0.5\n")
+        with pytest.raises(ValueError, match="checkpoint version"):
+            load_branch(path)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("v2,kan,2x4x1,5,3,0,5\n0.5\n")
+        with pytest.raises(ValueError, match="malformed"):
+            load_branch(path)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from residual_lab.splines import (
     SplineSpec,
-    basis_and_derivative,
     bspline_basis,
+    dense_basis,
     fit_coefficients,
     knot_vector,
 )
@@ -51,7 +51,7 @@ class TestBasis:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"G{s.grid_size}k{s.order}")
     def test_partition_of_unity_dense(self, spec):
         u = np.linspace(spec.domain[0], spec.domain[1], 1000)
-        B, _ = basis_and_derivative(spec, u)
+        B, _ = dense_basis(spec, u)
         assert np.abs(B.sum(axis=-1) - 1.0).max() < 1e-10
         assert B.min() >= 0.0
         assert B.max() <= 1.0 + 1e-12
@@ -60,7 +60,7 @@ class TestBasis:
     def test_local_support(self, spec):
         # Degree-k splines overlap at most k+1 basis functions per point.
         u = np.linspace(spec.domain[0], spec.domain[1], 1000)
-        B, _ = basis_and_derivative(spec, u)
+        B, _ = dense_basis(spec, u)
         assert (B > 1e-14).sum(axis=-1).max() <= spec.order + 1
 
     def test_right_endpoint_included(self):
@@ -93,19 +93,19 @@ class TestDerivative:
         # Stay strictly interior and away from knots so FD sees one polynomial
         # piece; the offset keeps every point off the G in {3,5,8,20} grids.
         u = np.linspace(-0.9, 0.9, 37) + 0.00123
-        _, dB = basis_and_derivative(spec, u)
+        _, dB = dense_basis(spec, u)
         eps = 1e-6
-        fd = (basis_and_derivative(spec, u + eps)[0] - basis_and_derivative(spec, u - eps)[0]) / (2 * eps)
+        fd = (dense_basis(spec, u + eps)[0] - dense_basis(spec, u - eps)[0]) / (2 * eps)
         assert np.abs(dB - fd).max() < 1e-5
 
     def test_order_zero_derivative_is_zero(self):
-        _, dB = basis_and_derivative(SplineSpec(grid_size=5, order=0), np.linspace(-1, 1, 50))
+        _, dB = dense_basis(SplineSpec(grid_size=5, order=0), np.linspace(-1, 1, 50))
         assert np.array_equal(dB, np.zeros_like(dB))
 
     def test_derivatives_sum_to_zero(self):
         # d/du of the partition of unity.
         spec = SplineSpec(grid_size=5, order=3)
-        _, dB = basis_and_derivative(spec, np.linspace(-1, 1, 200))
+        _, dB = dense_basis(spec, np.linspace(-1, 1, 200))
         assert np.abs(dB.sum(axis=-1)).max() < 1e-10
 
 
@@ -114,14 +114,14 @@ class TestFit:
         spec = SplineSpec(grid_size=5, order=3)
         coef = fit_coefficients(spec, lambda u: u**3, n_samples=200)
         u = np.linspace(-1, 1, 1000)
-        B, _ = basis_and_derivative(spec, u)
+        B, _ = dense_basis(spec, u)
         assert np.abs(B @ coef - u**3).max() < 1e-9
 
     def test_cubic_reproduction_minimal_grid(self):
         spec = SplineSpec(grid_size=1, order=3)
         coef = fit_coefficients(spec, lambda u: u**3)
         u = np.linspace(-1, 1, 1000)
-        B, _ = basis_and_derivative(spec, u)
+        B, _ = dense_basis(spec, u)
         assert np.abs(B @ coef - u**3).max() < 1e-9
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -129,7 +129,7 @@ class TestFit:
         spec = SplineSpec(grid_size=4, order=3)
         coef = fit_coefficients(spec, lambda u: u**degree)
         u = np.linspace(-1, 1, 500)
-        B, _ = basis_and_derivative(spec, u)
+        B, _ = dense_basis(spec, u)
         assert np.abs(B @ coef - u**degree).max() < 1e-9
 
     def test_constant_coefficients_are_one(self):
