@@ -46,7 +46,6 @@ from .hybridcell import (
     OracleResidual,
     RolloutWindow,
     bptt_loss,
-    hybrid_step,
     make_windows,
     oracle_system,
     rollout,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DivergenceError, OscillatorSpec
-from .hybridcell import HybridSystem, step_batch, transitions_of
+from .hybridcell import HybridSystem, rollout, step_batch, transitions_of
 from .rng import stream
 
 _FLOAT_FMT = "%.17g"
@@ -101,21 +101,25 @@ def test_mse(system: HybridSystem, test_trajectories) -> float:
 
 
 def rollout_mse(system: HybridSystem, test_trajectories) -> float:
-    """Free-rollout mean squared error over held-out trajectories (the
-    stricter, divergence-prone companion of test_mse)."""
-    total, count = 0.0, 0
-    for traj in test_trajectories:
-        n = traj.states.shape[0] - 1
-        X = np.array([traj.states[0, 0]])
-        V = np.array([traj.states[0, 1]])
+    """Free-rollout mean squared error over held-out trajectories; +inf if any
+    diverges.  Trajectories of equal length share one lockstep ``rollout``, so
+    none is stepped past its end; errors sum trajectory by trajectory."""
+    trajs = list(test_trajectories)
+    if not trajs:
+        raise ValueError("no trajectories")
+    pred = {}
+    for n in {len(t.states) for t in trajs}:
+        members = [i for i, t in enumerate(trajs) if len(t.states) == n]
         try:
-            for t in range(1, n + 1):
-                X, V, _ = step_batch(system, X, V, step=t)
-                total += float((X[0] - traj.states[t, 0]) ** 2 + (V[0] - traj.states[t, 1]) ** 2)
-                count += 1
+            states = rollout(system, [trajs[i].states[0] for i in members], n - 1)
         except DivergenceError:
             return float("inf")
-    return total / count if np.isfinite(total) else float("inf")
+        pred.update(zip(members, states))
+    d = np.concatenate([pred[i][1:] - t.states[1:] for i, t in enumerate(trajs)])
+    total = 0.0
+    for e in (d[:, 0] ** 2 + d[:, 1] ** 2).tolist():
+        total += e
+    return total / len(d) if np.isfinite(total) else float("inf")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ and BPTT losses come with exact reverse-mode gradients threaded through the
 integrator stages; for BPTT the adjoint also flows through the state path
 via the branch input jacobian.
 
-Everything here is batched over a leading sample axis; the scalar State API
-wraps batch size 1.
+Everything here is batched over a leading sample axis; batch size 1 is a
+batch of one row, not a separate scalar API.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Dataset, DivergenceError, OscillatorSpec, State, Trajectory
+from .dynamics import DivergenceError, OscillatorSpec
 
 RK4 = "rk4"
 EULER = "euler"
@@ -219,21 +219,18 @@ def step_vjp(h: HybridSystem, cache, lx, lv, grads: np.ndarray):
     return ax + l1x, av + l1v
 
 
-def hybrid_step(h: HybridSystem, s: State) -> State:
-    XP, VP, _ = step_batch(h, np.array([s.x]), np.array([s.v]))
-    return State(float(XP[0]), float(VP[0]))
-
-
-def rollout(h: HybridSystem, s0: State, n: int) -> Trajectory:
-    if n < 1:
-        raise ValueError("rollout needs n >= 1 steps")
-    states = np.empty((n + 1, 2))
-    states[0] = (s0.x, s0.v)
-    X, V = np.array([s0.x]), np.array([s0.v])
+def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
+    """Free rollout of S trajectories in lockstep, one ``step_batch`` call per
+    time step: (S, 2) start states in, (S, n + 1, 2) states out.  Raises
+    ``DivergenceError`` with the step number, as ``step_batch`` does."""
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != 2 or n < 1:
+        raise ValueError("rollout needs (S, 2) start states and n >= 1 steps")
+    states = [starts]
     for step in range(1, n + 1):
-        X, V, _ = step_batch(h, X, V, step=step)
-        states[step] = (X[0], V[0])
-    return Trajectory(h.dt, states)
+        X, V, _ = step_batch(h, states[-1][:, 0], states[-1][:, 1], step=step)
+        states.append(np.stack([X, V], axis=1))
+    return np.stack(states, axis=1)
 
 
 def transitions_of(trajectories) -> tuple[np.ndarray, np.ndarray]:

@@ -230,7 +230,7 @@ def forward_batch(branch: ResidualBranch, xn, vn):
         windows = np.arange(G)[:, None] + np.arange(K)
         for coef, base, scale in _kan_layers(branch.arch, branch.params):
             n_in, n_out = base.shape
-            Uc = np.clip(U, lo, hi)
+            Uc = np.minimum(np.maximum(U, lo), hi)
             B, dB, first = basis_and_derivative(spec, Uc)
             # One table row per (input, interval) holds the K coefficients of
             # that interval for every out unit; each point gathers one row per

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from residual_lab.dynamics import duffing, generate_dataset, vanderpol
+from residual_lab import hybridcell
+from residual_lab.dynamics import (
+    DivergenceError,
+    Trajectory,
+    duffing,
+    generate_dataset,
+    oscillator,
+    vanderpol,
+)
 from residual_lab.evaluation import (
     R2_SENTINEL,
     CandidateDictionary,
@@ -24,8 +32,17 @@ from residual_lab.evaluation import (
     write_metrics,
 )
 from residual_lab.evaluation import test_mse as one_step_mse  # avoid pytest collection
-from residual_lab.hybridcell import HybridSystem, OracleResidual, ZeroResidual, oracle_system
+from residual_lab.harness import ExperimentConfig, make_train_config, resolve_arch
+from residual_lab.hybridcell import (
+    HybridSystem,
+    OracleResidual,
+    ZeroResidual,
+    oracle_system,
+    step_batch,
+)
+from residual_lab.netcore import new_branch
 from residual_lab.rng import stream
+from residual_lab.trainer import train
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +178,120 @@ class TestOneStepMse:
         assert rollout_mse(h, vdp_data.test) < 1e-14
         zero = HybridSystem(vanderpol(), ZeroResidual(), vdp_data.dt)
         assert rollout_mse(zero, vdp_data.test) > one_step_mse(zero, vdp_data.test)
+
+
+def reference_rollout_mse(system, trajectories):
+    """Per-trajectory free rollout at batch size 1, summed step by step in a
+    Python float: the loop the lockstep rollout_mse must reproduce."""
+    total, count = 0.0, 0
+    for traj in trajectories:
+        X, V = traj.states[:1, 0], traj.states[:1, 1]
+        try:
+            for t in range(1, len(traj.states)):
+                X, V, _ = step_batch(system, X, V, step=t)
+                total += float((X[0] - traj.states[t, 0]) ** 2 + (V[0] - traj.states[t, 1]) ** 2)
+                count += 1
+        except DivergenceError:
+            return float("inf")
+    return total / count if np.isfinite(total) else float("inf")
+
+
+class Softening:
+    """Residual +0.3 x^3 on Duffing's linear part: the well has a barrier at
+    |x| = 1.83, so a start beyond it runs away in a few time units and one
+    inside it stays bounded."""
+
+    params = np.zeros(0)
+
+    def eval_batch(self, xn, vn):
+        return 0.3 * (2.5 * np.asarray(xn)) ** 3, None
+
+
+def softening_system():
+    return HybridSystem(duffing(), Softening(), 0.01, scale=2.5)
+
+
+def free_trajectory(x0, v0, n):
+    states = np.zeros((n + 1, 2))
+    states[0] = (x0, v0)
+    return Trajectory(0.01, states)
+
+
+def count_steps(monkeypatch):
+    calls = []
+    original = hybridcell.step_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hybridcell, "step_batch", counted)
+    return calls
+
+
+@pytest.fixture(scope="module", params=["duffing", "vanderpol"])
+def trained_systems(request):
+    """Briefly trained A, G and mlp-small systems and a small held-out set."""
+    spec = oscillator(request.param)
+    ds = generate_dataset(spec, 4, 4, 0.01, 250, seed=3)
+    systems = {}
+    for config in ("A", "G", "mlp-small"):
+        cfg = ExperimentConfig(system=request.param, config=config, steps=30)
+        arch, _ = resolve_arch(cfg)
+        h = HybridSystem(spec, new_branch(arch, 3), ds.dt, scale=ds.scale)
+        train(h, ds, make_train_config(cfg, arch, 3))
+        systems[config] = h
+    return systems, ds.test
+
+
+class TestRolloutMse:
+    def test_matches_per_trajectory_reference(self, trained_systems):
+        systems, test = trained_systems
+        for config, h in systems.items():
+            got, want = rollout_mse(h, test), reference_rollout_mse(h, test)
+            assert np.isfinite(want), config
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), config
+
+    def test_ragged_lengths_match_reference(self, trained_systems):
+        systems, test = trained_systems
+        lengths = (40, 250, 40, 120)
+        ragged = [Trajectory(t.dt, t.states[: n + 1]) for t, n in zip(test, lengths)]
+        for config, h in systems.items():
+            got, want = rollout_mse(h, ragged), reference_rollout_mse(h, ragged)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), config
+
+    def test_one_diverging_trajectory_gives_inf(self):
+        h = softening_system()
+        finite = [free_trajectory(0.3, 0.0, 600), free_trajectory(-0.5, 0.2, 600)]
+        assert np.isfinite(rollout_mse(h, finite))
+        runaway = finite[:1] + [free_trajectory(2.5, 0.0, 600)] + finite[1:]
+        assert rollout_mse(h, runaway) == float("inf")
+        assert reference_rollout_mse(h, runaway) == float("inf")
+
+    def test_short_trajectory_not_stepped_past_its_end(self):
+        # The runaway start survives its own 5 steps; stepping it to the
+        # length of its longer neighbours would diverge.
+        h = softening_system()
+        mixed = [free_trajectory(0.3, 0.0, 600), free_trajectory(2.5, 0.0, 5)]
+        assert rollout_mse(h, [free_trajectory(2.5, 0.0, 600)]) == float("inf")
+        got = rollout_mse(h, mixed)
+        assert np.isfinite(got)
+        assert got == pytest.approx(reference_rollout_mse(h, mixed), rel=1e-12, abs=0.0)
+
+    def test_lockstep_one_step_call_per_time_step(self, monkeypatch, vdp_data):
+        h = HybridSystem(vanderpol(), ZeroResidual(), vdp_data.dt)
+        test = vdp_data.test + vdp_data.train  # 4 trajectories of 100 steps
+        calls = count_steps(monkeypatch)
+        rollout_mse(h, test)
+        assert len(calls) == 100
+        ragged = [Trajectory(t.dt, t.states[: n + 1]) for t, n in zip(test, (100, 30, 100, 30))]
+        calls.clear()
+        rollout_mse(h, ragged)
+        assert len(calls) == 100 + 30
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="no trajectories"):
+            rollout_mse(HybridSystem(vanderpol(), ZeroResidual(), 0.01), [])
 
 
 class TestDictionary:

@@ -3,7 +3,6 @@ import pytest
 
 from residual_lab.dynamics import (
     DivergenceError,
-    State,
     duffing,
     generate_dataset,
     integrate_batch,
@@ -17,10 +16,10 @@ from residual_lab.hybridcell import (
     RolloutWindow,
     ZeroResidual,
     bptt_loss,
-    hybrid_step,
     make_windows,
     oracle_system,
     rollout,
+    step_batch,
     teacher_forcing_loss,
     tf_loss_grads,
     transitions_of,
@@ -68,42 +67,60 @@ def max_rel_error(a, b, floor=1e-6):
     return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor))
 
 
+def step_rows(h, states):
+    """One step of every (x, v) row in a single batched call, as an (S, 2) array."""
+    states = np.asarray(states, dtype=float)
+    XP, VP, _ = step_batch(h, states[:, 0], states[:, 1])
+    return np.stack([XP, VP], axis=1)
+
+
 class TestHybridStep:
     def test_euler_hand_example(self):
         h = zero_system(duffing(), 0.1, EULER)
-        out = hybrid_step(h, State(1.0, 0.0))
-        assert out.x == pytest.approx(1.0, abs=1e-15)
-        assert out.v == pytest.approx(-0.1, abs=1e-15)
+        for S in (1, 3):
+            out = step_rows(h, [[1.0, 0.0]] * S)
+            assert out.shape == (S, 2)
+            assert np.allclose(out, [[1.0, -0.1]], rtol=0.0, atol=1e-15)
 
     def test_fixed_point_of_known_part(self):
         for integrator in (EULER, RK4):
             h = zero_system(vanderpol(), 0.05, integrator)
-            out = hybrid_step(h, State(0.0, 0.0))
-            assert (out.x, out.v) == (0.0, 0.0)
+            assert np.array_equal(step_rows(h, [[0.0, 0.0]]), [[0.0, 0.0]])
+            out = step_rows(h, [[0.0, 0.0], [1.0, 0.5]])
+            assert np.array_equal(out[0], [0.0, 0.0])
 
     def test_oracle_matches_reference_integrator(self):
         # Same RK4, same RHS: the only difference is roundoff in the
         # normalize/denormalize roundtrip inside the oracle.
+        starts = np.array([[1.0, 0.0], [-0.5, 1.2], [2.0, -1.0]])
         for spec in (duffing(), vanderpol()):
             h = oracle_system(spec, 0.01)
-            traj = rollout(h, State(1.0, 0.0), 1000)
-            ref = integrate_batch(spec, np.array([[1.0, 0.0]]), 0.01, 1000)[0]
-            assert np.abs(traj.states - ref).max() < 1e-9
+            ref = integrate_batch(spec, starts, 0.01, 1000)
+            for block in (starts[:1], starts):
+                states = rollout(h, block, 1000)
+                assert states.shape == (len(block), 1001, 2)
+                assert np.abs(states - ref[: len(block)]).max() < 1e-9
 
     def test_hard_constraint_x_slope_is_v(self):
         # Euler makes the kinematic update directly observable: x' = x + dt*v
         # exactly, whatever the branch outputs.
         b = new_branch(KanArch((2, 8, 1), KAN53), seed=0)
         h = HybridSystem(duffing(), b, 0.07, EULER)
-        for x, v in [(0.3, -1.2), (2.0, 0.5), (-1.7, 1.7)]:
-            out = hybrid_step(h, State(x, v))
-            assert out.x == x + 0.07 * v
+        starts = np.array([(0.3, -1.2), (2.0, 0.5), (-1.7, 1.7)])
+        batched = step_rows(h, starts)
+        for (x, v), row in zip(starts, batched):
+            assert row[0] == x + 0.07 * v
+            assert step_rows(h, [[x, v]])[0, 0] == x + 0.07 * v
 
     def test_divergence_error_carries_step(self):
         h = zero_system(duffing(), 1e9, EULER)  # absurd dt blows the bound
+        for starts in ([[1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0], [-0.5, 0.2]]):
+            with pytest.raises(DivergenceError) as err:
+                rollout(h, starts, 100)
+            assert err.value.step == 1
         with pytest.raises(DivergenceError) as err:
-            rollout(h, State(1.0, 1.0), 100)
-        assert err.value.step is not None
+            step_batch(h, np.array([1.0]), np.array([1.0]), step=7)
+        assert err.value.step == 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,25 +132,33 @@ class TestHybridStep:
 
 
 class TestRollout:
-    def test_single_step_equals_hybrid_step(self):
+    def test_single_step_equals_step_batch(self):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=1)
         h = HybridSystem(vanderpol(), b, 0.01)
-        traj = rollout(h, State(0.8, -0.4), 1)
-        step = hybrid_step(h, State(0.8, -0.4))
-        assert np.array_equal(traj.states[1], [step.x, step.v])
-        assert len(traj) == 2
+        starts = np.array([[0.8, -0.4], [-1.1, 0.3]])
+        for block in (starts[:1], starts):
+            states = rollout(h, block, 1)
+            assert states.shape == (len(block), 2, 2)
+            assert np.array_equal(states[:, 0], block)
+            assert np.array_equal(states[:, 1], step_rows(h, block))
 
     def test_zero_branch_center_stays_bounded(self):
         # Known part alone is the linear center x'' = -x: energy conserved,
         # so the orbit from (2, 0) keeps ||state||_inf <= 2.01 under RK4.
         h = zero_system(vanderpol(), 0.01)
-        traj = rollout(h, State(2.0, 0.0), 2000)
-        assert np.isfinite(traj.states).all()
-        assert np.abs(traj.states).max() <= 2.01
+        for starts in ([[2.0, 0.0]], [[2.0, 0.0], [0.0, -2.0], [-1.2, 1.6]]):
+            states = rollout(h, starts, 2000)
+            assert np.isfinite(states).all()
+            assert np.abs(states).max() <= 2.01
 
     def test_needs_positive_steps(self):
-        with pytest.raises(ValueError):
-            rollout(zero_system(duffing(), 0.01), State(1.0, 0.0), 0)
+        h = zero_system(duffing(), 0.01)
+        for starts in ([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                rollout(h, starts, 0)
+        for bad in ([1.0, 0.0], np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                rollout(h, bad, 10)
 
 
 class TestTeacherForcing:
