@@ -5,14 +5,11 @@ from .dynamics import (
     Dataset,
     DivergenceError,
     OscillatorSpec,
-    State,
     Trajectory,
     duffing,
-    full_rhs,
     generate_dataset,
     load_dataset,
     oscillator,
-    rk4_step,
     save_dataset,
     vanderpol,
 )
@@ -44,21 +41,14 @@ from .harness import (
 from .hybridcell import (
     HybridSystem,
     OracleResidual,
-    RolloutWindow,
-    bptt_loss,
-    make_windows,
     oracle_system,
     rollout,
-    teacher_forcing_loss,
 )
 from .netcore import (
     KanArch,
     MlpArch,
     ResidualBranch,
     SplineSpec,
-    branch_forward,
-    branch_gradients,
-    branch_input_jacobian,
     init_params,
     l1_penalty,
     load_branch,
@@ -67,7 +57,7 @@ from .netcore import (
     product_construction,
     save_branch,
 )
-from .splines import bspline_basis, fit_coefficients, knot_vector
+from .splines import fit_coefficients, knot_vector
 from .trainer import TrainConfig, TrainReport, adam_step, train, verify_gradients
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ normalization constant used by residual branches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,21 +44,6 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class State:
-    """Phase-space point (position, velocity); both components finite."""
-
-    x: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.v)):
-            raise ValueError(f"non-finite state ({self.x}, {self.v})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.v])
-
-
-@dataclass(frozen=True)
 class OscillatorSpec:
     """One benchmark system: known physics plus ground-truth residual.
 
@@ -81,9 +65,6 @@ class OscillatorSpec:
         """(d/dx, d/dv) of the known acceleration."""
         x = np.asarray(x, dtype=float)
         return -np.ones_like(x), np.zeros_like(x)
-
-    def known_rhs(self, s: State) -> State:
-        return State(s.v, float(self.known_vdot(s.x, s.v)))
 
     def true_residual(self, x, v):
         if self.kind == DUFFING:
@@ -111,40 +92,15 @@ def oscillator(kind: str) -> OscillatorSpec:
     return OscillatorSpec(kind)
 
 
-def full_rhs(spec: OscillatorSpec, s: State) -> State:
-    """Complete dynamics: (x', v') = (v, known_vdot + residual)."""
-    vdot = spec.known_vdot(s.x, s.v) + spec.true_residual(s.x, s.v)
-    return State(s.v, float(vdot))
-
-
-def rk4_step(rhs, s: State, dt: float) -> State:
-    """One classical fourth-order Runge-Kutta step of the map rhs: State -> State."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
-    def f(y):
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError("non-finite intermediate state in rk4_step")
-        d = rhs(State(y[0], y[1]))
-        return np.array([d.x, d.v])
-
-    y = s.as_array()
-    k1 = f(y)
-    k2 = f(y + dt / 2 * k1)
-    k3 = f(y + dt / 2 * k2)
-    k4 = f(y + dt * k3)
-    out = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("rk4_step produced a non-finite state")
-    return State(out[0], out[1])
-
-
 def _full_rhs_arrays(spec: OscillatorSpec, X, V):
     return V, spec.known_vdot(X, V) + spec.true_residual(X, V)
 
 
 def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """RK4-integrate a (n, 2) block of initial conditions; returns (n, n_steps+1, 2)."""
+    """RK4-integrate a (n, 2) block of initial conditions; returns (n, n_steps+1, 2).
+
+    Raises ``DivergenceError`` whose ``step`` is the index of the first
+    non-finite state, as ``hybridcell.rollout`` reports it."""
     n = ics.shape[0]
     out = np.empty((n, n_steps + 1, 2))
     out[:, 0] = ics
@@ -157,7 +113,7 @@ def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: i
         X = X + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         V = V + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-            raise DivergenceError("batch integration diverged", step=t)
+            raise DivergenceError("batch integration diverged", step=t + 1)
         out[:, t + 1, 0] = X
         out[:, t + 1, 1] = V
     return out
@@ -179,9 +135,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def state(self, i: int) -> State:
-        return State(self.states[i, 0], self.states[i, 1])
 
     def times(self) -> np.ndarray:
         return np.arange(len(self.states)) * self.dt

@@ -152,6 +152,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
+        if self.n_test_ics < 1:
+            raise ValueError("n_test_ics must be >= 1")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        if self.data_steps < 2:
+            raise ValueError("data_steps must be >= 2")
+        if not self.oracle:
+            if self.n_train_ics < 1:
+                raise ValueError("n_train_ics must be >= 1 unless oracle")
+            if self.paradigm == BPTT and self.horizon > self.data_steps:
+                raise ValueError(f"horizon {self.horizon} exceeds data_steps "
+                                 f"{self.data_steps}: no BPTT window fits")
 
 
 _FINGERPRINT_EXCLUDED = ("out", "n_seeds")

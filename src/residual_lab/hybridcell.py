@@ -5,10 +5,16 @@ The cell advances (x, v) by integrating
     dx/dt = v                                  (hard constraint, exact)
     dv/dt = known_vdot(x, v) + R(x/scale, v/scale)
 
-so the branch can only ever model the missing v-dot term.  Teacher-forcing
-and BPTT losses come with exact reverse-mode gradients threaded through the
-integrator stages; for BPTT the adjoint also flows through the state path
-via the branch input jacobian.
+so the branch can only ever model the missing v-dot term.  A branch is any
+object with a flat ``params`` array and four methods: ``eval_batch(xn, vn)
+-> (values, cache)``, ``combined_vjp(cache, upstream) -> (param gradient,
+(d/dxn, d/dvn))``, ``l1_value()`` and ``l1_grad_into(grads)``;
+``netcore.ResidualBranch`` and ``OracleResidual`` are the two.
+
+The teacher-forcing loss (on ``transitions_of`` pairs) and the BPTT loss (on
+``windows_of`` windows) come with exact reverse-mode gradients threaded
+through the integrator stages; for BPTT the adjoint also flows through the
+state path via the branch input jacobian.
 
 Everything here is batched over a leading sample axis; batch size 1 is a
 batch of one row, not a separate scalar API.
@@ -42,52 +48,15 @@ class OracleResidual:
         self.scale = float(scale)
         self.params = np.zeros(0)
 
-    @property
-    def n_params(self) -> int:
-        return 0
-
     def eval_batch(self, xn, vn):
         x = np.asarray(xn, dtype=float) * self.scale
         v = np.asarray(vn, dtype=float) * self.scale
         return self.spec.true_residual(x, v), (x, v)
 
-    def param_vjp(self, cache, upstream):
-        return np.zeros(0)
-
-    def input_vjp(self, cache, upstream):
+    def combined_vjp(self, cache, upstream):
         x, v = cache
         px, pv = self.spec.true_residual_partials(x, v)
-        return upstream * px * self.scale, upstream * pv * self.scale
-
-    def combined_vjp(self, cache, upstream):
-        return np.zeros(0), self.input_vjp(cache, upstream)
-
-    def l1_value(self) -> float:
-        return 0.0
-
-    def l1_grad_into(self, grads) -> None:
-        pass
-
-
-class ZeroResidual:
-    """Identically-zero residual with the branch interface; the hybrid cell
-    then integrates the known part alone."""
-
-    params = np.zeros(0)
-    n_params = 0
-
-    def eval_batch(self, xn, vn):
-        return np.zeros(np.broadcast(np.asarray(xn), np.asarray(vn)).shape), None
-
-    def param_vjp(self, cache, upstream):
-        return np.zeros(0)
-
-    def input_vjp(self, cache, upstream):
-        z = np.zeros_like(np.asarray(upstream, dtype=float))
-        return z, z.copy()
-
-    def combined_vjp(self, cache, upstream):
-        return np.zeros(0), self.input_vjp(cache, upstream)
+        return np.zeros(0), (upstream * px * self.scale, upstream * pv * self.scale)
 
     def l1_value(self) -> float:
         return 0.0
@@ -116,26 +85,6 @@ class HybridSystem:
 def oracle_system(spec: OscillatorSpec, dt: float, integrator: str = RK4,
                   scale: float = 2.5) -> HybridSystem:
     return HybridSystem(spec, OracleResidual(spec, scale), dt, integrator, scale)
-
-
-@dataclass(frozen=True)
-class RolloutWindow:
-    """A free-rollout supervision unit: start state plus K target states."""
-
-    start: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
-        if self.start.shape != (2,):
-            raise ValueError("window start must be a single (x, v) state")
-        if self.targets.ndim != 2 or self.targets.shape[0] < 1 or self.targets.shape[1] != 2:
-            raise ValueError("window targets must be (K >= 1, 2)")
-
-    @property
-    def horizon(self) -> int:
-        return self.targets.shape[0]
 
 
 def _vdot_batch(h: HybridSystem, X, V):
@@ -243,6 +192,21 @@ def transitions_of(trajectories) -> tuple[np.ndarray, np.ndarray]:
     return s0, s1
 
 
+def windows_of(trajectories, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-overlapping K-step window of each trajectory in turn:
+    starts (W, 2) and targets (W, K, 2), trajectory-major."""
+    if horizon < 1:
+        raise ValueError("window horizon must be >= 1")
+    starts, targets = [], []
+    for traj in trajectories:
+        n = (traj.states.shape[0] - 1) // horizon
+        starts.append(traj.states[: n * horizon : horizon])
+        targets.append(traj.states[1 : n * horizon + 1].reshape(n, horizon, 2))
+    if sum(len(s) for s in starts) == 0:
+        raise ValueError("trajectories shorter than one BPTT window")
+    return np.concatenate(starts), np.concatenate(targets)
+
+
 def tf_loss_value(h: HybridSystem, s0: np.ndarray, s1: np.ndarray) -> float:
     XP, VP, _ = step_batch(h, s0[:, 0], s0[:, 1])
     sq = (XP - s1[:, 0]) ** 2 + (VP - s1[:, 1]) ** 2
@@ -261,44 +225,6 @@ def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
     return loss, grads
 
 
-def teacher_forcing_loss(h: HybridSystem, trajectories):
-    """Mean one-step squared error over every transition, plus L1."""
-    s0, s1 = transitions_of(trajectories)
-    return tf_loss_grads(h, s0, s1)
-
-
-def make_windows(trajectories, horizon: int) -> list[RolloutWindow]:
-    """Chop each trajectory into non-overlapping K-step windows."""
-    if horizon < 1:
-        raise ValueError("window horizon must be >= 1")
-    windows = []
-    for traj in trajectories:
-        n_steps = traj.states.shape[0] - 1
-        for j in range(n_steps // horizon):
-            lo = j * horizon
-            windows.append(
-                RolloutWindow(traj.states[lo], traj.states[lo + 1 : lo + 1 + horizon])
-            )
-    return windows
-
-
-def _window_arrays(windows):
-    windows = list(windows)
-    if not windows:
-        raise ValueError("no rollout windows")
-    horizon = windows[0].horizon
-    if any(w.horizon != horizon for w in windows):
-        raise ValueError("all windows in one batch must share the horizon")
-    starts = np.stack([w.start for w in windows])
-    targets = np.stack([w.targets for w in windows])
-    return starts, targets, horizon
-
-
-def bptt_loss_value(h: HybridSystem, windows) -> float:
-    starts, targets, _ = _window_arrays(windows)
-    return bptt_value_arrays(h, starts, targets)
-
-
 def bptt_value_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray) -> float:
     horizon = targets.shape[1]
     X, V = starts[:, 0], starts[:, 1]
@@ -309,19 +235,9 @@ def bptt_value_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray) 
     return total / (starts.shape[0] * horizon) + h.branch.l1_value()
 
 
-def bptt_loss(h: HybridSystem, windows, state_path: bool = True):
-    """K-step free-rollout loss with the full adjoint sweep.
-
-    ``state_path=False`` drops the adjoint propagation between steps (each
-    step then contributes only its local parameter gradient); it exists to
-    measure how much the through-state path matters, never for training.
-    """
-    starts, targets, _ = _window_arrays(windows)
-    return bptt_grads_arrays(h, starts, targets, state_path=state_path)
-
-
-def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray,
-                      state_path: bool = True):
+def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
+    """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, and
+    its gradient from the full adjoint sweep back through every step."""
     n, horizon = targets.shape[0], targets.shape[1]
     X, V = starts[:, 0], starts[:, 1]
     caches, diffs = [], []
@@ -343,8 +259,5 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray,
         lx = lx + (2.0 / norm) * dx
         lv = lv + (2.0 / norm) * dv
         lx, lv = step_vjp(h, caches[t], lx, lv, grads)
-        if not state_path:
-            lx = np.zeros(n)
-            lv = np.zeros(n)
     h.branch.l1_grad_into(grads)
     return loss, grads

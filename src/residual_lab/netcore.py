@@ -40,7 +40,7 @@ All gradients are exact reverse-mode; finite-difference tests pin them down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -141,22 +141,10 @@ class ResidualBranch:
     def kind(self) -> str:
         return KAN if isinstance(self.arch, KanArch) else MLP
 
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
-    # Duck-typed residual interface used by the hybrid cell (the analytical
-    # oracle in hybridcell implements the same four methods).
+    # Duck-typed residual interface used by the hybrid cell: ``params`` and
+    # these four methods (the analytical oracle in hybridcell has the same).
     def eval_batch(self, xn, vn):
         return forward_batch(self, xn, vn)
-
-    def param_vjp(self, cache, upstream):
-        g, _ = backward_batch(self, cache, upstream, want_inputs=False)
-        return g
-
-    def input_vjp(self, cache, upstream):
-        _, d = backward_batch(self, cache, upstream, want_params=False)
-        return d
 
     def combined_vjp(self, cache, upstream):
         return backward_batch(self, cache, upstream)
@@ -255,77 +243,46 @@ def forward_batch(branch: ResidualBranch, xn, vn):
     return U[:, 0], layers
 
 
-def backward_batch(branch, cache, upstream, want_params=True, want_inputs=True):
+def backward_batch(branch, cache, upstream):
     """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs).
 
-    Returns (flat param gradient or None, (d/dxn, d/dvn) arrays or None).
+    Returns (flat param gradient, (d/dxn, d/dvn) arrays).
     """
     upstream = np.asarray(upstream, dtype=float)
     Wy = upstream[:, None]
-    grads = np.zeros_like(branch.params) if want_params else None
+    grads = np.zeros_like(branch.params)
     if isinstance(branch.arch, KanArch):
         views = _kan_layers(branch.arch, branch.params)
-        gviews = _kan_layers(branch.arch, grads) if want_params else None
+        gviews = _kan_layers(branch.arch, grads)
         for li in range(len(views) - 1, -1, -1):
             coef, base, scale = views[li]
             c = cache[li]
-            if want_params:
-                gcoef, gbase, gscale = gviews[li]
-                gbase += c["silu"].T @ Wy
-                gscale += np.einsum("nio,no->io", c["spl"], Wy)
-                # Scatter the local weights into all M columns, then one GEMM
-                # sums them over the batch.
-                n_in, _, M = coef.shape
-                dense = scatter_to_dense(c["B"], c["first"], M)
-                gsum = dense.reshape(len(Wy), n_in * M).T @ Wy  # (n_in * M, n_out)
-                gcoef += scale[:, :, None] * gsum.reshape(n_in, M, -1).transpose(0, 2, 1)
-            last = li == 0 and not want_inputs
-            if not last:
-                dsilu = c["sig"] * (1.0 + c["U"] * (1.0 - c["sig"]))
-                dspl = np.einsum("nic,nico->nio", c["dB"], c["local"])
-                Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum(
-                    "nio,nio->ni", dspl, Wy[:, None, :] * scale
-                )
+            gcoef, gbase, gscale = gviews[li]
+            gbase += c["silu"].T @ Wy
+            gscale += np.einsum("nio,no->io", c["spl"], Wy)
+            # Scatter the local weights into all M columns, then one GEMM
+            # sums them over the batch.
+            n_in, _, M = coef.shape
+            dense = scatter_to_dense(c["B"], c["first"], M)
+            gsum = dense.reshape(len(Wy), n_in * M).T @ Wy  # (n_in * M, n_out)
+            gcoef += scale[:, :, None] * gsum.reshape(n_in, M, -1).transpose(0, 2, 1)
+            dsilu = c["sig"] * (1.0 + c["U"] * (1.0 - c["sig"]))
+            dspl = np.einsum("nic,nico->nio", c["dB"], c["local"])
+            Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum(
+                "nio,nio->ni", dspl, Wy[:, None, :] * scale
+            )
     else:
         views = _mlp_layers(branch.arch, branch.params)
-        gviews = _mlp_layers(branch.arch, grads) if want_params else None
+        gviews = _mlp_layers(branch.arch, grads)
         for li in range(len(views) - 1, -1, -1):
             W, _ = views[li]
             c = cache[li]
             Wz = Wy if li == len(views) - 1 else Wy * (c["Z"] > 0)
-            if want_params:
-                gW, gb = gviews[li]
-                gW += c["U"].T @ Wz
-                gb += Wz.sum(axis=0)
+            gW, gb = gviews[li]
+            gW += c["U"].T @ Wz
+            gb += Wz.sum(axis=0)
             Wy = Wz @ W.T
-    din = (Wy[:, 0].copy(), Wy[:, 1].copy()) if want_inputs else None
-    return grads, din
-
-
-def branch_forward(branch: ResidualBranch, xn: float, vn: float):
-    """Scalar forward pass; returns (value, cache)."""
-    vals, cache = forward_batch(branch, [xn], [vn])
-    return float(vals[0]), cache
-
-
-def branch_gradients(branch: ResidualBranch, batch) -> np.ndarray:
-    """Gradient of sum(upstream * R(xn, vn)) over a batch of triples."""
-    triples = list(batch)
-    if not triples:
-        raise ValueError("branch_gradients needs a nonempty batch")
-    xs, vs, ws = (np.array(col, dtype=float) for col in zip(*triples))
-    if not np.all(np.isfinite(ws)):
-        raise ValueError("non-finite upstream weight in batch")
-    _, cache = forward_batch(branch, xs, vs)
-    grads, _ = backward_batch(branch, cache, ws, want_inputs=False)
-    return grads
-
-
-def branch_input_jacobian(branch: ResidualBranch, xn: float, vn: float):
-    """Exact (dR/dxn, dR/dvn) at one point."""
-    _, cache = forward_batch(branch, [xn], [vn])
-    _, (dx, dv) = backward_batch(branch, cache, np.ones(1), want_params=False)
-    return float(dx[0]), float(dv[0])
+    return grads, (Wy[:, 0].copy(), Wy[:, 1].copy())
 
 
 def l1_penalty(branch: ResidualBranch) -> float:
@@ -417,7 +374,3 @@ def load_branch(path) -> tuple[ResidualBranch, int]:
         raise malformed
     params = np.array([float(x) for x in lines[1:] if x])
     return ResidualBranch(arch, params), int(seed_s)
-
-
-def with_params(branch: ResidualBranch, params: np.ndarray) -> ResidualBranch:
-    return replace(branch, params=np.asarray(params, dtype=float).copy())

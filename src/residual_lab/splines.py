@@ -166,19 +166,6 @@ def dense_basis(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return scatter_to_dense(B, first, spec.n_basis), scatter_to_dense(dB, first, spec.n_basis)
 
 
-def bspline_basis(u: float, spec: SplineSpec) -> np.ndarray:
-    """Values of all ``grid_size + order`` basis functions at a scalar point.
-
-    Non-finite input is rejected; out-of-domain input is clamped, mirroring
-    how network layers feed the basis.
-    """
-    if not np.isfinite(u):
-        raise ValueError(f"non-finite spline input {u}")
-    uc = min(max(u, spec.domain[0]), spec.domain[1])
-    B, _ = dense_basis(spec, np.asarray(uc))
-    return B
-
-
 def fit_coefficients(spec: SplineSpec, fn, n_samples: int = 200) -> np.ndarray:
     """Least-squares coefficients reproducing ``fn`` on the domain.
 

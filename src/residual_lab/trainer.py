@@ -18,16 +18,15 @@ import numpy as np
 from .dynamics import Dataset, DivergenceError
 from .hybridcell import (
     HybridSystem,
-    ZeroResidual,
     bptt_grads_arrays,
     bptt_value_arrays,
-    make_windows,
-    step_batch,
+    rollout,
     tf_loss_grads,
     tf_loss_value,
     transitions_of,
+    windows_of,
 )
-from .netcore import trainable_mask
+from .netcore import MlpArch, ResidualBranch, trainable_mask
 from .rng import stream
 
 TEACHER_FORCING = "teacher_forcing"
@@ -121,11 +120,7 @@ def train(system: HybridSystem, data: Dataset, cfg: TrainConfig) -> TrainReport:
             idx = rng.choice(pool, size=min(cfg.batch_size, pool), replace=False)
             return tf_loss_grads(system, s0[idx], s1[idx])
     else:
-        windows = make_windows(data.train, cfg.horizon)
-        if not windows:
-            raise ValueError("trajectories shorter than one BPTT window")
-        starts = np.stack([w.start for w in windows])
-        targets = np.stack([w.targets for w in windows])
+        starts, targets = windows_of(data.train, cfg.horizon)
         pool = starts.shape[0]
 
         def sample_loss():
@@ -241,14 +236,10 @@ def verify_gradients(branch, system: HybridSystem, n_points: int = 5,
         raise ValueError("n_points must be >= 1")
     rng = stream(seed, "gradcheck")
     ics = rng.uniform(-1.5, 1.5, size=(n_points, 2))
-    probe = HybridSystem(system.spec, ZeroResidual(), system.dt, system.integrator,
-                         system.scale)
-    X, V = ics[:, 0].copy(), ics[:, 1].copy()
-    states = [np.stack([X, V], axis=1)]
-    for t in range(horizon):
-        X, V, _ = step_batch(probe, X, V, step=t + 1)
-        states.append(np.stack([X, V], axis=1))
-    path = np.stack(states, axis=1)
+    # A zero-weight linear branch outputs exactly 0.0: the known part alone.
+    zero = ResidualBranch(MlpArch((2, 1)), np.zeros(3))
+    probe = HybridSystem(system.spec, zero, system.dt, system.integrator, system.scale)
+    path = rollout(probe, ics, horizon)
 
     h = HybridSystem(system.spec, branch, system.dt, system.integrator, system.scale)
     s0, s1 = path[:, 0], path[:, 1]

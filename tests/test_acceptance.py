@@ -36,10 +36,11 @@ from residual_lab.harness import (
 from residual_lab.hybridcell import (
     HybridSystem,
     OracleResidual,
-    bptt_loss_value,
-    make_windows,
+    bptt_value_arrays,
     oracle_system,
-    teacher_forcing_loss,
+    tf_loss_grads,
+    transitions_of,
+    windows_of,
 )
 from residual_lab.netcore import new_branch, param_count, product_construction
 from residual_lab.splines import SplineSpec, dense_basis, fit_coefficients
@@ -87,8 +88,8 @@ def test_criterion_02_oracle_closure():
         spec = oscillator(name)
         ds = generate_dataset(spec, 4, 2, 0.01, 120, seed=0)
         h = oracle_system(spec, ds.dt)
-        tf, _ = teacher_forcing_loss(h, ds.train)
-        bp = bptt_loss_value(h, make_windows(ds.train, 50))
+        tf, _ = tf_loss_grads(h, *transitions_of(ds.train))
+        bp = bptt_value_arrays(h, *windows_of(ds.train, 50))
         surface = sample_surface(OracleResidual(spec, ds.scale), spec,
                                  GridSpec(), ds.scale)
         r2 = discovery_r2(surface)

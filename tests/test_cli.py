@@ -128,6 +128,21 @@ class TestSweepAggregate:
         rows, _ = read_metrics(os.path.join(directory, "metrics.csv"))
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("fields", [
+        "n_test_ics = 0\n",
+        "n_train_ics = 0\n",
+        "paradigm = bptt\nhorizon = 60\ndata_steps = 50\n",
+    ])
+    def test_sweep_rejects_config_that_fails_every_seed(self, capsys, tmp_path, fields):
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("config = A\nsteps = 2\n" + fields)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "sweep", "--config-file", str(cfg),
+                           "--seeds", "1", "--out", str(out))
+        assert code == 1
+        assert "error" in err
+        assert not out.exists()
+
     def test_aggregate_from_sweep_dirs(self, capsys, tmp_path):
         cfg = tmp_path / "exp.txt"
         cfg.write_text("config = A\noracle = true\nn_train_ics = 2\n"

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 from residual_lab.dynamics import (
     DivergenceError,
-    State,
     Trajectory,
+    _full_rhs_arrays,
     duffing,
-    full_rhs,
     generate_dataset,
     integrate_batch,
     load_dataset,
     oscillator,
-    rk4_step,
     save_dataset,
     vanderpol,
 )
@@ -21,44 +19,55 @@ from residual_lab.dynamics import (
 finite_coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 
+def rhs_rows(spec, states):
+    """(x', v') of every (x, v) row in one batched call, as an (S, 2) array."""
+    states = np.asarray(states, dtype=float)
+    return np.stack(_full_rhs_arrays(spec, states[:, 0], states[:, 1]), axis=1)
+
+
 class TestFullRhs:
     def test_duffing_example(self):
-        out = full_rhs(duffing(), State(1.0, 0.0))
-        assert out.x == 0.0
-        assert out.v == pytest.approx(-1.3, abs=1e-15)
+        for S in (1, 3):
+            out = rhs_rows(duffing(), [[1.0, 0.0]] * S)
+            assert np.array_equal(out[:, 0], np.zeros(S))
+            assert np.allclose(out[:, 1], -1.3, rtol=0.0, atol=1e-15)
 
     def test_vanderpol_example(self):
-        out = full_rhs(vanderpol(), State(0.0, 1.0))
-        assert (out.x, out.v) == (1.0, 1.0)
+        out = rhs_rows(vanderpol(), [[0.0, 1.0]])
+        assert np.array_equal(out, [[1.0, 1.0]])
+        out = rhs_rows(vanderpol(), [[0.0, 1.0], [1.0, 2.0]])
+        assert np.array_equal(out, [[1.0, 1.0], [2.0, -1.0]])
 
     def test_duffing_fixed_point(self):
-        out = full_rhs(duffing(), State(0.0, 0.0))
-        assert (out.x, out.v) == (0.0, 0.0)
+        assert np.array_equal(rhs_rows(duffing(), [[0.0, 0.0]]), [[0.0, 0.0]])
+        out = rhs_rows(duffing(), [[0.0, 0.0], [1.0, 0.5]])
+        assert np.array_equal(out[0], [0.0, 0.0])
 
     @given(finite_coord, finite_coord)
     def test_residual_never_enters_xdot(self, x, v):
         for spec in (duffing(), vanderpol()):
-            assert full_rhs(spec, State(x, v)).x == v
+            assert rhs_rows(spec, [[x, v]])[0, 0] == v
+            assert np.array_equal(rhs_rows(spec, [[x, v], [v, x]])[:, 0], [v, x])
 
     def test_duffing_odd_symmetry(self):
-        spec = duffing()
-        for x in np.linspace(-2.5, 2.5, 11):
-            for v in np.linspace(-2.5, 2.5, 11):
-                pos = full_rhs(spec, State(x, v))
-                neg = full_rhs(spec, State(-x, -v))
-                assert neg.x == -pos.x
-                assert neg.v == pytest.approx(-pos.v, abs=1e-12)
+        g = np.linspace(-2.5, 2.5, 11)
+        X, V = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
+        pos = rhs_rows(duffing(), np.stack([X, V], axis=1))
+        neg = rhs_rows(duffing(), np.stack([-X, -V], axis=1))
+        assert np.array_equal(neg[:, 0], -pos[:, 0])
+        assert np.allclose(neg[:, 1], -pos[:, 1], rtol=0.0, atol=1e-12)
+        for i in (0, 37, 120):
+            assert np.array_equal(rhs_rows(duffing(), [[-X[i], -V[i]]]), neg[i : i + 1])
 
 
 class TestRk4:
     def test_zero_rhs_identity(self):
-        s = State(0.3, -0.7)
-        out = rk4_step(lambda st_: State(0.0, 0.0), s, 0.1)
-        assert (out.x, out.v) == (0.3, -0.7)
-
-    def test_constant_velocity_exact(self):
-        out = rk4_step(lambda st_: State(st_.v, 0.0), State(0.0, 1.0), 0.5)
-        assert (out.x, out.v) == (0.5, 1.0)
+        # The origin is a rest point of both systems: the right-hand side
+        # vanishes there, so every RK4 step returns it unchanged.
+        for spec in (duffing(), vanderpol()):
+            for ics in ([[0.0, 0.0]], [[0.0, 0.0], [0.3, -0.7]]):
+                out = integrate_batch(spec, np.array(ics), 0.1, 5)
+                assert np.array_equal(out[0], np.zeros((6, 2)))
 
     def test_step_halving_convergence(self):
         spec = duffing()
@@ -75,9 +84,13 @@ class TestRk4:
         assert e1 / e2 >= 12.0
 
     def test_divergent_rhs_raises(self):
-        # Finite but huge slopes overflow when the RK4 stages are combined.
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-            rk4_step(lambda st_: State(1e308, 1e308), State(1.0, 1.0), 1.0)
+        # -0.3 x^3 overflows at x = 1e103, so the state after the first step
+        # is non-finite: the error names step 1, as rollout does.
+        for ics in ([[1e103, 0.0]], [[1e103, 0.0], [1.0, 0.0]]):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError) as err:
+                integrate_batch(duffing(), np.array(ics), 0.01, 5)
+            assert err.value.step == 1
 
 
 class TestDataset:
@@ -128,12 +141,6 @@ class TestDataset:
 
 
 class TestTypes:
-    def test_state_requires_finite(self):
-        with pytest.raises(ValueError):
-            State(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            State(0.0, float("inf"))
-
     def test_trajectory_invariants(self):
         with pytest.raises(ValueError):
             Trajectory(0.0, np.zeros((5, 2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import zero_branch
 
 from residual_lab import hybridcell
 from residual_lab.dynamics import (
@@ -36,7 +37,6 @@ from residual_lab.harness import ExperimentConfig, make_train_config, resolve_ar
 from residual_lab.hybridcell import (
     HybridSystem,
     OracleResidual,
-    ZeroResidual,
     oracle_system,
     step_batch,
 )
@@ -84,18 +84,18 @@ class TestSampleSurface:
         assert np.allclose(s.values, s.truth, rtol=1e-15, atol=1e-15)
 
     def test_zero_branch_all_zero(self):
-        s = sample_surface(ZeroResidual(), vanderpol(), SMALL_GRID)
+        s = sample_surface(zero_branch(), vanderpol(), SMALL_GRID)
         assert np.array_equal(s.values, np.zeros_like(s.values))
 
     def test_duffing_truth_at_grid_corner(self):
-        s = sample_surface(ZeroResidual(), duffing(), GridSpec())
+        s = sample_surface(zero_branch(), duffing(), GridSpec())
         # truth at x = 2.5 is -0.3 * 2.5^3 for every v
         assert np.allclose(s.truth[-1, :], -4.6875, atol=1e-12)
 
     def test_shape_convention(self):
         # values[ix, iv]: x varies along the first axis.
         grid = GridSpec(nx=5, nv=3)
-        s = sample_surface(ZeroResidual(), duffing(), grid)
+        s = sample_surface(zero_branch(), duffing(), grid)
         assert s.truth.shape == (5, 3)
         xs = grid.xs()
         assert np.allclose(s.truth[:, 0], -0.3 * xs**3)
@@ -161,7 +161,7 @@ class TestOneStepMse:
         assert one_step_mse(h, vdp_data.test) < 1e-16
 
     def test_zero_branch_positive(self, vdp_data):
-        h = HybridSystem(vanderpol(), ZeroResidual(), vdp_data.dt)
+        h = HybridSystem(vanderpol(), zero_branch(), vdp_data.dt)
         assert one_step_mse(h, vdp_data.test) > 0
 
     def test_halved_dt_still_exact(self):
@@ -170,13 +170,13 @@ class TestOneStepMse:
         assert one_step_mse(h, ds.test) < 1e-16
 
     def test_divergence_gives_inf(self, vdp_data):
-        h = HybridSystem(vanderpol(), ZeroResidual(), 1e9)
+        h = HybridSystem(vanderpol(), zero_branch(), 1e9)
         assert one_step_mse(h, vdp_data.test) == float("inf")
 
     def test_rollout_mse_oracle(self, vdp_data):
         h = oracle_system(vanderpol(), vdp_data.dt)
         assert rollout_mse(h, vdp_data.test) < 1e-14
-        zero = HybridSystem(vanderpol(), ZeroResidual(), vdp_data.dt)
+        zero = HybridSystem(vanderpol(), zero_branch(), vdp_data.dt)
         assert rollout_mse(zero, vdp_data.test) > one_step_mse(zero, vdp_data.test)
 
 
@@ -279,7 +279,7 @@ class TestRolloutMse:
         assert got == pytest.approx(reference_rollout_mse(h, mixed), rel=1e-12, abs=0.0)
 
     def test_lockstep_one_step_call_per_time_step(self, monkeypatch, vdp_data):
-        h = HybridSystem(vanderpol(), ZeroResidual(), vdp_data.dt)
+        h = HybridSystem(vanderpol(), zero_branch(), vdp_data.dt)
         test = vdp_data.test + vdp_data.train  # 4 trajectories of 100 steps
         calls = count_steps(monkeypatch)
         rollout_mse(h, test)
@@ -291,7 +291,7 @@ class TestRolloutMse:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="no trajectories"):
-            rollout_mse(HybridSystem(vanderpol(), ZeroResidual(), 0.01), [])
+            rollout_mse(HybridSystem(vanderpol(), zero_branch(), 0.01), [])
 
 
 class TestDictionary:

@@ -78,6 +78,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n_seeds=0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(n_test_ics=0),
+        dict(n_test_ics=0, oracle=True),
+        dict(dt=0.0),
+        dict(dt=-0.01),
+        dict(data_steps=1),
+        dict(n_train_ics=0),
+        dict(paradigm=BPTT, horizon=51, data_steps=50),
+    ])
+    def test_data_fields_that_fail_every_seed_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**fields)
+
+    def test_oracle_needs_no_training_data(self):
+        ExperimentConfig(oracle=True, n_train_ics=0)
+        ExperimentConfig(oracle=True, paradigm=BPTT, horizon=51, data_steps=50)
+        ExperimentConfig(paradigm=BPTT, horizon=50, data_steps=50)
+
     def test_resolve_arch_preset(self):
         arch, preset = resolve_arch(ExperimentConfig(config="A"))
         assert isinstance(arch, KanArch)

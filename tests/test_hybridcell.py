@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import with_params, zero_branch
 
 from residual_lab.dynamics import (
     DivergenceError,
@@ -13,32 +14,25 @@ from residual_lab.hybridcell import (
     RK4,
     HybridSystem,
     OracleResidual,
-    RolloutWindow,
-    ZeroResidual,
-    bptt_loss,
-    make_windows,
+    bptt_grads_arrays,
+    bptt_value_arrays,
     oracle_system,
     rollout,
     step_batch,
-    teacher_forcing_loss,
+    step_vjp,
     tf_loss_grads,
+    tf_loss_value,
     transitions_of,
+    windows_of,
 )
-from residual_lab.netcore import (
-    KanArch,
-    MlpArch,
-    forward_batch,
-    new_branch,
-    with_params,
-)
-from residual_lab.rng import stream
+from residual_lab.netcore import KanArch, MlpArch, new_branch
 from residual_lab.splines import SplineSpec
 
 KAN53 = SplineSpec(grid_size=5, order=3)
 
 
 def zero_system(spec, dt, integrator=RK4):
-    return HybridSystem(spec, ZeroResidual(), dt, integrator)
+    return HybridSystem(spec, zero_branch(), dt, integrator)
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +118,11 @@ class TestHybridStep:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HybridSystem(duffing(), ZeroResidual(), 0.01, "leapfrog")
+            HybridSystem(duffing(), zero_branch(), 0.01, "leapfrog")
         with pytest.raises(ValueError):
-            HybridSystem(duffing(), ZeroResidual(), -0.01)
+            HybridSystem(duffing(), zero_branch(), -0.01)
         with pytest.raises(ValueError):
-            HybridSystem(duffing(), ZeroResidual(), 0.01, RK4, scale=0.0)
+            HybridSystem(duffing(), zero_branch(), 0.01, RK4, scale=0.0)
 
 
 class TestRollout:
@@ -161,108 +155,142 @@ class TestRollout:
                 rollout(h, bad, 10)
 
 
+def tf_loss(h, trajectories):
+    return tf_loss_grads(h, *transitions_of(trajectories))
+
+
+def local_only_bptt_grads(h, starts, targets):
+    """BPTT gradient with the adjoint cut between steps: each step adds only
+    its own local parameter gradient, built from step_batch + step_vjp."""
+    n, horizon = targets.shape[:2]
+    norm = n * horizon
+    X, V = starts[:, 0], starts[:, 1]
+    grads = np.zeros_like(h.branch.params)
+    for t in range(horizon):
+        X, V, cache = step_batch(h, X, V, step=t + 1)
+        step_vjp(h, cache, (2.0 / norm) * (X - targets[:, t, 0]),
+                 (2.0 / norm) * (V - targets[:, t, 1]), grads)
+    h.branch.l1_grad_into(grads)
+    return grads
+
+
 class TestTeacherForcing:
     def test_oracle_closure(self, duffing_data):
         h = oracle_system(duffing(), duffing_data.dt)
-        loss, grads = teacher_forcing_loss(h, duffing_data.train)
-        assert loss < 1e-16
-        assert grads.shape == (0,)
+        s0, s1 = transitions_of(duffing_data.train)
+        for n in (1, len(s0)):
+            loss, grads = tf_loss_grads(h, s0[:n], s1[:n])
+            assert loss < 1e-16
+            assert grads.shape == (0,)
 
     def test_zero_branch_positive_loss(self, duffing_data):
         h = zero_system(duffing(), duffing_data.dt)
-        loss, _ = teacher_forcing_loss(h, duffing_data.train)
-        assert loss > 0.0
+        s0, s1 = transitions_of(duffing_data.train)
+        for n in (1, len(s0)):
+            assert tf_loss_grads(h, s0[:n], s1[:n])[0] > 0.0
 
     def test_oracle_beats_zero_branch(self, duffing_data):
-        oracle = teacher_forcing_loss(oracle_system(duffing(), 0.01), duffing_data.train)[0]
-        zero = teacher_forcing_loss(zero_system(duffing(), 0.01), duffing_data.train)[0]
+        oracle = tf_loss(oracle_system(duffing(), 0.01), duffing_data.train)[0]
+        zero = tf_loss(zero_system(duffing(), 0.01), duffing_data.train)[0]
         assert oracle < zero
 
     def test_gradient_matches_finite_differences(self, duffing_data):
-        # 120-parameter KAN on 3 transitions, both integrators.
+        # 120-parameter KAN on 1 and 3 transitions, both integrators.
         s0, s1 = transitions_of(duffing_data.train)
-        s0, s1 = s0[:3], s1[:3]
-        for integrator in (RK4, EULER):
-            b = new_branch(KanArch((2, 4, 1), KAN53), seed=3)
-            h = HybridSystem(duffing(), b, 0.01, integrator)
-            _, grads = tf_loss_grads(h, s0, s1)
+        for n in (1, 3):
+            for integrator in (RK4, EULER):
+                b = new_branch(KanArch((2, 4, 1), KAN53), seed=3)
+                h = HybridSystem(duffing(), b, 0.01, integrator)
+                _, grads = tf_loss_grads(h, s0[:n], s1[:n])
 
-            def loss_at(p, integrator=integrator):
-                h2 = HybridSystem(duffing(), with_params(b, p), 0.01, integrator)
-                from residual_lab.hybridcell import tf_loss_value
+                def loss_at(p, integrator=integrator, n=n):
+                    h2 = HybridSystem(duffing(), with_params(b, p), 0.01, integrator)
+                    return tf_loss_value(h2, s0[:n], s1[:n])
 
-                return tf_loss_value(h2, s0, s1)
-
-            fd = fd_loss_gradient(loss_at, b)
-            assert max_rel_error(grads, fd) < 1e-4
+                fd = fd_loss_gradient(loss_at, b)
+                assert max_rel_error(grads, fd) < 1e-4
 
     def test_l1_term_included(self, duffing_data):
         plain = new_branch(KanArch((2, 4, 1), KAN53, l1_weight=0.0), seed=5)
         sparse = with_params(new_branch(KanArch((2, 4, 1), KAN53, l1_weight=1e-2), seed=5),
                              plain.params)
-        l0 = teacher_forcing_loss(HybridSystem(duffing(), plain, 0.01), duffing_data.train)[0]
-        l1 = teacher_forcing_loss(HybridSystem(duffing(), sparse, 0.01), duffing_data.train)[0]
+        l0 = tf_loss(HybridSystem(duffing(), plain, 0.01), duffing_data.train)[0]
+        l1 = tf_loss(HybridSystem(duffing(), sparse, 0.01), duffing_data.train)[0]
         assert l1 == pytest.approx(l0 + sparse.l1_value(), rel=1e-12)
         assert sparse.l1_value() > 0
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            teacher_forcing_loss(zero_system(duffing(), 0.01), [])
+            transitions_of([])
 
 
 class TestWindows:
     def test_non_overlapping_cover(self):
-        ds = generate_dataset(duffing(), 1, 0, 0.01, 100, seed=2)
-        windows = make_windows(ds.train, 30)
-        assert len(windows) == 3  # 100 transitions -> 3 full windows of 30
-        traj = ds.train[0].states
-        for j, w in enumerate(windows):
-            assert np.array_equal(w.start, traj[30 * j])
-            assert np.array_equal(w.targets, traj[30 * j + 1 : 30 * j + 31])
+        # 100 transitions -> 3 full windows of 30 per trajectory, stacked
+        # trajectory by trajectory.
+        ds = generate_dataset(duffing(), 3, 0, 0.01, 100, seed=2)
+        for trajs in (ds.train[:1], ds.train):
+            starts, targets = windows_of(trajs, 30)
+            assert starts.shape == (3 * len(trajs), 2)
+            assert targets.shape == (3 * len(trajs), 30, 2)
+            for i, traj in enumerate(trajs):
+                for j in range(3):
+                    assert np.array_equal(starts[3 * i + j], traj.states[30 * j])
+                    assert np.array_equal(targets[3 * i + j],
+                                          traj.states[30 * j + 1 : 30 * j + 31])
 
     def test_horizon_one(self):
-        ds = generate_dataset(duffing(), 1, 0, 0.01, 10, seed=2)
-        windows = make_windows(ds.train, 1)
-        assert len(windows) == 10
-        assert all(w.horizon == 1 for w in windows)
+        ds = generate_dataset(duffing(), 2, 0, 0.01, 10, seed=2)
+        starts, targets = windows_of(ds.train[:1], 1)
+        assert starts.shape == (10, 2) and targets.shape == (10, 1, 2)
+        s0, s1 = transitions_of(ds.train)
+        starts, targets = windows_of(ds.train, 1)
+        assert np.array_equal(starts, s0)
+        assert np.array_equal(targets[:, 0], s1)
 
     def test_validation(self):
+        ds = generate_dataset(duffing(), 2, 0, 0.01, 20, seed=2)
         with pytest.raises(ValueError):
-            RolloutWindow(np.zeros(3), np.zeros((2, 2)))
+            windows_of(ds.train, 0)
         with pytest.raises(ValueError):
-            RolloutWindow(np.zeros(2), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            make_windows([], 0)
+            windows_of([], 0)
+        with pytest.raises(ValueError, match="shorter than one BPTT window"):
+            windows_of(ds.train, 21)
 
 
 class TestBptt:
     def test_oracle_closure_k50(self, vdp_data):
         h = oracle_system(vanderpol(), vdp_data.dt)
-        loss, _ = bptt_loss(h, make_windows(vdp_data.train, 50))
-        assert loss < 1e-14
+        starts, targets = windows_of(vdp_data.train, 50)
+        for n in (1, len(starts)):
+            loss, _ = bptt_grads_arrays(h, starts[:n], targets[:n])
+            assert loss < 1e-14
 
     def test_k1_reproduces_teacher_forcing(self, vdp_data):
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=6)
         h = HybridSystem(vanderpol(), b, vdp_data.dt)
-        tf_loss, tf_grads = teacher_forcing_loss(h, vdp_data.train)
-        bp_loss, bp_grads = bptt_loss(h, make_windows(vdp_data.train, 1))
-        assert abs(tf_loss - bp_loss) < 1e-12
-        assert np.abs(tf_grads - bp_grads).max() < 1e-12
+        s0, s1 = transitions_of(vdp_data.train)
+        starts, targets = windows_of(vdp_data.train, 1)
+        for n in (1, len(s0)):
+            tf_loss_n, tf_grads = tf_loss_grads(h, s0[:n], s1[:n])
+            bp_loss, bp_grads = bptt_grads_arrays(h, starts[:n], targets[:n])
+            assert abs(tf_loss_n - bp_loss) < 1e-12
+            assert np.abs(tf_grads - bp_grads).max() < 1e-12
 
     def test_gradient_matches_finite_differences(self, vdp_data):
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=7)
         h = HybridSystem(vanderpol(), b, vdp_data.dt)
-        windows = make_windows(vdp_data.train, 5)[:4]
-        _, grads = bptt_loss(h, windows)
+        starts, targets = windows_of(vdp_data.train, 5)
+        for n in (1, 4):
+            _, grads = bptt_grads_arrays(h, starts[:n], targets[:n])
 
-        def loss_at(p):
-            from residual_lab.hybridcell import bptt_loss_value
+            def loss_at(p, n=n):
+                return bptt_value_arrays(
+                    HybridSystem(vanderpol(), with_params(b, p), vdp_data.dt),
+                    starts[:n], targets[:n])
 
-            return bptt_loss_value(HybridSystem(vanderpol(), with_params(b, p), vdp_data.dt),
-                                   windows)
-
-        fd = fd_loss_gradient(loss_at, b)
-        assert max_rel_error(grads, fd) < 1e-3
+            fd = fd_loss_gradient(loss_at, b)
+            assert max_rel_error(grads, fd) < 1e-3
 
     def test_state_path_completeness(self, vdp_data):
         # Train briefly so the branch is nontrivial, then check that dropping
@@ -274,9 +302,14 @@ class TestBptt:
         cfg = TrainConfig(paradigm="bptt", horizon=10, steps=10, learning_rate=3e-3,
                           batch_size=4, seed=8)
         train(h, vdp_data, cfg)
-        windows = make_windows(vdp_data.train, 10)[:8]
-        _, full = bptt_loss(h, windows, state_path=True)
-        _, local = bptt_loss(h, windows, state_path=False)
+        # At K=1 there is no path between steps, so the two must agree.
+        starts, targets = windows_of(vdp_data.train, 1)
+        _, full = bptt_grads_arrays(h, starts[:8], targets[:8])
+        assert np.allclose(local_only_bptt_grads(h, starts[:8], targets[:8]), full,
+                           rtol=1e-12, atol=0.0)
+        starts, targets = windows_of(vdp_data.train, 10)
+        _, full = bptt_grads_arrays(h, starts[:8], targets[:8])
+        local = local_only_bptt_grads(h, starts[:8], targets[:8])
         assert np.linalg.norm(full - local) / np.linalg.norm(full) > 1e-3
 
     def test_divergence_identifies_window(self):
@@ -284,37 +317,42 @@ class TestBptt:
         huge = with_params(huge, huge.params * 0 + 1e9)
         ds = generate_dataset(duffing(), 1, 0, 0.01, 20, seed=9)
         h = HybridSystem(duffing(), huge, 0.01)
-        with pytest.raises(DivergenceError):
-            bptt_loss(h, make_windows(ds.train, 10))
-
-    def test_mixed_horizons_rejected(self, vdp_data):
-        w1 = make_windows(vdp_data.train, 5)[0]
-        w2 = make_windows(vdp_data.train, 10)[0]
-        with pytest.raises(ValueError):
-            bptt_loss(zero_system(vanderpol(), vdp_data.dt), [w1, w2])
+        starts, targets = windows_of(ds.train, 10)
+        for n in (1, len(starts)):
+            with pytest.raises(DivergenceError):
+                bptt_grads_arrays(h, starts[:n], targets[:n])
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ValueError):
-            bptt_loss(zero_system(duffing(), 0.01), [])
+            windows_of([], 10)
 
 
 class TestOracleResidual:
     def test_input_vjp_matches_finite_differences(self):
+        # Input partials of combined_vjp against central differences, at one
+        # point and at three.
         orc = OracleResidual(vanderpol(), 2.5)
-        xn, vn = np.array([0.3]), np.array([-0.5])
-        _, cache = orc.eval_batch(xn, vn)
-        dx, dv = orc.input_vjp(cache, np.ones(1))
-        eps = 1e-6
-        fdx = (orc.eval_batch(xn + eps, vn)[0] - orc.eval_batch(xn - eps, vn)[0]) / (2 * eps)
-        fdv = (orc.eval_batch(xn, vn + eps)[0] - orc.eval_batch(xn, vn - eps)[0]) / (2 * eps)
-        assert dx[0] == pytest.approx(fdx[0], rel=1e-6)
-        assert dv[0] == pytest.approx(fdv[0], rel=1e-6)
+        for xn, vn in (([0.3], [-0.5]), ([0.3, -0.8, 0.1], [-0.5, 0.2, 0.9])):
+            xn, vn = np.array(xn), np.array(vn)
+            _, cache = orc.eval_batch(xn, vn)
+            g, (dx, dv) = orc.combined_vjp(cache, np.ones(len(xn)))
+            assert g.shape == (0,)
+            eps = 1e-6
+            fdx = (orc.eval_batch(xn + eps, vn)[0] - orc.eval_batch(xn - eps, vn)[0]) / (2 * eps)
+            fdv = (orc.eval_batch(xn, vn + eps)[0] - orc.eval_batch(xn, vn - eps)[0]) / (2 * eps)
+            assert dx == pytest.approx(fdx, rel=1e-6)
+            assert dv == pytest.approx(fdv, rel=1e-6)
 
     def test_zero_residual_interface(self):
-        z = ZeroResidual()
-        vals, cache = z.eval_batch(np.zeros(3), np.ones(3))
-        assert np.array_equal(vals, np.zeros(3))
-        assert z.param_vjp(cache, np.ones(3)).shape == (0,)
-        dx, dv = z.input_vjp(cache, np.ones(3))
-        assert np.array_equal(dx, np.zeros(3))
+        # The zero-weight linear branch that stands in for "known part only":
+        # outputs are +0.0 (never -0.0), input partials are zero.
+        z = zero_branch()
+        for n in (1, 3):
+            xn, vn = -np.arange(1.0, n + 1), -np.ones(n)
+            vals, cache = z.eval_batch(xn, vn)
+            assert np.array_equal(vals, np.zeros(n))
+            assert not np.signbit(vals).any()
+            g, (dx, dv) = z.combined_vjp(cache, np.ones(n))
+            assert g.shape == (3,)
+            assert np.array_equal(dx, np.zeros(n)) and np.array_equal(dv, np.zeros(n))
         assert z.l1_value() == 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import with_params
 
 from residual_lab.harness import ExperimentConfig, builtin_configs, resolve_arch
 from residual_lab.netcore import (
@@ -9,9 +10,7 @@ from residual_lab.netcore import (
     MlpArch,
     ResidualBranch,
     add_l1_gradient,
-    branch_forward,
-    branch_gradients,
-    branch_input_jacobian,
+    backward_batch,
     forward_batch,
     init_params,
     l1_penalty,
@@ -21,7 +20,6 @@ from residual_lab.netcore import (
     product_construction,
     save_branch,
     trainable_mask,
-    with_params,
 )
 from residual_lab.rng import stream
 from residual_lab.splines import SplineSpec
@@ -40,6 +38,23 @@ def fd_param_gradient(branch, xs, vs, ws, eps=1e-5):
             vals, _ = forward_batch(with_params(branch, p), xs, vs)
             out[i] += sgn * float(ws @ vals) / (2 * eps)
     return out
+
+
+def values(branch, xs, vs):
+    return forward_batch(branch, np.atleast_1d(xs), np.atleast_1d(vs))[0]
+
+
+def param_grads(branch, xs, vs, ws):
+    """Gradient of sum(ws * R(xs, vs)) over the parameters."""
+    _, cache = forward_batch(branch, xs, vs)
+    return backward_batch(branch, cache, ws)[0]
+
+
+def input_grads(branch, xs, vs):
+    """(dR/dxn, dR/dvn) at every point."""
+    xs, vs = np.atleast_1d(xs), np.atleast_1d(vs)
+    _, cache = forward_batch(branch, xs, vs)
+    return backward_batch(branch, cache, np.ones(len(xs)))[1]
 
 
 def max_rel_error(a, b, floor=1e-6):
@@ -86,16 +101,18 @@ class TestParamCount:
 class TestForward:
     def test_zero_mlp_outputs_zero(self):
         b = ResidualBranch(MlpArch((2, 16, 16, 1)), np.zeros(337))
-        for xn, vn in [(0.0, 0.0), (0.7, -0.3), (5.0, -5.0)]:
-            val, _ = branch_forward(b, xn, vn)
-            assert val == 0.0
+        xs, vs = np.array([0.0, 0.7, 5.0]), np.array([0.0, -0.3, -5.0])
+        assert np.array_equal(values(b, xs, vs), np.zeros(3))
+        for xn, vn in zip(xs, vs):
+            assert np.array_equal(values(b, xn, vn), [0.0])
 
     def test_zero_scale_kan_outputs_zero(self):
         arch = KanArch((2, 4, 1), KAN53)
         b = ResidualBranch(arch, np.zeros(param_count(arch)))
-        for xn, vn in [(0.0, 0.0), (0.5, 0.4), (3.0, -3.0)]:
-            val, _ = branch_forward(b, xn, vn)
-            assert val == 0.0
+        xs, vs = np.array([0.0, 0.5, 3.0]), np.array([0.0, 0.4, -3.0])
+        assert np.array_equal(values(b, xs, vs), np.zeros(3))
+        for xn, vn in zip(xs, vs):
+            assert np.array_equal(values(b, xn, vn), [0.0])
 
     def test_batch_matches_scalar(self):
         b = new_branch(KanArch((2, 8, 1), KAN53), seed=3)
@@ -103,44 +120,40 @@ class TestForward:
         xs, vs = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
         vals, _ = forward_batch(b, xs, vs)
         for i in range(10):
-            assert branch_forward(b, xs[i], vs[i])[0] == pytest.approx(vals[i], abs=1e-14)
+            assert values(b, xs[i], vs[i])[0] == pytest.approx(vals[i], abs=1e-14)
 
     @given(interior, interior)
     def test_deterministic(self, xn, vn):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=1)
-        assert branch_forward(b, xn, vn)[0] == branch_forward(b, xn, vn)[0]
+        assert np.array_equal(values(b, xn, vn), values(b, xn, vn))
+        pair = ([xn, vn], [vn, xn])
+        assert np.array_equal(values(b, *pair), values(b, *pair))
 
     def test_finite_on_wild_inputs(self):
         for arch in (KanArch((2, 8, 1), KAN53), MlpArch((2, 16, 16, 1))):
             b = new_branch(arch, seed=2)
-            for xn, vn in [(50.0, -50.0), (-1e3, 1e3)]:
-                assert np.isfinite(branch_forward(b, xn, vn)[0])
+            xs, vs = np.array([50.0, -1e3]), np.array([-50.0, 1e3])
+            assert np.isfinite(values(b, xs, vs)).all()
+            for xn, vn in zip(xs, vs):
+                assert np.isfinite(values(b, xn, vn)).all()
 
 
 class TestGradients:
     def test_zero_upstream_zero_gradient(self):
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=0)
-        g = branch_gradients(b, [(0.2, -0.4, 0.0), (0.6, 0.1, 0.0)])
-        assert np.array_equal(g, np.zeros_like(b.params))
-
-    def test_empty_batch_rejected(self):
-        b = new_branch(MlpArch((2, 26, 1)), seed=0)
-        with pytest.raises(ValueError):
-            branch_gradients(b, [])
-
-    def test_non_finite_upstream_rejected(self):
-        b = new_branch(MlpArch((2, 26, 1)), seed=0)
-        with pytest.raises(ValueError):
-            branch_gradients(b, [(0.1, 0.2, float("inf"))])
+        for n in (1, 2):
+            g = param_grads(b, np.array([0.2, 0.6])[:n], np.array([-0.4, 0.1])[:n], np.zeros(n))
+            assert np.array_equal(g, np.zeros_like(b.params))
 
     def test_mlp_matches_finite_differences(self):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=5)
         rng = stream(5, "gradcheck")
         xs, vs = rng.uniform(-0.9, 0.9, 4), rng.uniform(-0.9, 0.9, 4)
         ws = rng.uniform(-1, 1, 4)
-        g = branch_gradients(b, list(zip(xs, vs, ws)))
-        fd = fd_param_gradient(b, xs, vs, ws)
-        assert max_rel_error(g, fd) < 1e-4
+        for n in (1, 4):
+            g = param_grads(b, xs[:n], vs[:n], ws[:n])
+            fd = fd_param_gradient(b, xs[:n], vs[:n], ws[:n])
+            assert max_rel_error(g, fd) < 1e-4
 
     def test_kan_matches_finite_differences(self):
         # Twenty random interior points through the (G=5, k=3) network.
@@ -148,61 +161,71 @@ class TestGradients:
         rng = stream(7, "gradcheck")
         xs, vs = rng.uniform(-0.9, 0.9, 20), rng.uniform(-0.9, 0.9, 20)
         ws = rng.uniform(-1, 1, 20)
-        g = branch_gradients(b, list(zip(xs, vs, ws)))
-        fd = fd_param_gradient(b, xs, vs, ws)
-        assert max_rel_error(g, fd) < 1e-4
+        for n in (1, 20):
+            g = param_grads(b, xs[:n], vs[:n], ws[:n])
+            fd = fd_param_gradient(b, xs[:n], vs[:n], ws[:n])
+            assert max_rel_error(g, fd) < 1e-4
 
     def test_deep_kan_matches_finite_differences(self):
         b = new_branch(KanArch((2, 4, 4, 1), KAN53), seed=11)
         rng = stream(11, "gradcheck")
         xs, vs = rng.uniform(-0.9, 0.9, 3), rng.uniform(-0.9, 0.9, 3)
         ws = rng.uniform(-1, 1, 3)
-        g = branch_gradients(b, list(zip(xs, vs, ws)))
-        fd = fd_param_gradient(b, xs, vs, ws)
-        assert max_rel_error(g, fd) < 1e-4
+        for n in (1, 3):
+            g = param_grads(b, xs[:n], vs[:n], ws[:n])
+            fd = fd_param_gradient(b, xs[:n], vs[:n], ws[:n])
+            assert max_rel_error(g, fd) < 1e-4
 
     def test_gradient_is_linear_in_upstream(self):
         b = new_branch(KanArch((2, 8, 1), KAN53), seed=2)
-        g1 = branch_gradients(b, [(0.3, -0.2, 1.0)])
-        g2 = branch_gradients(b, [(0.3, -0.2, 2.5)])
-        assert np.allclose(g2, 2.5 * g1, atol=1e-14)
+        xs, vs = np.array([0.3, -0.7]), np.array([-0.2, 0.5])
+        for n in (1, 2):
+            g1 = param_grads(b, xs[:n], vs[:n], np.ones(n))
+            g2 = param_grads(b, xs[:n], vs[:n], np.full(n, 2.5))
+            assert np.allclose(g2, 2.5 * g1, atol=1e-14)
 
 
 class TestInputJacobian:
     def test_zero_branch(self):
         arch = MlpArch((2, 26, 1))
         b = ResidualBranch(arch, np.zeros(param_count(arch)))
-        assert branch_input_jacobian(b, 0.4, -0.6) == (0.0, 0.0)
+        for xs, vs in ((0.4, -0.6), ([0.4, -1.2, 3.0], [-0.6, 0.1, 0.0])):
+            dx, dv = input_grads(b, xs, vs)
+            assert not dx.any() and not dv.any()
 
     def test_product_jacobian(self):
+        # d(xn * vn) = (vn, xn).
         b = product_construction(KAN53)
-        dx, dv = branch_input_jacobian(b, 0.3, 0.7)
-        assert dx == pytest.approx(0.7, abs=1e-5)
-        assert dv == pytest.approx(0.3, abs=1e-5)
+        for xs, vs in ((0.3, 0.7), ([0.3, -0.5, 0.9], [0.7, 0.2, -0.4])):
+            dx, dv = input_grads(b, xs, vs)
+            assert dx == pytest.approx(np.atleast_1d(vs), abs=1e-5)
+            assert dv == pytest.approx(np.atleast_1d(xs), abs=1e-5)
 
     def test_mlp_matches_finite_differences_away_from_kinks(self):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=9)
         rng = stream(9, "gradcheck")
+        pts = np.array([rng.uniform(-0.9, 0.9, 2) for _ in range(50)])
+        xs, vs = pts[:, 0], pts[:, 1]
+        _, cache = forward_batch(b, xs, vs)
+        smooth = np.min([np.abs(c["Z"]).min(axis=1) for c in cache[:-1]], axis=0) >= 1e-3
+        assert smooth.sum() > 10
         eps = 1e-6
-        checked = 0
-        for _ in range(50):
-            xn, vn = rng.uniform(-0.9, 0.9, 2)
-            _, cache = branch_forward(b, xn, vn)
-            if min(np.abs(c["Z"]).min() for c in cache[:-1]) < 1e-3:
-                continue
-            dx, dv = branch_input_jacobian(b, xn, vn)
-            fdx = (branch_forward(b, xn + eps, vn)[0] - branch_forward(b, xn - eps, vn)[0]) / (2 * eps)
-            fdv = (branch_forward(b, xn, vn + eps)[0] - branch_forward(b, xn, vn - eps)[0]) / (2 * eps)
-            assert abs(dx - fdx) < 1e-4 * max(1.0, abs(fdx))
-            assert abs(dv - fdv) < 1e-4 * max(1.0, abs(fdv))
-            checked += 1
-        assert checked > 10
+        fdx = (values(b, xs + eps, vs) - values(b, xs - eps, vs)) / (2 * eps)
+        fdv = (values(b, xs, vs + eps) - values(b, xs, vs - eps)) / (2 * eps)
+        dx, dv = input_grads(b, xs, vs)
+        for i in np.flatnonzero(smooth):
+            assert abs(dx[i] - fdx[i]) < 1e-4 * max(1.0, abs(fdx[i]))
+            assert abs(dv[i] - fdv[i]) < 1e-4 * max(1.0, abs(fdv[i]))
+            one_dx, one_dv = input_grads(b, xs[i], vs[i])
+            assert one_dx[0] == pytest.approx(dx[i], rel=1e-12)
+            assert one_dv[0] == pytest.approx(dv[i], rel=1e-12)
 
     def test_spline_partial_vanishes_outside_domain(self):
         # With the base term off, clamping kills the input partial beyond the domain.
         b = new_branch(KanArch((2, 4, 1), KAN53, base_blend=False), seed=4)
-        dx, dv = branch_input_jacobian(b, 1.5, 2.0)
-        assert (dx, dv) == (0.0, 0.0)
+        for xs, vs in ((1.5, 2.0), ([1.5, -1.1, 3.0], [2.0, -4.0, 1.2])):
+            dx, dv = input_grads(b, xs, vs)
+            assert not dx.any() and not dv.any()
 
 
 class TestInit:
@@ -270,16 +293,18 @@ class TestTrainableMask:
 class TestProductConstruction:
     def test_corner(self):
         b = product_construction(KAN53)
-        assert branch_forward(b, 1.0, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
+        assert values(b, 1.0, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_line(self):
         b = product_construction(KAN53)
-        for vn in (-1.0, -0.3, 0.0, 0.8):
-            assert branch_forward(b, 0.0, vn)[0] == pytest.approx(0.0, abs=1e-9)
+        vns = np.array([-1.0, -0.3, 0.0, 0.8])
+        assert values(b, np.zeros(4), vns) == pytest.approx(np.zeros(4), abs=1e-9)
+        for vn in vns:
+            assert values(b, 0.0, vn)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_example_point(self):
         b = product_construction(KAN53)
-        assert branch_forward(b, 0.5, 0.4)[0] == pytest.approx(0.2, abs=1e-6)
+        assert values(b, 0.5, 0.4)[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_dense_grid(self):
         b = product_construction(KAN53)
@@ -294,7 +319,8 @@ class TestProductConstruction:
 
     def test_order_two_works(self):
         b = product_construction(SplineSpec(grid_size=5, order=2))
-        assert branch_forward(b, -0.6, 0.9)[0] == pytest.approx(-0.54, abs=1e-6)
+        assert values(b, -0.6, 0.9)[0] == pytest.approx(-0.54, abs=1e-6)
+        assert values(b, [-0.6, 0.5], [0.9, 0.4]) == pytest.approx([-0.54, 0.2], abs=1e-6)
 
 
 class TestL1:
@@ -380,7 +406,9 @@ class TestCheckpoint:
         back, _ = load_branch(path)
         assert back.arch == b.arch
         assert np.array_equal(back.params, b.params)
-        assert branch_forward(back, 0.5, 0.4)[0] == branch_forward(b, 0.5, 0.4)[0]
+        assert np.array_equal(values(back, 0.5, 0.4), values(b, 0.5, 0.4))
+        xs, vs = np.linspace(-1, 1, 7), np.linspace(1, -1, 7)
+        assert np.array_equal(values(back, xs, vs), values(b, xs, vs))
 
     @pytest.mark.parametrize("name", sorted(builtin_configs()))
     def test_roundtrip_every_builtin_config(self, tmp_path, name):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from residual_lab.netcore import KanArch, forward_batch, new_branch
 from residual_lab.splines import (
     SplineSpec,
-    bspline_basis,
     dense_basis,
     fit_coefficients,
     knot_vector,
@@ -40,13 +40,19 @@ class TestSpec:
 
 class TestBasis:
     def test_degree_zero_indicator(self):
-        out = bspline_basis(-0.5, SplineSpec(grid_size=2, order=0))
-        assert np.array_equal(out, [1.0, 0.0])
+        spec = SplineSpec(grid_size=2, order=0)
+        assert np.array_equal(dense_basis(spec, np.array([-0.5]))[0], [[1.0, 0.0]])
+        assert np.array_equal(dense_basis(spec, np.array([-0.5, 0.5]))[0],
+                              [[1.0, 0.0], [0.0, 1.0]])
 
     def test_partition_of_unity_at_origin(self):
-        out = bspline_basis(0.0, SplineSpec(grid_size=5, order=3))
+        spec = SplineSpec(grid_size=5, order=3)
+        out, _ = dense_basis(spec, np.array(0.0))
         assert out.shape == (8,)
         assert abs(out.sum() - 1.0) < 1e-12
+        out, _ = dense_basis(spec, np.zeros(3))
+        assert out.shape == (3, 8)
+        assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"G{s.grid_size}k{s.order}")
     def test_partition_of_unity_dense(self, spec):
@@ -65,25 +71,26 @@ class TestBasis:
 
     def test_right_endpoint_included(self):
         for spec in ALL_SPECS:
-            out = bspline_basis(spec.domain[1], spec)
+            out, _ = dense_basis(spec, np.array([spec.domain[1]]))
             assert abs(out.sum() - 1.0) < 1e-10
+            out, _ = dense_basis(spec, np.array(spec.domain))
+            assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-10
 
     def test_clamps_out_of_domain(self):
-        spec = SplineSpec(grid_size=5, order=3)
-        assert np.array_equal(bspline_basis(3.0, spec), bspline_basis(1.0, spec))
-        assert np.array_equal(bspline_basis(-3.0, spec), bspline_basis(-1.0, spec))
-
-    def test_rejects_non_finite(self):
-        spec = SplineSpec()
-        with pytest.raises(ValueError):
-            bspline_basis(float("nan"), spec)
-        with pytest.raises(ValueError):
-            bspline_basis(float("inf"), spec)
+        # KAN layers clamp their input to the domain before the basis: with
+        # the base term off, a point beyond the domain evaluates as the edge.
+        arch = KanArch((2, 1), SplineSpec(grid_size=5, order=3), base_blend=False)
+        b = new_branch(arch, seed=0)
+        for xs, ys in (([3.0], [1.0]), ([-3.0], [-1.0]), ([3.0, -3.0], [1.0, -1.0])):
+            assert np.array_equal(forward_batch(b, xs, xs)[0], forward_batch(b, ys, ys)[0])
 
     @given(st.floats(-1.0, 1.0, allow_nan=False))
     def test_pointwise_unity_property(self, u):
-        out = bspline_basis(u, SplineSpec(grid_size=8, order=2))
+        spec = SplineSpec(grid_size=8, order=2)
+        out, _ = dense_basis(spec, np.array([u]))
         assert abs(out.sum() - 1.0) < 1e-10
+        out, _ = dense_basis(spec, np.array([u, -u]))
+        assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-10
 
 
 class TestDerivative:

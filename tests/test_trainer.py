@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import with_params
 
 from residual_lab.dynamics import duffing, generate_dataset, vanderpol
 from residual_lab.hybridcell import HybridSystem
@@ -157,8 +158,6 @@ class TestTrain:
         # Huge parameters make every rollout diverge, so both the step and
         # its retry fail; the report must carry the failure step and finite
         # last-good parameters.
-        from residual_lab.netcore import with_params
-
         b = new_branch(KanArch((2, 8, 8, 1), KAN53), seed=0)
         b = with_params(b, np.full_like(b.params, 1e9))
         h = HybridSystem(duffing(), b, duffing_data.dt)
