@@ -5,7 +5,6 @@ from .dynamics import (
     Dataset,
     DivergenceError,
     OscillatorSpec,
-    Trajectory,
     duffing,
     generate_dataset,
     load_dataset,

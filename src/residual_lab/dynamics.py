@@ -7,8 +7,8 @@ ground-truth residual acting only on the acceleration:
 * Van der Pol: x' = v,  v' = -x + (1 - x^2) v  (known -x, residual (1 - x^2) v)
 
 Reference trajectories come from classical fixed-step RK4 on the full
-right-hand side.  Datasets bundle train/test trajectories with the
-normalization constant used by residual branches.
+right-hand side.  Datasets bundle (n, T, 2) train/test trajectory arrays
+with the normalization constant used by residual branches.
 """
 
 from __future__ import annotations
@@ -120,56 +120,36 @@ def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: i
 
 
 @dataclass
-class Trajectory:
-    """Fixed-step trajectory; ``states`` is an (n, 2) array of [x, v] rows."""
-
-    dt: float
-    states: np.ndarray
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.states.ndim != 2 or self.states.shape[1] != 2 or len(self.states) < 2:
-            raise ValueError(f"states must be (n>=2, 2), got {self.states.shape}")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.states)) * self.dt
-
-
-@dataclass
 class Dataset:
-    """Train/test trajectory collections plus the branch-input normalization."""
+    """Train and test splits, each an (n, T, 2) array of [x, v] states
+    sampled every ``dt``, plus the branch-input normalization."""
 
     oscillator: str
-    train: list[Trajectory]
-    test: list[Trajectory]
+    dt: float
+    train: np.ndarray
+    test: np.ndarray
     scale: float = DEFAULT_SCALE
 
     def __post_init__(self):
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        dts = {t.dt for t in self.train} | {t.dt for t in self.test}
-        if len(dts) > 1:
-            raise ValueError(f"trajectories disagree on dt: {sorted(dts)}")
-
-    @property
-    def dt(self) -> float:
-        return (self.train or self.test)[0].dt
+        shape = self.test.shape
+        if len(shape) != 3 or shape[1] < 2 or shape[2] != 2 or self.train.shape[1:] != shape[1:]:
+            raise ValueError(f"splits must be (n, T>=2, 2) arrays of one T, "
+                             f"got {self.train.shape} and {shape}")
 
 
-def _sample_trajectories(spec, n, dt, n_steps, rng, sanity_bound) -> tuple[np.ndarray, np.ndarray]:
+def _sample_trajectories(spec, n, dt, n_steps, rng, sanity_bound) -> np.ndarray:
     """Draw n ICs from the IC box, integrating and redrawing any that escape
-    the sanity box.  Returns (ics, trajectories (n, n_steps+1, 2))."""
+    the sanity box.  Returns the trajectories, (n, n_steps+1, 2)."""
     ics = rng.uniform(-IC_BOX, IC_BOX, size=(n, 2))
     trajs = integrate_batch(spec, ics, dt, n_steps)
     for _ in range(RESAMPLE_CAP):
         bad = np.flatnonzero(np.abs(trajs).max(axis=(1, 2)) > sanity_bound)
         if bad.size == 0:
-            return ics, trajs
+            return trajs
         ics[bad] = rng.uniform(-IC_BOX, IC_BOX, size=(bad.size, 2))
         trajs[bad] = integrate_batch(spec, ics[bad], dt, n_steps)
     raise RuntimeError(
@@ -199,18 +179,15 @@ def generate_dataset(
         raise ValueError("n_steps must be at least 2")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n_train_ics + n_test_ics < 1:
+        raise ValueError("a dataset needs at least one trajectory")
     rng = stream(seed, "dataset")
-    train_ics, train_arr = _sample_trajectories(spec, n_train_ics, dt, n_steps, rng, sanity_bound)
-    test_ics, test_arr = _sample_trajectories(spec, n_test_ics, dt, n_steps, rng, sanity_bound)
+    train = _sample_trajectories(spec, n_train_ics, dt, n_steps, rng, sanity_bound)
+    test = _sample_trajectories(spec, n_test_ics, dt, n_steps, rng, sanity_bound)
     if noise_std > 0:
-        train_arr = train_arr + rng.normal(0.0, noise_std, size=train_arr.shape)
-        test_arr = test_arr + rng.normal(0.0, noise_std, size=test_arr.shape)
-    return Dataset(
-        oscillator=spec.kind,
-        train=[Trajectory(dt, train_arr[i]) for i in range(n_train_ics)],
-        test=[Trajectory(dt, test_arr[i]) for i in range(n_test_ics)],
-        scale=scale,
-    )
+        train = train + rng.normal(0.0, noise_std, size=train.shape)
+        test = test + rng.normal(0.0, noise_std, size=test.shape)
+    return Dataset(spec.kind, dt, train, test, scale)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -224,40 +201,43 @@ def save_dataset(ds: Dataset, path) -> None:
         "%s,%s,%s,%d,%d"
         % (ds.oscillator, _FLOAT_FMT % ds.dt, _FLOAT_FMT % ds.scale, len(ds.train), len(ds.test))
     ]
+    times = np.arange(ds.test.shape[1]) * ds.dt
     for split, trajs in (("train", ds.train), ("test", ds.test)):
-        for i, traj in enumerate(trajs):
+        for i, states in enumerate(trajs):
             lines.append(f"#traj {split} {i}")
-            for t, (x, v) in zip(traj.times(), traj.states):
+            for t, (x, v) in zip(times, states):
                 lines.append(f"{_FLOAT_FMT % t},{_FLOAT_FMT % x},{_FLOAT_FMT % v}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:
+    """Read a ``save_dataset`` file; an unknown split, rows before the first
+    ``#traj`` line or ragged or miscounted trajectories raise ``ValueError``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"empty dataset file {path}")
     osc, dt_s, scale_s, n_train_s, n_test_s = lines[0].split(",")
-    dt, scale = float(dt_s), float(scale_s)
-    n_train, n_test = int(n_train_s), int(n_test_s)
-    splits: dict[str, list[Trajectory]] = {"train": [], "test": []}
-    current: list[list[float]] = []
-    current_split = None
-
-    def flush():
-        if current_split is not None:
-            splits[current_split].append(Trajectory(dt, np.array(current)))
-        current.clear()
-
-    for line in lines[1:]:
+    splits: dict[str, list] = {"train": [], "test": []}
+    current = None
+    for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("#traj"):
-            flush()
-            current_split = line.split()[1]
+            fields = line.split()
+            if len(fields) < 2 or fields[1] not in splits:
+                raise ValueError(f"{path}:{lineno}: unknown split in {line!r}")
+            current = []
+            splits[fields[1]].append(current)
         elif line:
+            if current is None:
+                raise ValueError(f"{path}:{lineno}: state row before the first #traj line")
             _, x, v = line.split(",")
             current.append([float(x), float(v)])
-    flush()
-    if len(splits["train"]) != n_train or len(splits["test"]) != n_test:
+    if len(splits["train"]) != int(n_train_s) or len(splits["test"]) != int(n_test_s):
         raise ValueError(f"dataset file {path} is inconsistent with its header")
-    return Dataset(oscillator=osc, train=splits["train"], test=splits["test"], scale=scale)
+    lengths = sorted({len(traj) for trajs in splits.values() for traj in trajs})
+    if len(lengths) != 1:
+        raise ValueError(f"dataset file {path} needs trajectories of one length, has {lengths}")
+    train, test = (np.array(trajs, dtype=float).reshape(len(trajs), lengths[0], 2)
+                   for trajs in splits.values())
+    return Dataset(osc, float(dt_s), train, test, float(scale_s))

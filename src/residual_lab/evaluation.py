@@ -87,10 +87,10 @@ def discovery_r2(s: SurfaceSample) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def test_mse(system: HybridSystem, test_trajectories) -> float:
-    """One-step teacher-forced mean squared error on held-out transitions;
-    +inf if any transition diverges."""
-    s0, s1 = transitions_of(test_trajectories)
+def test_mse(system: HybridSystem, test: np.ndarray) -> float:
+    """One-step teacher-forced mean squared error on the transitions of an
+    (n, T, 2) held-out array; +inf if any transition diverges."""
+    s0, s1 = transitions_of(test)
     try:
         XP, VP, _ = step_batch(system, s0[:, 0], s0[:, 1])
     except DivergenceError:
@@ -100,22 +100,17 @@ def test_mse(system: HybridSystem, test_trajectories) -> float:
     return mse if np.isfinite(mse) else float("inf")
 
 
-def rollout_mse(system: HybridSystem, test_trajectories) -> float:
-    """Free-rollout mean squared error over held-out trajectories; +inf if any
-    diverges.  Trajectories of equal length share one lockstep ``rollout``, so
-    none is stepped past its end; errors sum trajectory by trajectory."""
-    trajs = list(test_trajectories)
-    if not trajs:
+def rollout_mse(system: HybridSystem, test: np.ndarray) -> float:
+    """Free-rollout mean squared error over an (n, T, 2) held-out array, from
+    one lockstep ``rollout`` of all start states, summed trajectory by
+    trajectory, step by step; +inf if any trajectory diverges."""
+    if len(test) == 0:
         raise ValueError("no trajectories")
-    pred = {}
-    for n in {len(t.states) for t in trajs}:
-        members = [i for i, t in enumerate(trajs) if len(t.states) == n]
-        try:
-            states = rollout(system, [trajs[i].states[0] for i in members], n - 1)
-        except DivergenceError:
-            return float("inf")
-        pred.update(zip(members, states))
-    d = np.concatenate([pred[i][1:] - t.states[1:] for i, t in enumerate(trajs)])
+    try:
+        pred = rollout(system, test[:, 0], test.shape[1] - 1)
+    except DivergenceError:
+        return float("inf")
+    d = (pred[:, 1:] - test[:, 1:]).reshape(-1, 2)
     total = 0.0
     for e in (d[:, 0] ** 2 + d[:, 1] ** 2).tolist():
         total += e

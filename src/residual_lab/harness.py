@@ -164,6 +164,8 @@ class ExperimentConfig:
             if self.paradigm == BPTT and self.horizon > self.data_steps:
                 raise ValueError(f"horizon {self.horizon} exceeds data_steps "
                                  f"{self.data_steps}: no BPTT window fits")
+            # Apply the seeds' TrainConfig bounds before any sweep output exists.
+            make_train_config(self, resolve_arch(self)[0], 0)
 
 
 _FINGERPRINT_EXCLUDED = ("out", "n_seeds")
@@ -228,12 +230,12 @@ def _dataset_for(cfg: ExperimentConfig, seed: int):
 @functools.lru_cache(maxsize=1)
 def _shared_dataset(system, n_train_ics, n_test_ics, dt, data_steps, data_seed, noise_std):
     """The dataset of one set of data fields, generated once and shared by
-    every seed and config that asks for it.  Its trajectory arrays are
+    every seed and config that asks for it.  Its two split arrays are
     read-only, so no consumer can alter what a later seed sees."""
     ds = generate_dataset(oscillator(system), n_train_ics, n_test_ics, dt, data_steps,
                           seed=data_seed, noise_std=noise_std)
-    for traj in ds.train + ds.test:
-        traj.states.flags.writeable = False
+    ds.train.flags.writeable = False
+    ds.test.flags.writeable = False
     return ds
 
 

@@ -12,9 +12,9 @@ object with a flat ``params`` array and four methods: ``eval_batch(xn, vn)
 ``netcore.ResidualBranch`` and ``OracleResidual`` are the two.
 
 The teacher-forcing loss (on ``transitions_of`` pairs) and the BPTT loss (on
-``windows_of`` windows) come with exact reverse-mode gradients threaded
-through the integrator stages; for BPTT the adjoint also flows through the
-state path via the branch input jacobian.
+``windows_of`` windows), both cut from an (n, T, 2) trajectory array, come
+with exact reverse-mode gradients threaded through the integrator stages; for
+BPTT the adjoint also flows through the state path via the branch input jacobian.
 
 Everything here is batched over a leading sample axis; batch size 1 is a
 batch of one row, not a separate scalar API.
@@ -182,29 +182,24 @@ def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
     return np.stack(states, axis=1)
 
 
-def transitions_of(trajectories) -> tuple[np.ndarray, np.ndarray]:
-    """All consecutive state pairs, concatenated: (S0, S1) each (N, 2)."""
-    trajectories = list(trajectories)
-    if not trajectories:
+def transitions_of(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All consecutive state pairs of an (n, T, 2) trajectory array,
+    trajectory-major: (S0, S1) each (n (T - 1), 2), possibly views of it."""
+    if len(trajectories) == 0:
         raise ValueError("no trajectories")
-    s0 = np.concatenate([t.states[:-1] for t in trajectories], axis=0)
-    s1 = np.concatenate([t.states[1:] for t in trajectories], axis=0)
-    return s0, s1
+    return trajectories[:, :-1].reshape(-1, 2), trajectories[:, 1:].reshape(-1, 2)
 
 
-def windows_of(trajectories, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every non-overlapping K-step window of each trajectory in turn:
-    starts (W, 2) and targets (W, K, 2), trajectory-major."""
+def windows_of(trajectories: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-overlapping K-step window of each trajectory of an (n, T, 2)
+    array in turn: starts (W, 2) and targets (W, K, 2), trajectory-major."""
     if horizon < 1:
         raise ValueError("window horizon must be >= 1")
-    starts, targets = [], []
-    for traj in trajectories:
-        n = (traj.states.shape[0] - 1) // horizon
-        starts.append(traj.states[: n * horizon : horizon])
-        targets.append(traj.states[1 : n * horizon + 1].reshape(n, horizon, 2))
-    if sum(len(s) for s in starts) == 0:
+    n = (trajectories.shape[1] - 1) // horizon
+    if len(trajectories) * n == 0:
         raise ValueError("trajectories shorter than one BPTT window")
-    return np.concatenate(starts), np.concatenate(targets)
+    starts = trajectories[:, : n * horizon : horizon].reshape(-1, 2)
+    return starts, trajectories[:, 1 : n * horizon + 1].reshape(-1, horizon, 2)
 
 
 def tf_loss_value(h: HybridSystem, s0: np.ndarray, s1: np.ndarray) -> float:

@@ -187,10 +187,8 @@ def trainable_mask(arch: Arch) -> np.ndarray:
     """Boolean mask over the flat vector; False entries are frozen."""
     mask = np.ones(param_count(arch), dtype=bool)
     if isinstance(arch, KanArch) and not arch.base_blend:
-        flat = np.zeros(param_count(arch))
-        for _, base, _ in _kan_layers(arch, flat):
-            base[:] = 1.0
-        mask[flat == 1.0] = False
+        for _, base, _ in _kan_layers(arch, mask):
+            base[:] = False
     return mask
 
 

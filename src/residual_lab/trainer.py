@@ -113,19 +113,14 @@ def train(system: HybridSystem, data: Dataset, cfg: TrainConfig) -> TrainReport:
     mask = trainable_mask(branch.arch)
 
     if cfg.paradigm == TEACHER_FORCING:
-        s0, s1 = transitions_of(data.train)
-        pool = s0.shape[0]
-
-        def sample_loss():
-            idx = rng.choice(pool, size=min(cfg.batch_size, pool), replace=False)
-            return tf_loss_grads(system, s0[idx], s1[idx])
+        inputs, loss_grads = transitions_of(data.train), tf_loss_grads
     else:
-        starts, targets = windows_of(data.train, cfg.horizon)
-        pool = starts.shape[0]
+        inputs, loss_grads = windows_of(data.train, cfg.horizon), bptt_grads_arrays
+    pool = len(inputs[0])
 
-        def sample_loss():
-            idx = rng.choice(pool, size=min(cfg.batch_size, pool), replace=False)
-            return bptt_grads_arrays(system, starts[idx], targets[idx])
+    def sample_loss():
+        idx = rng.choice(pool, size=min(cfg.batch_size, pool), replace=False)
+        return loss_grads(system, inputs[0][idx], inputs[1][idx])
 
     moments = init_moments(branch.params.size)
     history: list[float] = []

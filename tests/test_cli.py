@@ -64,6 +64,52 @@ class TestGenData:
         assert code == 1
         assert "required" in err
 
+    def test_no_trajectories_is_validation_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen-data", "--system", "duffing", "--n-train", "0",
+                             "--n-test", "0", "--out", str(tmp_path))
+        assert code == 1
+        assert "at least one trajectory" in err
+        assert out == ""
+
+
+class TestDatasetInput:
+    """``eval --data`` on saved dataset files, well-formed and not."""
+
+    @staticmethod
+    def _saved(capsys, tmp_path, n_train="2"):
+        code, out, _ = run(capsys, "gen-data", "--system", "duffing", "--n-train", n_train,
+                           "--n-test", "2", "--steps", "20", "--out", str(tmp_path))
+        assert code == 0
+        return out.strip()
+
+    @staticmethod
+    def _eval(capsys, path):
+        return run(capsys, "eval", "--oracle", "--system", "duffing", "--data", path)
+
+    def test_empty_train_split_round_trips(self, capsys, tmp_path):
+        path = self._saved(capsys, tmp_path, n_train="0")
+        ds = load_dataset(path)
+        assert ds.train.shape == (0, 21, 2) and ds.test.shape == (2, 21, 2)
+        code, out, _ = self._eval(capsys, path)
+        assert code == 0
+        assert "discovery_r2=1 " in out
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: [l.replace("#traj test 1", "#traj tset 1") for l in lines],
+         "unknown split"),
+        (lambda lines: lines[:1] + ["0,0.5,0.5"] + lines[1:], "before the first #traj"),
+        (lambda lines: [l for i, l in enumerate(lines) if i != 22], "one length"),
+    ], ids=["unknown-split", "stray-row", "ragged"])
+    def test_malformed_file_is_validation_error(self, capsys, tmp_path, edit, message):
+        path = self._saved(capsys, tmp_path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+        code, _, err = self._eval(capsys, path)
+        assert code == 1
+        assert message in err and path in err
+
 
 class TestTrainEval:
     def test_train_then_eval_checkpoint(self, capsys, tmp_path):
@@ -132,6 +178,8 @@ class TestSweepAggregate:
         "n_test_ics = 0\n",
         "n_train_ics = 0\n",
         "paradigm = bptt\nhorizon = 60\ndata_steps = 50\n",
+        "steps = 0\n",
+        "learning_rate = -1\n",
     ])
     def test_sweep_rejects_config_that_fails_every_seed(self, capsys, tmp_path, fields):
         cfg = tmp_path / "exp.txt"

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from residual_lab.dynamics import (
+    Dataset,
     DivergenceError,
-    Trajectory,
     _full_rhs_arrays,
     duffing,
     generate_dataset,
@@ -96,26 +96,26 @@ class TestRk4:
 class TestDataset:
     def test_cardinality_contract(self):
         ds = generate_dataset(duffing(), 20, 5, 0.01, 1000, seed=0)
-        assert len(ds.train) == 20
-        assert len(ds.test) == 5
-        assert all(t.states.shape == (1001, 2) for t in ds.train + ds.test)
+        assert ds.train.shape == (20, 1001, 2)
+        assert ds.test.shape == (5, 1001, 2)
+        assert ds.dt == 0.01
         assert ds.scale == 2.5
 
     def test_determinism(self):
         a = generate_dataset(duffing(), 3, 2, 0.01, 100, seed=0)
         b = generate_dataset(duffing(), 3, 2, 0.01, 100, seed=0)
-        for ta, tb in zip(a.train + a.test, b.train + b.test):
-            assert np.array_equal(ta.states, tb.states)
+        assert np.array_equal(a.train, b.train)
+        assert np.array_equal(a.test, b.test)
 
     def test_seed_changes_data(self):
         a = generate_dataset(duffing(), 2, 1, 0.01, 50, seed=0)
         b = generate_dataset(duffing(), 2, 1, 0.01, 50, seed=1)
-        assert not np.array_equal(a.train[0].states, b.train[0].states)
+        assert not np.array_equal(a.train[0], b.train[0])
 
     def test_vanderpol_sanity_box(self):
         ds = generate_dataset(vanderpol(), 20, 5, 0.01, 1000, seed=1)
-        for traj in ds.train + ds.test:
-            assert np.abs(traj.states).max() <= 10.0
+        assert np.abs(ds.train).max() <= 10.0
+        assert np.abs(ds.test).max() <= 10.0
 
     def test_serialization_roundtrip(self, tmp_path):
         ds = generate_dataset(vanderpol(), 3, 2, 0.02, 64, seed=7)
@@ -125,8 +125,8 @@ class TestDataset:
         assert back.oscillator == ds.oscillator
         assert back.dt == ds.dt
         assert back.scale == ds.scale
-        for ta, tb in zip(ds.train + ds.test, back.train + back.test):
-            assert np.array_equal(ta.states, tb.states)
+        assert np.array_equal(ds.train, back.train)
+        assert np.array_equal(ds.test, back.test)
 
     def test_serialization_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -137,15 +137,22 @@ class TestDataset:
     def test_noise_flag(self):
         clean = generate_dataset(duffing(), 2, 1, 0.01, 50, seed=0)
         noisy = generate_dataset(duffing(), 2, 1, 0.01, 50, seed=0, noise_std=0.01)
-        assert not np.array_equal(clean.train[0].states, noisy.train[0].states)
+        assert not np.array_equal(clean.train[0], noisy.train[0])
 
 
 class TestTypes:
     def test_trajectory_invariants(self):
-        with pytest.raises(ValueError):
-            Trajectory(0.0, np.zeros((5, 2)))
-        with pytest.raises(ValueError):
-            Trajectory(0.1, np.zeros((1, 2)))
+        ok = np.zeros((2, 5, 2))
+        assert Dataset("duffing", 0.1, ok, ok[:1]).test.shape == (1, 5, 2)
+        assert Dataset("duffing", 0.1, ok[:0], ok).train.shape == (0, 5, 2)
+        with pytest.raises(ValueError, match="dt"):
+            Dataset("duffing", 0.0, ok, ok)
+        with pytest.raises(ValueError, match="scale"):
+            Dataset("duffing", 0.1, ok, ok, scale=0.0)
+        for train, test in ((ok, np.zeros((2, 1, 2))), (np.zeros((2, 1, 2)), ok),
+                            (ok, ok[0]), (ok, np.zeros((2, 5, 3))), (ok, ok[:, :4])):
+            with pytest.raises(ValueError, match="splits"):
+                Dataset("duffing", 0.1, train, test)
 
     def test_oscillator_factory(self):
         assert oscillator("duffing").kind == "duffing"

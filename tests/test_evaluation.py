@@ -7,7 +7,6 @@ from conftest import zero_branch
 from residual_lab import hybridcell
 from residual_lab.dynamics import (
     DivergenceError,
-    Trajectory,
     duffing,
     generate_dataset,
     oscillator,
@@ -184,12 +183,12 @@ def reference_rollout_mse(system, trajectories):
     """Per-trajectory free rollout at batch size 1, summed step by step in a
     Python float: the loop the lockstep rollout_mse must reproduce."""
     total, count = 0.0, 0
-    for traj in trajectories:
-        X, V = traj.states[:1, 0], traj.states[:1, 1]
+    for states in trajectories:
+        X, V = states[:1, 0], states[:1, 1]
         try:
-            for t in range(1, len(traj.states)):
+            for t in range(1, len(states)):
                 X, V, _ = step_batch(system, X, V, step=t)
-                total += float((X[0] - traj.states[t, 0]) ** 2 + (V[0] - traj.states[t, 1]) ** 2)
+                total += float((X[0] - states[t, 0]) ** 2 + (V[0] - states[t, 1]) ** 2)
                 count += 1
         except DivergenceError:
             return float("inf")
@@ -212,9 +211,10 @@ def softening_system():
 
 
 def free_trajectory(x0, v0, n):
-    states = np.zeros((n + 1, 2))
-    states[0] = (x0, v0)
-    return Trajectory(0.01, states)
+    """A (1, n + 1, 2) trajectory array starting at (x0, v0)."""
+    states = np.zeros((1, n + 1, 2))
+    states[0, 0] = (x0, v0)
+    return states
 
 
 def count_steps(monkeypatch):
@@ -252,46 +252,24 @@ class TestRolloutMse:
             assert np.isfinite(want), config
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), config
 
-    def test_ragged_lengths_match_reference(self, trained_systems):
-        systems, test = trained_systems
-        lengths = (40, 250, 40, 120)
-        ragged = [Trajectory(t.dt, t.states[: n + 1]) for t, n in zip(test, lengths)]
-        for config, h in systems.items():
-            got, want = rollout_mse(h, ragged), reference_rollout_mse(h, ragged)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), config
-
     def test_one_diverging_trajectory_gives_inf(self):
         h = softening_system()
-        finite = [free_trajectory(0.3, 0.0, 600), free_trajectory(-0.5, 0.2, 600)]
+        finite = np.concatenate([free_trajectory(0.3, 0.0, 600), free_trajectory(-0.5, 0.2, 600)])
         assert np.isfinite(rollout_mse(h, finite))
-        runaway = finite[:1] + [free_trajectory(2.5, 0.0, 600)] + finite[1:]
+        runaway = np.concatenate([finite[:1], free_trajectory(2.5, 0.0, 600), finite[1:]])
         assert rollout_mse(h, runaway) == float("inf")
         assert reference_rollout_mse(h, runaway) == float("inf")
 
-    def test_short_trajectory_not_stepped_past_its_end(self):
-        # The runaway start survives its own 5 steps; stepping it to the
-        # length of its longer neighbours would diverge.
-        h = softening_system()
-        mixed = [free_trajectory(0.3, 0.0, 600), free_trajectory(2.5, 0.0, 5)]
-        assert rollout_mse(h, [free_trajectory(2.5, 0.0, 600)]) == float("inf")
-        got = rollout_mse(h, mixed)
-        assert np.isfinite(got)
-        assert got == pytest.approx(reference_rollout_mse(h, mixed), rel=1e-12, abs=0.0)
-
     def test_lockstep_one_step_call_per_time_step(self, monkeypatch, vdp_data):
         h = HybridSystem(vanderpol(), zero_branch(), vdp_data.dt)
-        test = vdp_data.test + vdp_data.train  # 4 trajectories of 100 steps
+        test = np.concatenate([vdp_data.test, vdp_data.train])  # 4 trajectories of 100 steps
         calls = count_steps(monkeypatch)
         rollout_mse(h, test)
         assert len(calls) == 100
-        ragged = [Trajectory(t.dt, t.states[: n + 1]) for t, n in zip(test, (100, 30, 100, 30))]
-        calls.clear()
-        rollout_mse(h, ragged)
-        assert len(calls) == 100 + 30
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="no trajectories"):
-            rollout_mse(HybridSystem(vanderpol(), zero_branch(), 0.01), [])
+            rollout_mse(HybridSystem(vanderpol(), zero_branch(), 0.01), np.zeros((0, 2, 2)))
 
 
 class TestDictionary:

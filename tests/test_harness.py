@@ -91,6 +91,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**fields)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(steps=0), "steps"),
+        (dict(learning_rate=-1.0), "learning_rate"),
+        (dict(batch_size=-1), "batch_size"),
+        (dict(horizon=0), "horizon"),
+        (dict(beta1=1.0), "betas"),
+        (dict(beta2=0.0), "betas"),
+    ])
+    def test_training_fields_that_fail_every_seed_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+        ExperimentConfig(oracle=True, **fields)
+
     def test_oracle_needs_no_training_data(self):
         ExperimentConfig(oracle=True, n_train_ics=0)
         ExperimentConfig(oracle=True, paradigm=BPTT, horizon=51, data_steps=50)
@@ -399,6 +412,6 @@ class TestSharedDataset:
         cfg = ExperimentConfig(n_train_ics=2, n_test_ics=1, data_steps=50)
         ds = _dataset_for(cfg, 0)
         assert _dataset_for(cfg, 1) is ds
-        for traj in ds.train + ds.test:
+        for split in (ds.train, ds.test):
             with pytest.raises(ValueError):
-                traj.states[0, 0] = 1.0
+                split[0, 0, 0] = 1.0

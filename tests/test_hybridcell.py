@@ -220,8 +220,8 @@ class TestTeacherForcing:
         assert sparse.l1_value() > 0
 
     def test_empty_training_set_rejected(self):
-        with pytest.raises(ValueError):
-            transitions_of([])
+        with pytest.raises(ValueError, match="no trajectories"):
+            transitions_of(np.zeros((0, 5, 2)))
 
 
 class TestWindows:
@@ -235,9 +235,8 @@ class TestWindows:
             assert targets.shape == (3 * len(trajs), 30, 2)
             for i, traj in enumerate(trajs):
                 for j in range(3):
-                    assert np.array_equal(starts[3 * i + j], traj.states[30 * j])
-                    assert np.array_equal(targets[3 * i + j],
-                                          traj.states[30 * j + 1 : 30 * j + 31])
+                    assert np.array_equal(starts[3 * i + j], traj[30 * j])
+                    assert np.array_equal(targets[3 * i + j], traj[30 * j + 1 : 30 * j + 31])
 
     def test_horizon_one(self):
         ds = generate_dataset(duffing(), 2, 0, 0.01, 10, seed=2)
@@ -253,7 +252,7 @@ class TestWindows:
         with pytest.raises(ValueError):
             windows_of(ds.train, 0)
         with pytest.raises(ValueError):
-            windows_of([], 0)
+            windows_of(ds.train[:0], 0)
         with pytest.raises(ValueError, match="shorter than one BPTT window"):
             windows_of(ds.train, 21)
 
@@ -323,8 +322,8 @@ class TestBptt:
                 bptt_grads_arrays(h, starts[:n], targets[:n])
 
     def test_empty_windows_rejected(self):
-        with pytest.raises(ValueError):
-            windows_of([], 10)
+        with pytest.raises(ValueError, match="shorter than one BPTT window"):
+            windows_of(np.zeros((0, 21, 2)), 10)
 
 
 class TestOracleResidual:
