@@ -1,0 +1,126 @@
+"""Byte-identity digests: run a fixed set of sweeps, CLI commands and
+gradient checks in a temporary directory and print one sha256 per output.
+
+Every file the runs write is hashed, plus the standard output of each CLI
+command and each ``verify_gradients`` report.  Run it on two checkouts and
+diff the two listings: equal digests mean equal bytes.  The runs use paths
+relative to the temporary directory, so no absolute path enters an output;
+the one nondeterministic field, ``wall_time`` in the training report, is
+dropped before hashing.
+
+    PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
+
+``--seeds`` and ``--steps-scale`` shrink the runs to a smoke test.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from residual_lab import cli
+from residual_lab.dynamics import oscillator
+from residual_lab.harness import ExperimentConfig, resolve_arch, run_sweep
+from residual_lab.hybridcell import HybridSystem
+from residual_lab.netcore import new_branch
+from residual_lab.trainer import verify_gradients
+
+# (system, config, paradigm, training steps) of each sweep.
+SWEEPS = (
+    ("duffing", "A", "teacher_forcing", 200),
+    ("vanderpol", "mlp-small", "bptt", 40),
+    ("duffing", "G", "bptt", 40),
+    ("duffing", "kan-deep", "bptt", 40),
+)
+GRADIENT_CHECKS = ("A", "mlp-small")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(argv) -> bytes:
+    """Standard output of one ``cli.main`` call; a nonzero exit is an error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"residual-lab {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith(".report.json"):
+        report = json.loads(data)
+        del report["wall_time"]
+        data = json.dumps(report, sort_keys=True).encode()
+    return sha256(data)
+
+
+def digests(seeds: int, steps_scale: float) -> dict[str, str]:
+    out: dict[str, str] = {}
+
+    def steps(n):
+        return max(1, round(n * steps_scale))
+
+    for system, config, paradigm, n in SWEEPS:
+        run_sweep(ExperimentConfig(system=system, config=config, paradigm=paradigm,
+                                   n_seeds=seeds, steps=steps(n), out="sweeps"))
+
+    data = run_cli(["gen-data", "--system", "vanderpol", "--n-train", "4", "--n-test", "2",
+                    "--steps", "300", "--seed", "1", "--out", "data"]).decode().strip()
+    out["stdout gen-data"] = sha256(data.encode())
+    train = ["train", "--system", "vanderpol", "--config", "mlp-small", "--paradigm", "bptt",
+             "--steps", str(steps(20)), "--seed", "2", "--out", "runs"]
+    printed = run_cli(train)
+    out["stdout train"] = sha256(printed)
+    ckpt = printed.decode().rsplit("checkpoint=", 1)[1].strip()
+    for name, argv in (
+        ("eval", ["eval", "--system", "vanderpol", "--checkpoint", ckpt, "--data", data]),
+        ("eval --oracle", ["eval", "--system", "vanderpol", "--oracle", "--data", data]),
+        ("fit-symbolic", ["fit-symbolic", "--system", "vanderpol", "--checkpoint", ckpt]),
+        ("export-surface", ["export-surface", "--system", "vanderpol", "--checkpoint", ckpt,
+                            "--out", "surface"]),
+    ):
+        out[f"stdout {name}"] = sha256(run_cli(argv))
+
+    for config in GRADIENT_CHECKS:
+        arch, _ = resolve_arch(ExperimentConfig(config=config))
+        branch = new_branch(arch, 0)
+        rep = verify_gradients(branch, HybridSystem(oscillator("duffing"), branch, 0.01))
+        fields = (rep.tf_error.hex(), rep.bptt_error.hex(), str(rep.worst_index))
+        out[f"verify_gradients {config}"] = sha256(" ".join(fields).encode())
+
+    for root, _, files in os.walk("."):
+        for name in files:
+            path = os.path.join(root, name)
+            out[os.path.relpath(path)] = file_digest(path)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seeds", type=int, default=2, help="seeds per sweep")
+    parser.add_argument("--steps-scale", type=float, default=1.0,
+                        help="multiplier on every training step count")
+    args = parser.parse_args(argv)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            table = digests(args.seeds, args.steps_scale)
+        finally:
+            os.chdir(cwd)
+    for key in sorted(table):
+        print(f"{table[key]}  {key}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

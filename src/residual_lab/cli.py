@@ -146,7 +146,13 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _experiment_config(args)
     spec = oscillator(cfg.system)
-    ds = load_dataset(args.data) if args.data else harness._dataset_for(cfg, args.seed)
+    if args.data:
+        ds = load_dataset(args.data)
+        if ds.oscillator != cfg.system:
+            raise _Validation(f"{args.data} holds {ds.oscillator} data, but the run's "
+                              f"system is {cfg.system}")
+    else:
+        ds = harness._dataset_for(cfg, args.seed)
     branch = _branch_for(args, cfg, spec, ds.scale)
     system = HybridSystem(spec, branch, ds.dt, cfg.integrator, ds.scale)
     surface = sample_surface(branch, spec, GridSpec(), ds.scale)

@@ -13,6 +13,7 @@ with the normalization constant used by residual branches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,9 @@ class OscillatorSpec:
         return -x
 
     def known_vdot_partials(self, x, v):
-        """(d/dx, d/dv) of the known acceleration."""
-        x = np.asarray(x, dtype=float)
-        return -np.ones_like(x), np.zeros_like(x)
+        """(d/dx, d/dv) of the known acceleration: constants, which
+        broadcast against any state."""
+        return -1.0, 0.0
 
     def true_residual(self, x, v):
         if self.kind == DUFFING:
@@ -131,6 +132,8 @@ class Dataset:
     scale: float = DEFAULT_SCALE
 
     def __post_init__(self):
+        if self.oscillator not in OSCILLATOR_KINDS:
+            raise ValueError(f"unknown oscillator kind {self.oscillator!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.scale <= 0:
@@ -212,13 +215,22 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a ``save_dataset`` file; an unknown split, rows before the first
-    ``#traj`` line or ragged or miscounted trajectories raise ``ValueError``."""
+    """Read a ``save_dataset`` file.  A malformed header or state row, an
+    unknown split, rows before the first ``#traj`` line, ragged or miscounted
+    trajectories and header values ``Dataset`` rejects raise ``ValueError``
+    naming the file."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"empty dataset file {path}")
-    osc, dt_s, scale_s, n_train_s, n_test_s = lines[0].split(",")
+    header = lines[0].split(",")
+    try:
+        if len(header) != 5:
+            raise ValueError(f"expected 5 fields, got {len(header)}")
+        osc, dt, scale, n_train, n_test = (header[0], float(header[1]), float(header[2]),
+                                           int(header[3]), int(header[4]))
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: malformed dataset header {lines[0]!r}: {exc}") from None
     splits: dict[str, list] = {"train": [], "test": []}
     current = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -231,13 +243,23 @@ def load_dataset(path) -> Dataset:
         elif line:
             if current is None:
                 raise ValueError(f"{path}:{lineno}: state row before the first #traj line")
-            _, x, v = line.split(",")
-            current.append([float(x), float(v)])
-    if len(splits["train"]) != int(n_train_s) or len(splits["test"]) != int(n_test_s):
+            try:
+                _, x, v = (float(f) for f in line.split(","))
+                ok = math.isfinite(x) and math.isfinite(v)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{path}:{lineno}: malformed state row {line!r}; "
+                                 "expected t,x,v with finite x and v")
+            current.append([x, v])
+    if len(splits["train"]) != n_train or len(splits["test"]) != n_test:
         raise ValueError(f"dataset file {path} is inconsistent with its header")
     lengths = sorted({len(traj) for trajs in splits.values() for traj in trajs})
     if len(lengths) != 1:
         raise ValueError(f"dataset file {path} needs trajectories of one length, has {lengths}")
     train, test = (np.array(trajs, dtype=float).reshape(len(trajs), lengths[0], 2)
                    for trajs in splits.values())
-    return Dataset(osc, float(dt_s), train, test, float(scale_s))
+    try:
+        return Dataset(osc, dt, train, test, scale)
+    except ValueError as exc:
+        raise ValueError(f"dataset file {path}: {exc}") from None

@@ -70,7 +70,7 @@ class SurfaceSample:
 def sample_surface(branch, spec: OscillatorSpec, grid: GridSpec = GridSpec(),
                    scale: float = 2.5) -> SurfaceSample:
     X, V = grid.mesh()
-    vals, _ = branch.eval_batch((X / scale).ravel(), (V / scale).ravel())
+    vals, _ = branch.prepare().eval_batch((X / scale).ravel(), (V / scale).ravel())
     return SurfaceSample(grid, vals.reshape(X.shape), spec.true_residual(X, V))
 
 
@@ -92,7 +92,7 @@ def test_mse(system: HybridSystem, test: np.ndarray) -> float:
     (n, T, 2) held-out array; +inf if any transition diverges."""
     s0, s1 = transitions_of(test)
     try:
-        XP, VP, _ = step_batch(system, s0[:, 0], s0[:, 1])
+        XP, VP, _ = step_batch(system.prepare(), s0[:, 0], s0[:, 1])
     except DivergenceError:
         return float("inf")
     sq = (XP - s1[:, 0]) ** 2 + (VP - s1[:, 1]) ** 2
@@ -335,17 +335,25 @@ def write_metrics(path, rows, fingerprint: str | None = None) -> None:
 
 
 def read_metrics(path) -> tuple[list[MetricRow], str | None]:
+    """Inverse of ``write_metrics``; a row without one field per column, or
+    with a seed or number that does not parse, raises ``ValueError`` naming
+    the file and line."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln]
     fingerprint = None
-    if lines and lines[0].startswith("# fingerprint "):
-        fingerprint = lines[0].split(" ", 2)[2]
+    if lines and lines[0][1].startswith("# fingerprint "):
+        fingerprint = lines[0][1].split(" ", 2)[2]
         lines = lines[1:]
-    if not lines or lines[0] != ",".join(METRIC_COLUMNS):
+    if not lines or lines[0][1] != ",".join(METRIC_COLUMNS):
         raise ValueError(f"unrecognized metrics header in {path}")
     rows = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         f = ln.split(",")
-        rows.append(MetricRow(f[0], f[1], f[2], f[3], int(f[4]), float(f[5]),
-                              float(f[6]), float(f[7]), f[8], f[9]))
+        try:
+            if len(f) != len(METRIC_COLUMNS):
+                raise ValueError(f"expected {len(METRIC_COLUMNS)} fields, got {len(f)}")
+            rows.append(MetricRow(f[0], f[1], f[2], f[3], int(f[4]), float(f[5]),
+                                  float(f[6]), float(f[7]), f[8], f[9]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: malformed metrics row {ln!r}: {exc}") from None
     return rows, fingerprint

@@ -6,10 +6,15 @@ The cell advances (x, v) by integrating
     dv/dt = known_vdot(x, v) + R(x/scale, v/scale)
 
 so the branch can only ever model the missing v-dot term.  A branch is any
-object with a flat ``params`` array and four methods: ``eval_batch(xn, vn)
--> (values, cache)``, ``combined_vjp(cache, upstream) -> (param gradient,
-(d/dxn, d/dvn))``, ``l1_value()`` and ``l1_grad_into(grads)``;
-``netcore.ResidualBranch`` and ``OracleResidual`` are the two.
+object with a flat ``params`` array and a ``prepare(grads=None)`` method;
+``netcore.ResidualBranch`` and ``OracleResidual`` are the two.  Every loss,
+rollout and ``HybridSystem.prepare`` call prepares the branch once, and
+``step_batch`` and ``step_vjp`` use what that returns through four methods:
+``eval_batch(xn, vn) -> (values, cache)``, ``combined_vjp(cache, upstream)
+-> (grads, (d/dxn, d/dvn))``, which adds the parameter gradient into the
+``grads`` buffer given to ``prepare``, ``l1_value()`` and
+``l1_grad_into(grads)``.  The oracle has no parameters and prepares to
+itself.
 
 The teacher-forcing loss (on ``transitions_of`` pairs) and the BPTT loss (on
 ``windows_of`` windows), both cut from an (n, T, 2) trajectory array, come
@@ -22,7 +27,7 @@ batch of one row, not a separate scalar API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +53,9 @@ class OracleResidual:
         self.scale = float(scale)
         self.params = np.zeros(0)
 
+    def prepare(self, grads=None) -> OracleResidual:
+        return self
+
     def eval_batch(self, xn, vn):
         x = np.asarray(xn, dtype=float) * self.scale
         v = np.asarray(vn, dtype=float) * self.scale
@@ -56,7 +64,7 @@ class OracleResidual:
     def combined_vjp(self, cache, upstream):
         x, v = cache
         px, pv = self.spec.true_residual_partials(x, v)
-        return np.zeros(0), (upstream * px * self.scale, upstream * pv * self.scale)
+        return self.params, (upstream * px * self.scale, upstream * pv * self.scale)
 
     def l1_value(self) -> float:
         return 0.0
@@ -81,6 +89,12 @@ class HybridSystem:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
+    def prepare(self, grads: np.ndarray | None = None) -> HybridSystem:
+        """This system with its branch prepared for one call (see
+        ``netcore.PreparedBranch``); ``step_batch`` and ``step_vjp`` take
+        only prepared systems."""
+        return replace(self, branch=self.branch.prepare(grads))
+
 
 def oracle_system(spec: OscillatorSpec, dt: float, integrator: str = RK4,
                   scale: float = 2.5) -> HybridSystem:
@@ -94,10 +108,8 @@ def _vdot_batch(h: HybridSystem, X, V):
 
 
 def _check_finite(X, V, step: int) -> None:
-    ok = np.isfinite(X) & np.isfinite(V)
-    ok &= (np.abs(np.where(ok, X, 0.0)) <= DIVERGE_BOUND)
-    ok &= (np.abs(np.where(ok, V, 0.0)) <= DIVERGE_BOUND)
-    if not ok.all():
+    # NaN and inf fail the comparison, so this also rejects non-finite states.
+    if not ((np.abs(X) <= DIVERGE_BOUND).all() and (np.abs(V) <= DIVERGE_BOUND).all()):
         raise DivergenceError(f"state diverged at step {step}", step=step)
 
 
@@ -128,44 +140,36 @@ def step_batch(h: HybridSystem, X, V, step: int = 0):
     return XP, VP, cache
 
 
-def step_vjp(h: HybridSystem, cache, lx, lv, grads: np.ndarray):
-    """Reverse one step: given adjoints on (X', V'), accumulate branch
-    parameter gradients into ``grads`` and return adjoints on (X, V)."""
-    dt = h.dt
+def step_vjp(h: HybridSystem, cache, lx, lv):
+    """Reverse one step: given adjoints on (X', V'), add the branch parameter
+    gradients into the buffer ``h.branch`` was prepared with and return the
+    adjoints on (X, V).
 
-    def stage_adjoint(stage, wx, wv):
-        # Adjoint of F = known_vdot + R through one stage: wv hits F, wx hits
-        # the kinematic slope (which is just the stage V).
-        X, V, bc = stage
-        g, (dxn, dvn) = h.branch.combined_vjp(bc, wv)
-        if g.size:
-            grads[...] += g
-        kx, kv = h.spec.known_vdot_partials(X, V)
-        lX = wv * kx + dxn / h.scale
-        lV = wx + wv * kv + dvn / h.scale
-        return lX, lV
-
+    Stages run last to first.  Each stage's F = known_vdot + R takes the
+    adjoint wv and its kinematic slope (the stage V) takes wx; both are the
+    step's adjoint times the stage's RK4 weight plus the adjoint that flowed
+    into the next stage's state.
+    """
+    dt, branch, spec, scale = h.dt, h.branch, h.spec, h.scale
     if h.integrator == EULER:
-        sX, sV = stage_adjoint(cache[0], lx * dt, lv * dt)
-        return lx + sX, lv + sV
-
-    w6, w3 = dt / 6.0, dt / 3.0
-    ax, av = lx.copy(), lv.copy()
-    # stage 4 (weight dt/6), feeding back into stage 3 through X4, V4
-    l4x, l4v = stage_adjoint(cache[3], lx * w6, lv * w6)
-    ax += l4x
-    av += l4v
-    # stage 3 (weight dt/3 plus the cascade from stage 4 scaled by dt)
-    l3x, l3v = stage_adjoint(cache[2], lx * w3 + dt * l4x, lv * w3 + dt * l4v)
-    ax += l3x
-    av += l3v
-    # stage 2
-    l2x, l2v = stage_adjoint(cache[1], lx * w3 + 0.5 * dt * l3x, lv * w3 + 0.5 * dt * l3v)
-    ax += l2x
-    av += l2v
-    # stage 1
-    l1x, l1v = stage_adjoint(cache[0], lx * w6 + 0.5 * dt * l2x, lv * w6 + 0.5 * dt * l2v)
-    return ax + l1x, av + l1v
+        weights, feeds = (dt,), ()
+    else:
+        w6, w3 = dt / 6.0, dt / 3.0
+        weights, feeds = (w6, w3, w3, w6), (0.5 * dt, 0.5 * dt, dt)
+    ax, av = lx, lv
+    sx = sv = None
+    for i in range(len(cache) - 1, -1, -1):
+        X, V, bc = cache[i]
+        if sx is None:
+            wx, wv = lx * weights[i], lv * weights[i]
+        else:
+            wx, wv = lx * weights[i] + feeds[i] * sx, lv * weights[i] + feeds[i] * sv
+        _, (dxn, dvn) = branch.combined_vjp(bc, wv)
+        kx, kv = spec.known_vdot_partials(X, V)
+        sx = wv * kx + dxn / scale
+        sv = wx + wv * kv + dvn / scale
+        ax, av = ax + sx, av + sv
+    return ax, av
 
 
 def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
@@ -175,6 +179,7 @@ def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or n < 1:
         raise ValueError("rollout needs (S, 2) start states and n >= 1 steps")
+    h = h.prepare()
     states = [starts]
     for step in range(1, n + 1):
         X, V, _ = step_batch(h, states[-1][:, 0], states[-1][:, 1], step=step)
@@ -203,6 +208,7 @@ def windows_of(trajectories: np.ndarray, horizon: int) -> tuple[np.ndarray, np.n
 
 
 def tf_loss_value(h: HybridSystem, s0: np.ndarray, s1: np.ndarray) -> float:
+    h = h.prepare()
     XP, VP, _ = step_batch(h, s0[:, 0], s0[:, 1])
     sq = (XP - s1[:, 0]) ** 2 + (VP - s1[:, 1]) ** 2
     return float(sq.mean()) + h.branch.l1_value()
@@ -211,17 +217,19 @@ def tf_loss_value(h: HybridSystem, s0: np.ndarray, s1: np.ndarray) -> float:
 def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
     """Teacher-forcing loss and its gradient on a transition batch."""
     n = s0.shape[0]
+    grads = np.zeros_like(h.branch.params)
+    h = h.prepare(grads)
     XP, VP, cache = step_batch(h, s0[:, 0], s0[:, 1])
     dx, dv = XP - s1[:, 0], VP - s1[:, 1]
     loss = float((dx ** 2 + dv ** 2).mean()) + h.branch.l1_value()
-    grads = np.zeros_like(h.branch.params)
-    step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv, grads)
+    step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv)
     h.branch.l1_grad_into(grads)
     return loss, grads
 
 
 def bptt_value_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray) -> float:
     horizon = targets.shape[1]
+    h = h.prepare()
     X, V = starts[:, 0], starts[:, 1]
     total = 0.0
     for t in range(horizon):
@@ -234,6 +242,8 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
     """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, and
     its gradient from the full adjoint sweep back through every step."""
     n, horizon = targets.shape[0], targets.shape[1]
+    grads = np.zeros_like(h.branch.params)
+    h = h.prepare(grads)
     X, V = starts[:, 0], starts[:, 1]
     caches, diffs = [], []
     total = 0.0
@@ -246,13 +256,12 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
     norm = n * horizon
     loss = total / norm + h.branch.l1_value()
 
-    grads = np.zeros_like(h.branch.params)
     lx = np.zeros(n)
     lv = np.zeros(n)
     for t in range(horizon - 1, -1, -1):
         dx, dv = diffs[t]
         lx = lx + (2.0 / norm) * dx
         lv = lv + (2.0 / norm) * dv
-        lx, lv = step_vjp(h, caches[t], lx, lv, grads)
+        lx, lv = step_vjp(h, caches[t], lx, lv)
     h.branch.l1_grad_into(grads)
     return loss, grads

@@ -27,13 +27,28 @@ gradient touches all M columns: the K weights are scattered into a dense
 (N, n_in, M) buffer (``splines.scatter_to_dense``) that one GEMM sums over
 the batch.
 
-``forward_batch`` returns one cache dict per layer, which ``backward_batch``
-consumes without re-evaluating anything.  KAN layer: ``U`` (N, n_in) layer
+The cell does not call a ``ResidualBranch`` directly.  Each loss, rollout
+or surface call first turns it into a ``PreparedBranch`` with
+``branch.prepare(grads)``, which does the per-parameter work once for every
+RK4 stage of that call: it holds the per-layer views of ``params``, for a
+KAN each layer's gather table (one (n_in G, K n_out) row per input and knot
+interval) with the per-input row offsets, and, for a loss, the per-layer
+views of the caller's gradient buffer ``grads``.  The plan is built fresh per
+call and never cached on the branch, because ``train`` and the
+finite-difference check write ``params`` in place between calls.
+
+``forward_batch(x, xn, vn)`` takes a prepared branch and returns the values
+and one cache dict per layer, which ``backward_batch(x, cache, upstream,
+grads)`` consumes without re-evaluating anything.  Backward adds the
+parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
+returns that buffer with the input adjoints, so the stages of one loss
+accumulate into one array with no per-call zero buffer.  A forward-only plan
+(``grads=None``) has no gradient views.  KAN layer cache: ``U`` (N, n_in) layer
 input, ``sig``/``silu`` (N, n_in), ``B``/``dB`` (N, n_in, K) local basis
 values and u-derivatives, ``first`` (N, n_in) first nonzero column,
 ``local`` (N, n_in, K, n_out) gathered coefficients, ``spl`` (N, n_in,
 n_out) edge spline values, ``mask`` (N, n_in) inputs inside the domain.
-MLP layer: ``U`` (N, n_in) and pre-activation ``Z`` (N, n_out).
+MLP layer cache: ``U`` (N, n_in) and pre-activation ``Z`` (N, n_out).
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -141,13 +156,48 @@ class ResidualBranch:
     def kind(self) -> str:
         return KAN if isinstance(self.arch, KanArch) else MLP
 
-    # Duck-typed residual interface used by the hybrid cell: ``params`` and
-    # these four methods (the analytical oracle in hybridcell has the same).
+    def prepare(self, grads: np.ndarray | None = None) -> PreparedBranch:
+        """The branch as the hybrid cell uses it for one loss, rollout or
+        surface call; ``grads`` is the buffer its backward passes add into."""
+        return PreparedBranch(self, grads)
+
+
+class PreparedBranch:
+    """Per-parameter work of one call, done once for all its RK4 stages.
+
+    Holds the per-layer views of ``params``, for a KAN each layer's gather
+    table and per-input row offsets, and, given a gradient buffer, the
+    per-layer views of that buffer.  The table copies the coefficients, so a
+    plan goes stale once ``params`` is written: build a fresh one per call.
+    Its four methods are the branch interface of ``hybridcell``.
+    """
+
+    def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None):
+        self.arch, self.params, self.grads = branch.arch, branch.params, grads
+        if isinstance(self.arch, KanArch):
+            G, K = self.arch.spline.grid_size, self.arch.spline.order + 1
+            # Basis columns that are nonzero on each knot interval.
+            windows = np.arange(G)[:, None] + np.arange(K)
+            self.layers = []
+            for coef, base, scale in _kan_layers(self.arch, self.params):
+                n_in, n_out = base.shape
+                # One table row per (input, interval) holds the K coefficients
+                # of that interval for every out unit; a point gathers row
+                # first + G * i for input i, so local[n, i, c, o] =
+                # coef[i, o, first[n, i] + c].
+                table = coef[:, :, windows].transpose(0, 2, 3, 1).reshape(n_in * G, K * n_out)
+                self.layers.append((coef, base, scale, table, G * np.arange(n_in)))
+            views = _kan_layers
+        else:
+            self.layers = _mlp_layers(self.arch, self.params)
+            views = _mlp_layers
+        self.glayers = None if grads is None else views(self.arch, grads)
+
     def eval_batch(self, xn, vn):
         return forward_batch(self, xn, vn)
 
     def combined_vjp(self, cache, upstream):
-        return backward_batch(self, cache, upstream)
+        return backward_batch(self, cache, upstream, self.grads)
 
     def l1_value(self) -> float:
         return l1_penalty(self)
@@ -198,32 +248,24 @@ def _silu(u):
     return sig, u * sig
 
 
-def forward_batch(branch: ResidualBranch, xn, vn):
-    """Evaluate the branch on arrays of normalized coordinates.
+def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
+    """Evaluate the prepared branch on (N,) arrays of normalized coordinates.
 
     Returns (values (N,), cache); the cache holds everything
     ``backward_batch`` needs, so gradients never re-evaluate the network.
     """
-    xn = np.atleast_1d(np.asarray(xn, dtype=float))
-    vn = np.atleast_1d(np.asarray(vn, dtype=float))
-    U = np.stack([xn, vn], axis=1)
+    U = np.empty((len(xn), 2))
+    U[:, 0] = xn
+    U[:, 1] = vn
     layers = []
-    if isinstance(branch.arch, KanArch):
-        spec = branch.arch.spline
+    if isinstance(x.arch, KanArch):
+        spec = x.arch.spline
         lo, hi = spec.domain
-        G, K = spec.grid_size, spec.order + 1
-        # Basis columns that are nonzero on each knot interval.
-        windows = np.arange(G)[:, None] + np.arange(K)
-        for coef, base, scale in _kan_layers(branch.arch, branch.params):
-            n_in, n_out = base.shape
+        K = spec.order + 1
+        for _, base, scale, table, offsets in x.layers:
             Uc = np.minimum(np.maximum(U, lo), hi)
             B, dB, first = basis_and_derivative(spec, Uc)
-            # One table row per (input, interval) holds the K coefficients of
-            # that interval for every out unit; each point gathers one row per
-            # input, so local[n, i, c, o] = coef[i, o, first[n, i] + c].
-            table = coef[:, :, windows].transpose(0, 2, 3, 1).reshape(n_in * G, K * n_out)
-            local = np.take(table, first + G * np.arange(n_in), axis=0)
-            local = local.reshape(len(U), n_in, K, n_out)
+            local = np.take(table, first + offsets, axis=0).reshape(len(U), len(offsets), K, -1)
             sig, silu = _silu(U)
             spl = np.einsum("nic,nico->nio", B, local)
             Y = silu @ base + np.einsum("nio,io->no", spl, scale)
@@ -233,29 +275,27 @@ def forward_batch(branch: ResidualBranch, xn, vn):
             )
             U = Y
     else:
-        mlp = _mlp_layers(branch.arch, branch.params)
-        for li, (W, b) in enumerate(mlp):
+        last = len(x.layers) - 1
+        for li, (W, b) in enumerate(x.layers):
             Z = U @ W + b
             layers.append({"U": U, "Z": Z})
-            U = np.maximum(Z, 0.0) if li < len(mlp) - 1 else Z
+            U = np.maximum(Z, 0.0) if li < last else Z
     return U[:, 0], layers
 
 
-def backward_batch(branch, cache, upstream):
+def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.ndarray):
     """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs).
 
-    Returns (flat param gradient, (d/dxn, d/dvn) arrays).
+    Adds the parameter gradient into ``grads``, the buffer ``x`` was
+    prepared with, through its layer views.  Returns (grads, (d/dxn,
+    d/dvn) arrays).
     """
-    upstream = np.asarray(upstream, dtype=float)
     Wy = upstream[:, None]
-    grads = np.zeros_like(branch.params)
-    if isinstance(branch.arch, KanArch):
-        views = _kan_layers(branch.arch, branch.params)
-        gviews = _kan_layers(branch.arch, grads)
-        for li in range(len(views) - 1, -1, -1):
-            coef, base, scale = views[li]
+    if isinstance(x.arch, KanArch):
+        for li in range(len(x.layers) - 1, -1, -1):
+            coef, base, scale, _, _ = x.layers[li]
+            gcoef, gbase, gscale = x.glayers[li]
             c = cache[li]
-            gcoef, gbase, gscale = gviews[li]
             gbase += c["silu"].T @ Wy
             gscale += np.einsum("nio,no->io", c["spl"], Wy)
             # Scatter the local weights into all M columns, then one GEMM
@@ -270,20 +310,19 @@ def backward_batch(branch, cache, upstream):
                 "nio,nio->ni", dspl, Wy[:, None, :] * scale
             )
     else:
-        views = _mlp_layers(branch.arch, branch.params)
-        gviews = _mlp_layers(branch.arch, grads)
-        for li in range(len(views) - 1, -1, -1):
-            W, _ = views[li]
+        last = len(x.layers) - 1
+        for li in range(last, -1, -1):
+            W, _ = x.layers[li]
+            gW, gb = x.glayers[li]
             c = cache[li]
-            Wz = Wy if li == len(views) - 1 else Wy * (c["Z"] > 0)
-            gW, gb = gviews[li]
+            Wz = Wy if li == last else Wy * (c["Z"] > 0)
             gW += c["U"].T @ Wz
-            gb += Wz.sum(axis=0)
+            gb += np.add.reduce(Wz, axis=0)
             Wy = Wz @ W.T
-    return grads, (Wy[:, 0].copy(), Wy[:, 1].copy())
+    return grads, (Wy[:, 0], Wy[:, 1])
 
 
-def l1_penalty(branch: ResidualBranch) -> float:
+def l1_penalty(branch: ResidualBranch | PreparedBranch) -> float:
     """Sparsity penalty: l1_weight * sum |spline coefficients| (0 for MLPs)."""
     if not isinstance(branch.arch, KanArch) or branch.arch.l1_weight == 0:
         return 0.0
@@ -291,7 +330,7 @@ def l1_penalty(branch: ResidualBranch) -> float:
     return branch.arch.l1_weight * total
 
 
-def add_l1_gradient(branch: ResidualBranch, grads: np.ndarray) -> None:
+def add_l1_gradient(branch: ResidualBranch | PreparedBranch, grads: np.ndarray) -> None:
     """Accumulate the l1 subgradient (sign convention: 0 at 0) into grads."""
     if not isinstance(branch.arch, KanArch) or branch.arch.l1_weight == 0:
         return

@@ -99,7 +99,13 @@ class TestDatasetInput:
          "unknown split"),
         (lambda lines: lines[:1] + ["0,0.5,0.5"] + lines[1:], "before the first #traj"),
         (lambda lines: [l for i, l in enumerate(lines) if i != 22], "one length"),
-    ], ids=["unknown-split", "stray-row", "ragged"])
+        (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:], ":1: malformed dataset header"),
+        (lambda lines: lines[:2] + ["0,nan,0.5"] + lines[3:], ":3: malformed state row"),
+        (lambda lines: lines[:2] + ["0,0.5"] + lines[3:], ":3: malformed state row"),
+        (lambda lines: [lines[0].replace("duffing", "lorenz")] + lines[1:],
+         "unknown oscillator kind 'lorenz'"),
+    ], ids=["unknown-split", "stray-row", "ragged", "short-header", "nan-row", "short-row",
+            "unknown-oscillator"])
     def test_malformed_file_is_validation_error(self, capsys, tmp_path, edit, message):
         path = self._saved(capsys, tmp_path)
         with open(path) as fh:
@@ -109,6 +115,15 @@ class TestDatasetInput:
         code, _, err = self._eval(capsys, path)
         assert code == 1
         assert message in err and path in err
+
+    def test_other_systems_data_is_validation_error(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "gen-data", "--system", "vanderpol", "--n-train", "1",
+                           "--n-test", "1", "--steps", "20", "--out", str(tmp_path))
+        assert code == 0
+        path = out.strip()
+        code, out, err = self._eval(capsys, path)
+        assert code == 1 and out == ""
+        assert path in err and "vanderpol" in err
 
 
 class TestTrainEval:
@@ -190,6 +205,22 @@ class TestSweepAggregate:
         assert code == 1
         assert "error" in err
         assert not out.exists()
+
+    def test_resume_on_truncated_metrics_is_validation_error(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("config = A\noracle = true\nn_train_ics = 2\n"
+                       "n_test_ics = 1\ndata_steps = 50\n")
+        argv = ("sweep", "--config-file", str(cfg), "--seeds", "2", "--out", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        metrics = os.path.join(out.split(":")[0], "metrics.csv")
+        with open(metrics) as fh:
+            text = fh.read()
+        with open(metrics, "w") as fh:
+            fh.write(text[: text.rindex(",")])
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"{metrics}:4: malformed metrics row" in err
 
     def test_aggregate_from_sweep_dirs(self, capsys, tmp_path):
         cfg = tmp_path / "exp.txt"

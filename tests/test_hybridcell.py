@@ -25,7 +25,7 @@ from residual_lab.hybridcell import (
     transitions_of,
     windows_of,
 )
-from residual_lab.netcore import KanArch, MlpArch, new_branch
+from residual_lab.netcore import KanArch, MlpArch, l1_penalty, new_branch
 from residual_lab.splines import SplineSpec
 
 KAN53 = SplineSpec(grid_size=5, order=3)
@@ -64,7 +64,7 @@ def max_rel_error(a, b, floor=1e-6):
 def step_rows(h, states):
     """One step of every (x, v) row in a single batched call, as an (S, 2) array."""
     states = np.asarray(states, dtype=float)
-    XP, VP, _ = step_batch(h, states[:, 0], states[:, 1])
+    XP, VP, _ = step_batch(h.prepare(), states[:, 0], states[:, 1])
     return np.stack([XP, VP], axis=1)
 
 
@@ -113,7 +113,7 @@ class TestHybridStep:
                 rollout(h, starts, 100)
             assert err.value.step == 1
         with pytest.raises(DivergenceError) as err:
-            step_batch(h, np.array([1.0]), np.array([1.0]), step=7)
+            step_batch(h.prepare(), np.array([1.0]), np.array([1.0]), step=7)
         assert err.value.step == 7
 
     def test_validation(self):
@@ -166,10 +166,11 @@ def local_only_bptt_grads(h, starts, targets):
     norm = n * horizon
     X, V = starts[:, 0], starts[:, 1]
     grads = np.zeros_like(h.branch.params)
+    h = h.prepare(grads)
     for t in range(horizon):
         X, V, cache = step_batch(h, X, V, step=t + 1)
         step_vjp(h, cache, (2.0 / norm) * (X - targets[:, t, 0]),
-                 (2.0 / norm) * (V - targets[:, t, 1]), grads)
+                 (2.0 / norm) * (V - targets[:, t, 1]))
     h.branch.l1_grad_into(grads)
     return grads
 
@@ -216,8 +217,8 @@ class TestTeacherForcing:
                              plain.params)
         l0 = tf_loss(HybridSystem(duffing(), plain, 0.01), duffing_data.train)[0]
         l1 = tf_loss(HybridSystem(duffing(), sparse, 0.01), duffing_data.train)[0]
-        assert l1 == pytest.approx(l0 + sparse.l1_value(), rel=1e-12)
-        assert sparse.l1_value() > 0
+        assert l1 == pytest.approx(l0 + l1_penalty(sparse), rel=1e-12)
+        assert l1_penalty(sparse) > 0
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="no trajectories"):
@@ -345,13 +346,13 @@ class TestOracleResidual:
     def test_zero_residual_interface(self):
         # The zero-weight linear branch that stands in for "known part only":
         # outputs are +0.0 (never -0.0), input partials are zero.
-        z = zero_branch()
         for n in (1, 3):
+            z = zero_branch().prepare(np.zeros(3))
             xn, vn = -np.arange(1.0, n + 1), -np.ones(n)
             vals, cache = z.eval_batch(xn, vn)
             assert np.array_equal(vals, np.zeros(n))
             assert not np.signbit(vals).any()
             g, (dx, dv) = z.combined_vjp(cache, np.ones(n))
-            assert g.shape == (3,)
+            assert g is z.grads and g.shape == (3,)
             assert np.array_equal(dx, np.zeros(n)) and np.array_equal(dv, np.zeros(n))
         assert z.l1_value() == 0.0

@@ -150,11 +150,13 @@ class TestKanContraction:
         xn, vn = rng.uniform(-1.3, 1.3, n), rng.uniform(-1.3, 1.3, n)
         upstream = rng.normal(size=n)
 
-        vals, cache = forward_batch(branch, xn, vn)
+        grads = np.zeros_like(branch.params)
+        x = branch.prepare(grads)
+        vals, cache = forward_batch(x, xn, vn)
         ref_vals, ref_cache = reference_forward(branch, xn, vn)
         assert np.abs(vals - ref_vals).max() <= 1e-12 * max(1.0, np.abs(ref_vals).max())
 
-        grads, (dx, dv) = backward_batch(branch, cache, upstream)
+        grads, (dx, dv) = backward_batch(x, cache, upstream, grads)
         ref_grads, (ref_dx, ref_dv) = reference_backward(branch, ref_cache, upstream)
         assert np.abs(grads - ref_grads).max() <= 1e-12 * max(1.0, np.abs(ref_grads).max())
         for got, want in ((dx, ref_dx), (dv, ref_dv)):

@@ -35,26 +35,33 @@ def fd_param_gradient(branch, xs, vs, ws, eps=1e-5):
         for sgn in (1.0, -1.0):
             p = branch.params.copy()
             p[i] += sgn * eps
-            vals, _ = forward_batch(with_params(branch, p), xs, vs)
+            vals, _ = forward_batch(with_params(branch, p).prepare(), xs, vs)
             out[i] += sgn * float(ws @ vals) / (2 * eps)
     return out
 
 
 def values(branch, xs, vs):
-    return forward_batch(branch, np.atleast_1d(xs), np.atleast_1d(vs))[0]
+    return forward_batch(branch.prepare(), np.atleast_1d(xs), np.atleast_1d(vs))[0]
+
+
+def forward_backward(branch, xs, vs, ws):
+    """Forward then backward through one prepared branch: (param gradient
+    of sum(ws * R(xs, vs)), (dR/dxn, dR/dvn) weighted by ws)."""
+    grads = np.zeros_like(branch.params)
+    x = branch.prepare(grads)
+    _, cache = forward_batch(x, xs, vs)
+    return backward_batch(x, cache, ws, grads)
 
 
 def param_grads(branch, xs, vs, ws):
     """Gradient of sum(ws * R(xs, vs)) over the parameters."""
-    _, cache = forward_batch(branch, xs, vs)
-    return backward_batch(branch, cache, ws)[0]
+    return forward_backward(branch, xs, vs, ws)[0]
 
 
 def input_grads(branch, xs, vs):
     """(dR/dxn, dR/dvn) at every point."""
     xs, vs = np.atleast_1d(xs), np.atleast_1d(vs)
-    _, cache = forward_batch(branch, xs, vs)
-    return backward_batch(branch, cache, np.ones(len(xs)))[1]
+    return forward_backward(branch, xs, vs, np.ones(len(xs)))[1]
 
 
 def max_rel_error(a, b, floor=1e-6):
@@ -118,7 +125,7 @@ class TestForward:
         b = new_branch(KanArch((2, 8, 1), KAN53), seed=3)
         rng = stream(0, "gradcheck")
         xs, vs = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
-        vals, _ = forward_batch(b, xs, vs)
+        vals, _ = forward_batch(b.prepare(), xs, vs)
         for i in range(10):
             assert values(b, xs[i], vs[i])[0] == pytest.approx(vals[i], abs=1e-14)
 
@@ -206,7 +213,7 @@ class TestInputJacobian:
         rng = stream(9, "gradcheck")
         pts = np.array([rng.uniform(-0.9, 0.9, 2) for _ in range(50)])
         xs, vs = pts[:, 0], pts[:, 1]
-        _, cache = forward_batch(b, xs, vs)
+        _, cache = forward_batch(b.prepare(), xs, vs)
         smooth = np.min([np.abs(c["Z"]).min(axis=1) for c in cache[:-1]], axis=0) >= 1e-3
         assert smooth.sum() > 10
         eps = 1e-6
@@ -310,7 +317,7 @@ class TestProductConstruction:
         b = product_construction(KAN53)
         g = np.linspace(-1, 1, 50)
         X, V = np.meshgrid(g, g, indexing="ij")
-        vals, _ = forward_batch(b, X.ravel(), V.ravel())
+        vals, _ = forward_batch(b.prepare(), X.ravel(), V.ravel())
         assert np.abs(vals - (X * V).ravel()).max() < 1e-6
 
     def test_requires_quadratic_order(self):

@@ -26,3 +26,14 @@ def test_ablation_script_writes_tables(capsys, tmp_path, name, extra, table, row
     assert f"wrote {out / table}.txt" in capsys.readouterr().out
     assert (out / f"{table}.txt").is_file()
     assert len((out / f"{table}.csv").read_text().splitlines()) == 1 + rows
+
+
+def test_output_digests_lists_every_output(capsys):
+    assert load_main("output_digests")(["--seeds", "1", "--steps-scale", "0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = {key: digest for digest, key in (line.split("  ", 1) for line in lines)}
+    assert all(len(digest) == 64 for digest in table.values())
+    assert sum(key.endswith("/metrics.csv") for key in table) == 4
+    for key in ("stdout eval", "stdout train", "verify_gradients A",
+                "verify_gradients mlp-small", "data/vanderpol-seed1.dataset"):
+        assert key in table
