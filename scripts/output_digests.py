@@ -10,21 +10,27 @@ dropped before hashing.
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
-``--seeds`` and ``--steps-scale`` shrink the runs to a smoke test.
+``--seeds`` and ``--steps-scale`` shrink the runs to a smoke test.  The
+block sweep keeps its 18 seeds whatever ``--seeds`` says, since its point is
+the boundary between a block of 16 seeds and the next block of 2: it runs
+once, again with per-seed datasets, again with two workers, and once more
+resumed from a metrics file cut down to a scattered set of its seeds.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
 from residual_lab import cli
 from residual_lab.dynamics import oscillator
-from residual_lab.harness import ExperimentConfig, resolve_arch, run_sweep
+from residual_lab.harness import ExperimentConfig, resolve_arch, run_sweep, sweep_directory
 from residual_lab.hybridcell import HybridSystem
 from residual_lab.netcore import new_branch
 from residual_lab.trainer import verify_gradients
@@ -37,6 +43,10 @@ SWEEPS = (
     ("duffing", "kan-deep", "bptt", 40),
 )
 GRADIENT_CHECKS = ("A", "mlp-small")
+# (system, config, paradigm, training steps, seeds) of the block sweep, and
+# the seeds its resumed copy keeps.
+BLOCK_SWEEP = ("vanderpol", "mlp-small", "bptt", 5, 18)
+RESUME_KEEP = (0, 3, 4, 9, 17)
 
 
 def sha256(data: bytes) -> str:
@@ -72,6 +82,22 @@ def digests(seeds: int, steps_scale: float) -> dict[str, str]:
     for system, config, paradigm, n in SWEEPS:
         run_sweep(ExperimentConfig(system=system, config=config, paradigm=paradigm,
                                    n_seeds=seeds, steps=steps(n), out="sweeps"))
+
+    system, config, paradigm, n, seeds = BLOCK_SWEEP
+    block = ExperimentConfig(system=system, config=config, paradigm=paradigm, n_seeds=seeds,
+                             steps=steps(n), out="blocks")
+    run_sweep(block)
+    run_sweep(dataclasses.replace(block, per_seed_data=True))
+    run_sweep(dataclasses.replace(block, out="blocks-workers2"), workers=2)
+    resumed = dataclasses.replace(block, out="blocks-resume")
+    shutil.copytree(sweep_directory(block), sweep_directory(resumed))
+    metrics = os.path.join(sweep_directory(resumed), "metrics.csv")
+    with open(metrics) as fh:
+        lines = fh.read().splitlines()
+    kept = [line for line in lines[2:] if int(line.split(",")[4]) in RESUME_KEEP]
+    with open(metrics, "w") as fh:
+        fh.write("\n".join(lines[:2] + kept) + "\n")
+    run_sweep(resumed)
 
     data = run_cli(["gen-data", "--system", "vanderpol", "--n-train", "4", "--n-test", "2",
                     "--steps", "300", "--seed", "1", "--out", "data"]).decode().strip()

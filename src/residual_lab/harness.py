@@ -9,8 +9,8 @@ every report caveats them.
 
 Sweeps are resumable and deterministic: each (config minus output/seed-count)
 hashes to a fingerprint, per-seed rows live in a metrics CSV keyed by that
-fingerprint, and reruns or different worker counts reproduce the output
-byte for byte.
+fingerprint, and reruns, different worker counts and different blocks of
+seeds trained together reproduce the output byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .dynamics import DUFFING, VANDERPOL, generate_dataset, oscillator
+from .dynamics import DUFFING, VANDERPOL, Dataset, generate_dataset, oscillator
 from .evaluation import (
     GridSpec,
     MetricRow,
@@ -42,10 +42,22 @@ from .evaluation import (
     write_metrics,
 )
 from .hybridcell import EULER, RK4, HybridSystem, OracleResidual
-from .netcore import Arch, KanArch, MlpArch, SplineSpec, new_branch, param_count
-from .trainer import BPTT, TEACHER_FORCING, TrainConfig, train
+from .netcore import (
+    Arch,
+    KanArch,
+    MlpArch,
+    ResidualBranch,
+    SplineSpec,
+    init_params,
+    new_branch,
+    param_count,
+)
+from .trainer import BPTT, TEACHER_FORCING, TrainConfig, TrainReport, train, train_block
 
 ENV_OUT = "RESIDUAL_LAB_OUT"
+# Seeds of a sweep trained in lockstep by one block; past about 16 the
+# per-seed cost stops falling while the block's memory keeps growing.
+BLOCK_SEEDS = 16
 
 
 @dataclass(frozen=True)
@@ -150,18 +162,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if self.integrator not in (RK4, EULER):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.n_seeds < 1:
+        if not (self.n_seeds >= 1):
             raise ValueError("n_seeds must be >= 1")
-        if self.n_test_ics < 1:
+        if not (self.n_test_ics >= 1):
             raise ValueError("n_test_ics must be >= 1")
-        if self.dt <= 0:
+        if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if self.data_steps < 2:
+        if not (self.data_steps >= 2):
             raise ValueError("data_steps must be >= 2")
         if not self.oracle:
-            if self.n_train_ics < 1:
+            if not (self.n_train_ics >= 1):
                 raise ValueError("n_train_ics must be >= 1 unless oracle")
-            if self.paradigm == BPTT and self.horizon > self.data_steps:
+            if self.paradigm == BPTT and not (self.horizon <= self.data_steps):
                 raise ValueError(f"horizon {self.horizon} exceeds data_steps "
                                  f"{self.data_steps}: no BPTT window fits")
             # Apply the seeds' TrainConfig bounds before any sweep output exists.
@@ -239,19 +251,24 @@ def _shared_dataset(system, n_train_ics, n_test_ics, dt, data_steps, data_seed, 
     return ds
 
 
-def run_single_seed(task: tuple[ExperimentConfig, int]) -> MetricRow:
-    """One seed of a sweep; top-level so worker processes can receive it."""
+def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | None = None,
+                    ds: Dataset | None = None) -> MetricRow:
+    """Evaluate one seed of a sweep into its row, from the ``report`` of its
+    training on ``ds``; without a report, the seed is first trained alone,
+    and without ``ds`` its dataset is looked up."""
     cfg, seed = task
     spec = oscillator(cfg.system)
-    ds = _dataset_for(cfg, seed)
+    if ds is None:
+        ds = _dataset_for(cfg, seed)
     arch, preset = resolve_arch(cfg)
     if cfg.oracle:
         branch = OracleResidual(spec, ds.scale)
         status = "Oracle"
     else:
-        branch = new_branch(arch, seed)
-        system = HybridSystem(spec, branch, ds.dt, cfg.integrator, ds.scale)
-        report = train(system, ds, make_train_config(cfg, arch, seed))
+        if report is None:
+            system = HybridSystem(spec, new_branch(arch, seed), ds.dt, cfg.integrator, ds.scale)
+            report = train(system, ds, make_train_config(cfg, arch, seed))
+        branch = ResidualBranch(arch, report.params)
         status = report.status
     system = HybridSystem(spec, branch, ds.dt, cfg.integrator, ds.scale)
     surface = sample_surface(branch, spec, GridSpec(), ds.scale)
@@ -266,6 +283,23 @@ def run_single_seed(task: tuple[ExperimentConfig, int]) -> MetricRow:
         fit_r2, terms = fit.r2, format_fit_terms(fit)
     return MetricRow(cfg.system, preset.arch, cfg.config, cfg.paradigm, seed,
                      r2, mse, fit_r2, terms, status)
+
+
+def _run_block(task: tuple[ExperimentConfig, list[int]]) -> list[MetricRow]:
+    """Train a block of seeds together, then evaluate each into its row;
+    top-level so worker processes can receive it."""
+    cfg, seeds = task
+    datasets = [_dataset_for(cfg, s) for s in seeds]
+    if cfg.oracle:
+        reports = [None] * len(seeds)
+    else:
+        arch, _ = resolve_arch(cfg)
+        branch = ResidualBranch(arch, np.stack([init_params(arch, s) for s in seeds]))
+        system = HybridSystem(oscillator(cfg.system), branch, datasets[0].dt, cfg.integrator,
+                              datasets[0].scale)
+        reports = train_block(system, datasets,
+                              [make_train_config(cfg, arch, s) for s in seeds])
+    return [run_single_seed((cfg, s), r, d) for s, r, d in zip(seeds, reports, datasets)]
 
 
 @dataclass
@@ -336,9 +370,11 @@ def _summarize(cfg: ExperimentConfig, fingerprint: str, rows: list[MetricRow],
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Train and evaluate n_seeds seeds, resuming any rows already on disk.
 
-    Rows are computed per seed (optionally across worker processes), then the
-    metrics file is rewritten sorted by seed, so output bytes depend only on
-    the config, never on scheduling.
+    The missing seeds train in lockstep blocks of up to ``BLOCK_SEEDS``
+    (smaller with several workers, so each worker gets a block), and each
+    seed is then evaluated into its own row.  A seed's row does not depend
+    on its block, and the metrics file is rewritten sorted by seed, so
+    output bytes depend only on the config, never on scheduling.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -359,13 +395,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 
     missing = [s for s in range(cfg.n_seeds) if s not in existing]
     if missing:
-        tasks = [(cfg, s) for s in missing]
+        # Blocks shrink below BLOCK_SEEDS when that leaves a worker idle.
+        size = min(BLOCK_SEEDS, -(-len(missing) // workers))
+        tasks = [(cfg, missing[i : i + size]) for i in range(0, len(missing), size)]
         if workers > 1:
             with get_context("fork").Pool(workers) as pool:
-                new_rows = pool.map(run_single_seed, tasks)
+                blocks = pool.map(_run_block, tasks)
         else:
-            new_rows = [run_single_seed(t) for t in tasks]
-        existing.update({r.seed: r for r in new_rows})
+            blocks = [_run_block(t) for t in tasks]
+        existing.update({r.seed: r for rows in blocks for r in rows})
 
     all_rows = [existing[s] for s in sorted(existing)]
     write_metrics(metrics_path, all_rows, fingerprint=fingerprint)
@@ -487,7 +525,10 @@ def _coerce(field: str, text: str):
     if tp is int:
         return int(text)
     if tp is float:
-        return float(text)
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError(f"{field} = {text!r} is not a finite number")
+        return value
     return text
 
 
@@ -505,8 +546,14 @@ def load_config_file(path) -> ExperimentConfig:
             key, text = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, text)
-    return ExperimentConfig(**values)
+            try:
+                values[key] = _coerce(key, text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config_file(cfg: ExperimentConfig, path) -> None:

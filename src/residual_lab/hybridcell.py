@@ -21,8 +21,15 @@ The teacher-forcing loss (on ``transitions_of`` pairs) and the BPTT loss (on
 with exact reverse-mode gradients threaded through the integrator stages; for
 BPTT the adjoint also flows through the state path via the branch input jacobian.
 
-Everything here is batched over a leading sample axis; batch size 1 is a
-batch of one row, not a separate scalar API.
+Everything here is batched over a sample axis; batch size 1 is a batch of
+one row, not a separate scalar API.  A branch whose ``params`` is an (S, P)
+block of S seeds adds a leading seed axis: states are (S, N), loss inputs
+(S, N, ...), and the losses return per-seed losses (S,), gradients (S, P)
+and an (S,) ok-mask, so a seed that diverges marks itself and leaves the
+others of its block untouched.  Seed s does exactly the float operations it
+would do in a block of its own.  A one-seed (P,) branch drops the axis, and
+its forward-only paths (``rollout``, ``step_batch`` without a mask) raise
+``DivergenceError`` as before.
 """
 
 from __future__ import annotations
@@ -113,11 +120,16 @@ def _check_finite(X, V, step: int) -> None:
         raise DivergenceError(f"state diverged at step {step}", step=step)
 
 
-def step_batch(h: HybridSystem, X, V, step: int = 0):
+def step_batch(h: HybridSystem, X, V, step: int = 0, ok=None):
     """One integrator step over a batch; returns (X', V', cache).
 
-    The cache records each stage's input states and branch cache, which is
-    exactly what ``step_vjp`` consumes.
+    ``X`` and ``V`` are (N,) rows, or (S, N) for a system prepared from an
+    (S, P) block, row s by seed s.  Without ``ok`` a divergent row raises
+    ``DivergenceError`` with ``step``; given the per-seed bool mask ``ok``
+    (shape ``X.shape[:-1]``), the step clears the entries of divergent
+    seeds in place and raises nothing, so one seed's divergence leaves the
+    others of its block alone.  The cache records each stage's input states
+    and branch cache, which is exactly what ``step_vjp`` consumes.
     """
     dt = h.dt
     if h.integrator == EULER:
@@ -136,7 +148,10 @@ def step_batch(h: HybridSystem, X, V, step: int = 0):
         XP = X + (dt / 6.0) * (V + 2.0 * V2 + 2.0 * V3 + V4)
         VP = V + (dt / 6.0) * (F1 + 2.0 * F2 + 2.0 * F3 + F4)
         cache = [(X, V, bc1), (X2, V2, bc2), (X3, V3, bc3), (X4, V4, bc4)]
-    _check_finite(XP, VP, step)
+    if ok is None:
+        _check_finite(XP, VP, step)
+    else:
+        ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
     return XP, VP, cache
 
 
@@ -173,8 +188,8 @@ def step_vjp(h: HybridSystem, cache, lx, lv):
 
 
 def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
-    """Free rollout of S trajectories in lockstep, one ``step_batch`` call per
-    time step: (S, 2) start states in, (S, n + 1, 2) states out.  Raises
+    """Free rollout of W trajectories in lockstep, one ``step_batch`` call per
+    time step: (W, 2) start states in, (W, n + 1, 2) states out.  Raises
     ``DivergenceError`` with the step number, as ``step_batch`` does."""
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or n < 1:
@@ -214,17 +229,32 @@ def tf_loss_value(h: HybridSystem, s0: np.ndarray, s1: np.ndarray) -> float:
     return float(sq.mean()) + h.branch.l1_value()
 
 
-def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
-    """Teacher-forcing loss and its gradient on a transition batch."""
-    n = s0.shape[0]
-    grads = np.zeros_like(h.branch.params)
-    h = h.prepare(grads)
-    XP, VP, cache = step_batch(h, s0[:, 0], s0[:, 1])
-    dx, dv = XP - s1[:, 0], VP - s1[:, 1]
-    loss = float((dx ** 2 + dv ** 2).mean()) + h.branch.l1_value()
-    step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv)
+def _loss_result(h: HybridSystem, loss, grads, ok):
+    """Add the l1 gradient and fold non-finite losses and gradients into
+    the per-seed ``ok`` mask."""
     h.branch.l1_grad_into(grads)
-    return loss, grads
+    ok &= np.isfinite(loss) & np.isfinite(grads).all(-1)
+    return loss, grads, ok
+
+
+def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
+    """Teacher-forcing loss and its gradient on a batch of (N, 2) transition
+    pairs, or on (S, N, 2) pairs for a system with an (S, P) block.
+
+    Returns (loss, grads, ok): per seed the loss, the gradient and whether
+    every state stayed bounded and both are finite.  A seed that is not ok
+    raises nothing; its loss and gradient are not to be used.
+    """
+    n = s0.shape[-2]
+    grads = np.zeros_like(h.branch.params)
+    ok = np.ones(s0.shape[:-2], dtype=bool)
+    h = h.prepare(grads)
+    with np.errstate(all="ignore"):
+        XP, VP, cache = step_batch(h, s0[..., 0], s0[..., 1], ok=ok)
+        dx, dv = XP - s1[..., 0], VP - s1[..., 1]
+        loss = (dx ** 2 + dv ** 2).mean(-1) + h.branch.l1_value()
+        step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv)
+        return _loss_result(h, loss, grads, ok)
 
 
 def bptt_value_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray) -> float:
@@ -239,29 +269,36 @@ def bptt_value_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray) 
 
 
 def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
-    """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, and
-    its gradient from the full adjoint sweep back through every step."""
-    n, horizon = targets.shape[0], targets.shape[1]
-    grads = np.zeros_like(h.branch.params)
-    h = h.prepare(grads)
-    X, V = starts[:, 0], starts[:, 1]
-    caches, diffs = [], []
-    total = 0.0
-    for t in range(horizon):
-        X, V, cache = step_batch(h, X, V, step=t + 1)
-        dx, dv = X - targets[:, t, 0], V - targets[:, t, 1]
-        total += float((dx ** 2 + dv ** 2).sum())
-        caches.append(cache)
-        diffs.append((dx, dv))
-    norm = n * horizon
-    loss = total / norm + h.branch.l1_value()
+    """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, or on
+    (S, W, 2) and (S, W, K, 2) for a system with an (S, P) block, and its
+    gradient from the full adjoint sweep back through every step.
 
-    lx = np.zeros(n)
-    lv = np.zeros(n)
-    for t in range(horizon - 1, -1, -1):
-        dx, dv = diffs[t]
-        lx = lx + (2.0 / norm) * dx
-        lv = lv + (2.0 / norm) * dv
-        lx, lv = step_vjp(h, caches[t], lx, lv)
-    h.branch.l1_grad_into(grads)
-    return loss, grads
+    Returns (loss, grads, ok) per seed, as ``tf_loss_grads`` does.  Each
+    seed's loss is summed step by step, the same float additions whatever
+    the block.
+    """
+    n, horizon = targets.shape[-3], targets.shape[-2]
+    grads = np.zeros_like(h.branch.params)
+    ok = np.ones(starts.shape[:-2], dtype=bool)
+    h = h.prepare(grads)
+    X, V = starts[..., 0], starts[..., 1]
+    caches, diffs = [], []
+    total = np.zeros(ok.shape)
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            X, V, cache = step_batch(h, X, V, step=t + 1, ok=ok)
+            dx, dv = X - targets[..., t, 0], V - targets[..., t, 1]
+            total += (dx ** 2 + dv ** 2).sum(-1)
+            caches.append(cache)
+            diffs.append((dx, dv))
+        norm = n * horizon
+        loss = total / norm + h.branch.l1_value()
+
+        lx = np.zeros(X.shape)
+        lv = np.zeros(X.shape)
+        for t in range(horizon - 1, -1, -1):
+            dx, dv = diffs[t]
+            lx = lx + (2.0 / norm) * dx
+            lv = lv + (2.0 / norm) * dv
+            lx, lv = step_vjp(h, caches[t], lx, lv)
+        return _loss_result(h, loss, grads, ok)

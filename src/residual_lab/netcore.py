@@ -37,6 +37,13 @@ views of the caller's gradient buffer ``grads``.  The plan is built fresh per
 call and never cached on the branch, because ``train`` and the
 finite-difference check write ``params`` in place between calls.
 
+A branch's ``params`` may also be an (S, P) block: S seeds of one
+architecture, evaluated together.  Every layer view then keeps a leading S
+axis, the inputs are (S, N), and each contraction is a stack of per-seed
+ones (stacked ``matmul``, ``einsum`` over a seed axis), so seed s gets the same
+float operations as in a block of its own.  A (P,) vector is the one-seed
+case with no seed axis at all.
+
 ``forward_batch(x, xn, vn)`` takes a prepared branch and returns the values
 and one cache dict per layer, which ``backward_batch(x, cache, upstream,
 grads)`` consumes without re-evaluating anything.  Backward adds the
@@ -48,7 +55,9 @@ input, ``sig``/``silu`` (N, n_in), ``B``/``dB`` (N, n_in, K) local basis
 values and u-derivatives, ``first`` (N, n_in) first nonzero column,
 ``local`` (N, n_in, K, n_out) gathered coefficients, ``spl`` (N, n_in,
 n_out) edge spline values, ``mask`` (N, n_in) inputs inside the domain.
-MLP layer cache: ``U`` (N, n_in) and pre-activation ``Z`` (N, n_out).
+MLP layer cache: the layer input ``U`` (N, n_in); backward reads a hidden
+layer's ReLU mask off the next layer's input.  With a seed axis, every cache
+array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -115,24 +124,27 @@ def param_count(arch: Arch) -> int:
 
 
 def _kan_layers(arch: KanArch, params: np.ndarray):
-    """Per-layer views (coef, base_scale, spline_scale) into the flat vector."""
+    """Per-layer views (coef, base_scale, spline_scale) into the flat vector,
+    or into each row of an (S, P) block, with the leading S axis kept."""
     M = arch.spline.n_basis
+    lead = params.shape[:-1]
     out, off = [], 0
     for n_in, n_out in zip(arch.widths[:-1], arch.widths[1:]):
         e = n_in * n_out
-        coef = params[off : off + e * M].reshape(n_in, n_out, M)
-        base = params[off + e * M : off + e * M + e].reshape(n_in, n_out)
-        scale = params[off + e * (M + 1) : off + e * (M + 2)].reshape(n_in, n_out)
+        coef = params[..., off : off + e * M].reshape(lead + (n_in, n_out, M))
+        base = params[..., off + e * M : off + e * M + e].reshape(lead + (n_in, n_out))
+        scale = params[..., off + e * (M + 1) : off + e * (M + 2)].reshape(lead + (n_in, n_out))
         out.append((coef, base, scale))
         off += e * (M + 2)
     return out
 
 
 def _mlp_layers(arch: MlpArch, params: np.ndarray):
+    lead = params.shape[:-1]
     out, off = [], 0
     for n_in, n_out in zip(arch.widths[:-1], arch.widths[1:]):
-        W = params[off : off + n_in * n_out].reshape(n_in, n_out)
-        b = params[off + n_in * n_out : off + (n_in + 1) * n_out]
+        W = params[..., off : off + n_in * n_out].reshape(lead + (n_in, n_out))
+        b = params[..., off + n_in * n_out : off + (n_in + 1) * n_out]
         out.append((W, b))
         off += (n_in + 1) * n_out
     return out
@@ -140,14 +152,15 @@ def _mlp_layers(arch: MlpArch, params: np.ndarray):
 
 @dataclass
 class ResidualBranch:
-    """A branch family plus its flat parameter vector."""
+    """A branch family plus its flat parameter vector, or an (S, P) block of
+    S seeds' vectors that every call evaluates in lockstep."""
 
     arch: Arch
     params: np.ndarray
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
-        if self.params.shape != (param_count(self.arch),):
+        if self.params.ndim not in (1, 2) or self.params.shape[-1] != param_count(self.arch):
             raise ValueError(
                 f"params length {self.params.shape} != param_count {param_count(self.arch)}"
             )
@@ -167,29 +180,43 @@ class PreparedBranch:
 
     Holds the per-layer views of ``params``, for a KAN each layer's gather
     table and per-input row offsets, and, given a gradient buffer, the
-    per-layer views of that buffer.  The table copies the coefficients, so a
-    plan goes stale once ``params`` is written: build a fresh one per call.
-    Its four methods are the branch interface of ``hybridcell``.
+    per-layer views of that buffer.  For an (S, P) block the views keep the
+    leading S axis, and the S seeds' tables are stacked into one, so seed s
+    gathers its rows at an offset of s n_in G.  The table copies the
+    coefficients, so a plan goes stale once ``params`` is written: build a
+    fresh one per call.  Its four methods are the branch interface of
+    ``hybridcell``.
     """
 
     def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None):
         self.arch, self.params, self.grads = branch.arch, branch.params, grads
+        lead = self.params.shape[:-1]
         if isinstance(self.arch, KanArch):
+            # einsum subscripts, with the seed axis s for a block.  An empty
+            # "..." would serve both, but it is slower on one seed's arrays.
+            s = "s" * len(lead)
+            self.spline_sum = f"{s}nic,{s}nico->{s}nio"
+            self.out_sum = f"{s}nio,{s}io->{s}no"
+            self.scale_grad_sum = f"{s}nio,{s}no->{s}io"
+            self.input_grad_sum = f"{s}nio,{s}nio->{s}ni"
             G, K = self.arch.spline.grid_size, self.arch.spline.order + 1
             # Basis columns that are nonzero on each knot interval.
             windows = np.arange(G)[:, None] + np.arange(K)
             self.layers = []
             for coef, base, scale in _kan_layers(self.arch, self.params):
-                n_in, n_out = base.shape
-                # One table row per (input, interval) holds the K coefficients
-                # of that interval for every out unit; a point gathers row
-                # first + G * i for input i, so local[n, i, c, o] =
-                # coef[i, o, first[n, i] + c].
-                table = coef[:, :, windows].transpose(0, 2, 3, 1).reshape(n_in * G, K * n_out)
-                self.layers.append((coef, base, scale, table, G * np.arange(n_in)))
+                n_in, n_out = base.shape[-2:]
+                # One table row per (seed, input, interval) holds the K
+                # coefficients of that interval for every out unit; a point
+                # gathers row first + G (s n_in + i) for input i of seed s, so
+                # local[.., n, i, c, o] = coef[.., i, o, first[.., n, i] + c].
+                table = np.moveaxis(coef[..., windows], -3, -1).reshape(-1, K * n_out)
+                rows = lead + (1,) * len(lead) + (n_in,)  # broadcast over each seed's points
+                offsets = G * np.arange(table.shape[0] // G).reshape(rows)
+                self.layers.append((coef, base, scale, table, offsets))
             views = _kan_layers
         else:
-            self.layers = _mlp_layers(self.arch, self.params)
+            # Biases broadcast over the rows of each seed.
+            self.layers = [(W, b[..., None, :]) for W, b in _mlp_layers(self.arch, self.params)]
             views = _mlp_layers
         self.glayers = None if grads is None else views(self.arch, grads)
 
@@ -249,14 +276,16 @@ def _silu(u):
 
 
 def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
-    """Evaluate the prepared branch on (N,) arrays of normalized coordinates.
+    """Evaluate the prepared branch on (N,) arrays of normalized coordinates,
+    or on (S, N) arrays for a plan of an (S, P) block, row s by seed s.
 
-    Returns (values (N,), cache); the cache holds everything
-    ``backward_batch`` needs, so gradients never re-evaluate the network.
+    Returns (values, cache), values shaped like ``xn``; the cache holds
+    everything ``backward_batch`` needs, so gradients never re-evaluate the
+    network.
     """
-    U = np.empty((len(xn), 2))
-    U[:, 0] = xn
-    U[:, 1] = vn
+    U = np.empty(np.asarray(xn).shape + (2,))
+    U[..., 0] = xn
+    U[..., 1] = vn
     layers = []
     if isinstance(x.arch, KanArch):
         spec = x.arch.spline
@@ -265,10 +294,10 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
         for _, base, scale, table, offsets in x.layers:
             Uc = np.minimum(np.maximum(U, lo), hi)
             B, dB, first = basis_and_derivative(spec, Uc)
-            local = np.take(table, first + offsets, axis=0).reshape(len(U), len(offsets), K, -1)
+            local = np.take(table, first + offsets, axis=0).reshape(first.shape + (K, -1))
             sig, silu = _silu(U)
-            spl = np.einsum("nic,nico->nio", B, local)
-            Y = silu @ base + np.einsum("nio,io->no", spl, scale)
+            spl = np.einsum(x.spline_sum, B, local)
+            Y = silu @ base + np.einsum(x.out_sum, spl, scale)
             layers.append(
                 {"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB, "first": first,
                  "local": local, "spl": spl, "mask": (U >= lo) & (U <= hi)}
@@ -277,56 +306,61 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
     else:
         last = len(x.layers) - 1
         for li, (W, b) in enumerate(x.layers):
+            layers.append({"U": U})
             Z = U @ W + b
-            layers.append({"U": U, "Z": Z})
             U = np.maximum(Z, 0.0) if li < last else Z
-    return U[:, 0], layers
+    return U[..., 0], layers
 
 
 def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.ndarray):
-    """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs).
+    """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs),
+    per seed for a block.
 
     Adds the parameter gradient into ``grads``, the buffer ``x`` was
     prepared with, through its layer views.  Returns (grads, (d/dxn,
-    d/dvn) arrays).
+    d/dvn) arrays shaped like ``upstream``).
     """
-    Wy = upstream[:, None]
+    Wy = upstream[..., None]
     if isinstance(x.arch, KanArch):
         for li in range(len(x.layers) - 1, -1, -1):
             coef, base, scale, _, _ = x.layers[li]
             gcoef, gbase, gscale = x.glayers[li]
             c = cache[li]
-            gbase += c["silu"].T @ Wy
-            gscale += np.einsum("nio,no->io", c["spl"], Wy)
+            gbase += c["silu"].swapaxes(-1, -2) @ Wy
+            gscale += np.einsum(x.scale_grad_sum, c["spl"], Wy)
             # Scatter the local weights into all M columns, then one GEMM
-            # sums them over the batch.
-            n_in, _, M = coef.shape
+            # per seed sums them over the batch.
+            n_in, _, M = coef.shape[-3:]
             dense = scatter_to_dense(c["B"], c["first"], M)
-            gsum = dense.reshape(len(Wy), n_in * M).T @ Wy  # (n_in * M, n_out)
-            gcoef += scale[:, :, None] * gsum.reshape(n_in, M, -1).transpose(0, 2, 1)
+            gsum = dense.reshape(Wy.shape[:-1] + (n_in * M,)).swapaxes(-1, -2) @ Wy
+            gsum = gsum.reshape(gsum.shape[:-2] + (n_in, M, -1)).swapaxes(-1, -2)
+            gcoef += scale[..., None] * gsum
             dsilu = c["sig"] * (1.0 + c["U"] * (1.0 - c["sig"]))
-            dspl = np.einsum("nic,nico->nio", c["dB"], c["local"])
-            Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum(
-                "nio,nio->ni", dspl, Wy[:, None, :] * scale
+            dspl = np.einsum(x.spline_sum, c["dB"], c["local"])
+            Wy = dsilu * (Wy @ base.swapaxes(-1, -2)) + c["mask"] * np.einsum(
+                x.input_grad_sum, dspl, Wy[..., None, :] * scale[..., None, :, :]
             )
     else:
         last = len(x.layers) - 1
         for li in range(last, -1, -1):
             W, _ = x.layers[li]
             gW, gb = x.glayers[li]
-            c = cache[li]
-            Wz = Wy if li == last else Wy * (c["Z"] > 0)
-            gW += c["U"].T @ Wz
-            gb += np.add.reduce(Wz, axis=0)
-            Wy = Wz @ W.T
-    return grads, (Wy[:, 0], Wy[:, 1])
+            # The next layer's input max(Z, 0) is positive exactly where Z is.
+            Wz = Wy if li == last else Wy * (cache[li + 1]["U"] > 0)
+            gW += cache[li]["U"].swapaxes(-1, -2) @ Wz
+            gb += np.add.reduce(Wz, axis=-2)
+            Wy = Wz @ W.swapaxes(-1, -2)
+    return grads, (Wy[..., 0], Wy[..., 1])
 
 
-def l1_penalty(branch: ResidualBranch | PreparedBranch) -> float:
-    """Sparsity penalty: l1_weight * sum |spline coefficients| (0 for MLPs)."""
+def l1_penalty(branch: ResidualBranch | PreparedBranch):
+    """Sparsity penalty: l1_weight * sum |spline coefficients| (0 for MLPs),
+    one value per seed for a block."""
     if not isinstance(branch.arch, KanArch) or branch.arch.l1_weight == 0:
         return 0.0
-    total = sum(np.abs(coef).sum() for coef, _, _ in _kan_layers(branch.arch, branch.params))
+    lead = branch.params.shape[:-1]
+    total = sum(np.abs(coef).reshape(lead + (-1,)).sum(-1)
+                for coef, _, _ in _kan_layers(branch.arch, branch.params))
     return branch.arch.l1_weight * total
 
 
@@ -388,26 +422,42 @@ def save_branch(branch: ResidualBranch, path, seed: int = 0) -> None:
 
 def load_branch(path) -> tuple[ResidualBranch, int]:
     """Inverse of save_branch; returns (branch, seed).  Files without the
-    current version tag are rejected."""
+    current version tag are rejected, and so are a malformed header, a
+    parameter line that is not a finite number and a parameter count that
+    does not fit the header, each with ``path:line``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     fields = lines[0].split(",") if lines else [""]
     if fields[0] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {fields[0]!r} in {path}; "
                          f"expected {CHECKPOINT_VERSION!r}")
-    malformed = ValueError(f"malformed checkpoint header {lines[0]!r} in {path}")
-    if len(fields) < 4:
-        raise malformed
-    kind, widths_s, *arch_s, seed_s = fields[1:]
-    widths = tuple(int(w) for w in widths_s.split("x"))
-    if kind == KAN and len(arch_s) == 6:
-        g_s, k_s, lam_s, blend_s, lo_s, hi_s = arch_s
-        spline = SplineSpec(int(g_s), int(k_s), (float(lo_s), float(hi_s)))
-        arch: Arch = KanArch(widths, spline, base_blend=bool(int(blend_s)),
-                             l1_weight=float(lam_s))
-    elif kind == MLP and not arch_s:
-        arch = MlpArch(widths)
-    else:
-        raise malformed
-    params = np.array([float(x) for x in lines[1:] if x])
-    return ResidualBranch(arch, params), int(seed_s)
+    try:
+        kind, widths_s, *arch_s, seed_s = fields[1:]
+        widths = tuple(int(w) for w in widths_s.split("x"))
+        if kind == KAN and len(arch_s) == 6:
+            g_s, k_s, lam_s, blend_s, lo_s, hi_s = arch_s
+            spline = SplineSpec(int(g_s), int(k_s), (float(lo_s), float(hi_s)))
+            arch: Arch = KanArch(widths, spline, base_blend=bool(int(blend_s)),
+                                 l1_weight=float(lam_s))
+        elif kind == MLP and not arch_s:
+            arch = MlpArch(widths)
+        else:
+            raise ValueError("unknown kind or wrong field count")
+        seed = int(seed_s)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: malformed checkpoint header {lines[0]!r}: {exc}") from None
+    params = []
+    for no, text in enumerate(lines[1:], start=2):
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise ValueError(f"{path}:{no}: checkpoint parameter {text!r} is not a finite number")
+        params.append(value)
+    if len(params) != param_count(arch):
+        raise ValueError(f"{path}:{len(lines)}: {len(params)} parameter lines, but the header's "
+                         f"architecture has {param_count(arch)} parameters")
+    return ResidualBranch(arch, np.array(params)), seed

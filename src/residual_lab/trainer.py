@@ -1,21 +1,25 @@
 """Seed-deterministic Adam training of residual branches.
 
-One ``train`` call is one seed of the protocol: sample batches with a named
-PRNG stream, take Adam steps on the chosen loss (teacher forcing or BPTT),
-and record the loss history.  Divergence is data, not an exception: a failed
-step is retried once with a fresh batch, then the run halts with status
-``Unstable`` and keeps the last finite parameters as its checkpoint.
+``train_block`` trains a block of seeds of the protocol in lockstep: each
+seed samples batches from its own named PRNG stream, and every step takes
+one batched loss call (teacher forcing or BPTT) and one batched Adam step
+for the seeds still training, recording each seed's loss history.
+Divergence is data, not an exception: a seed whose step fails is retried
+once with a fresh batch, then halts with status ``Unstable`` and keeps its
+last finite parameters as its checkpoint, while the rest of the block goes
+on.  A seed's result does not depend on the block it trains in; ``train``
+is the block of one, for a lone seed.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Dataset, DivergenceError
+from .dynamics import Dataset
 from .hybridcell import (
     HybridSystem,
     bptt_grads_arrays,
@@ -54,13 +58,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.paradigm not in (TEACHER_FORCING, BPTT):
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
-        if self.steps < 1:
+        if not (self.steps >= 1):
             raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0:
+        if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("Adam betas must lie in (0, 1)")
-        if self.batch_size < 1 or self.horizon < 1:
+        if not (self.batch_size >= 1 and self.horizon >= 1):
             raise ValueError("batch_size and horizon must be >= 1")
 
 
@@ -75,19 +79,23 @@ class TrainReport:
 
 
 def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
-    """One bias-corrected Adam update; gradients are pre-clipped to
-    cfg.grad_clip by global norm.  Pure: returns new (params, moments)."""
+    """One bias-corrected Adam update of a (P,) vector or of each row of an
+    (S, P) block; each row's gradient is pre-clipped to cfg.grad_clip by its
+    own global norm.  Pure: returns new (params, moments)."""
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape:
-        raise ValueError("params and grads must have the same length")
+        raise ValueError("params and grads must have the same shape")
     if t < 1:
         raise ValueError("step index t starts at 1")
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradients")
-    norm = float(np.linalg.norm(grads))
-    if cfg.grad_clip > 0 and norm > cfg.grad_clip:
-        grads = grads * (cfg.grad_clip / norm)
+    # The row-wise dot product rounds exactly as the 1-D np.linalg.norm does;
+    # np.linalg.norm(grads, axis=-1) does not.
+    norm = np.sqrt((grads[..., None, :] @ grads[..., :, None])[..., 0, 0])
+    if cfg.grad_clip > 0:
+        # clip / norm on the rows above the clip, exactly 1.0 on the others.
+        grads = grads * (cfg.grad_clip / np.maximum(norm, cfg.grad_clip))[..., None]
     m, v = moments
     m = cfg.beta1 * m + (1.0 - cfg.beta1) * grads
     v = cfg.beta2 * v + (1.0 - cfg.beta2) * grads ** 2
@@ -97,64 +105,99 @@ def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
     return new_params, (m, v)
 
 
-def init_moments(n: int):
-    return np.zeros(n), np.zeros(n)
+def init_moments(shape):
+    return np.zeros(shape), np.zeros(shape)
 
 
 def train(system: HybridSystem, data: Dataset, cfg: TrainConfig) -> TrainReport:
-    """Run cfg.steps Adam iterations; pure function of (system, data, cfg).
+    """Run cfg.steps Adam iterations on one seed: ``train_block`` with a
+    block of one.  Pure function of (system, data, cfg).
 
     Mutates system.branch.params in place (single writer) and returns the
     final parameters in the report as a copy.
     """
+    branch = ResidualBranch(system.branch.arch, system.branch.params[None])
+    return train_block(replace(system, branch=branch), [data], [cfg])[0]
+
+
+def train_block(system: HybridSystem, data: list[Dataset],
+                cfgs: list[TrainConfig]) -> list[TrainReport]:
+    """Train the S seeds of an (S, P) parameter block in lockstep.
+
+    Seed s trains on ``data[s]`` with ``cfgs[s]``; the configs differ only
+    in their seed, and the datasets (often one shared object) only in their
+    values.  Every step makes one loss call and one ``adam_step`` call for
+    the seeds still training.  A seed whose attempt diverges or gives a
+    non-finite loss or gradient is retried once, on a fresh batch from its
+    own stream, in a second loss call over only the failed seeds; a seed
+    that fails twice stops ``Unstable`` and keeps its last finite
+    parameters, and one that converges stops too.  Each seed draws the same
+    batches and does the same float operations as it would in a block of
+    its own, so its report does not depend on the block.
+
+    Mutates system.branch.params in place and returns one report per seed,
+    each timed with the block's wall time.
+    """
     t0 = time.perf_counter()
-    branch = system.branch
-    rng = stream(cfg.seed, "batches")
-    mask = trainable_mask(branch.arch)
-
+    arch, params = system.branch.arch, system.branch.params
+    cfg, S = cfgs[0], len(cfgs)
+    mask = trainable_mask(arch)
+    rngs = [stream(c.seed, "batches") for c in cfgs]
     if cfg.paradigm == TEACHER_FORCING:
-        inputs, loss_grads = transitions_of(data.train), tf_loss_grads
+        loss_grads = tf_loss_grads
+        cuts = {id(ds): transitions_of(ds.train) for ds in data}
     else:
-        inputs, loss_grads = windows_of(data.train, cfg.horizon), bptt_grads_arrays
-    pool = len(inputs[0])
+        loss_grads = bptt_grads_arrays
+        cuts = {id(ds): windows_of(ds.train, cfg.horizon) for ds in data}
+    inputs = [cuts[id(ds)] for ds in data]
+    pools = [len(pair[0]) for pair in inputs]
 
-    def sample_loss():
-        idx = rng.choice(pool, size=min(cfg.batch_size, pool), replace=False)
-        return loss_grads(system, inputs[0][idx], inputs[1][idx])
+    def sample_loss(seeds):
+        batches = []
+        for s in seeds:
+            i = rngs[s].choice(pools[s], size=min(cfg.batch_size, pools[s]), replace=False)
+            batches.append((inputs[s][0][i], inputs[s][1][i]))
+        if len(seeds) == 1:
+            # A lone seed drops the seed axis, which spares the stacked calls
+            # their overhead; the float operations are the same.
+            one = replace(system, branch=ResidualBranch(arch, params[seeds[0]]))
+            return tuple(r[None] for r in loss_grads(one, *batches[0]))
+        a, b = (np.stack(part) for part in zip(*batches))
+        if len(seeds) < S:
+            return loss_grads(replace(system, branch=ResidualBranch(arch, params[seeds])), a, b)
+        return loss_grads(system, a, b)
 
-    moments = init_moments(branch.params.size)
-    history: list[float] = []
-    status = MAX_STEPS
-    fail_step = None
+    m, v = init_moments((S, params.shape[-1]))
+    history: list[list[float]] = [[] for _ in range(S)]
+    status, fail_step = [MAX_STEPS] * S, [None] * S
+    active = np.arange(S)
     for t in range(1, cfg.steps + 1):
-        loss = grads = None
-        for _attempt in range(2):
-            try:
-                loss, grads = sample_loss()
-            except DivergenceError:
-                loss = grads = None
-                continue
-            if np.isfinite(loss) and np.all(np.isfinite(grads)):
+        loss, grads, ok = sample_loss(active)
+        failed = ~ok
+        if failed.any():
+            for full, retried in zip((loss, grads, ok), sample_loss(active[failed])):
+                full[failed] = retried
+        for s in active[~ok]:
+            status[s], fail_step[s] = UNSTABLE, t
+        active, loss, grads = active[ok], loss[ok], grads[ok]
+        if not active.size:
+            break
+        grads[:, ~mask] = 0.0
+        new_params, (new_m, new_v) = adam_step(params[active], grads, (m[active], v[active]),
+                                               t, cfg)
+        params[active], m[active], v[active] = new_params, new_m, new_v
+        for s, value in zip(active, loss.tolist()):
+            history[s].append(value)
+        if cfg.converge_tol > 0:
+            done = loss < cfg.converge_tol
+            for s in active[done]:
+                status[s] = CONVERGED
+            active = active[~done]
+            if not active.size:
                 break
-            loss = grads = None
-        if loss is None:
-            status = UNSTABLE
-            fail_step = t
-            break
-        grads[~mask] = 0.0
-        new_params, moments = adam_step(branch.params, grads, moments, t, cfg)
-        branch.params[:] = new_params
-        history.append(float(loss))
-        if cfg.converge_tol > 0 and loss < cfg.converge_tol:
-            status = CONVERGED
-            break
-    return TrainReport(
-        params=branch.params.copy(),
-        loss_history=history,
-        status=status,
-        wall_time=time.perf_counter() - t0,
-        fail_step=fail_step,
-    )
+    wall = time.perf_counter() - t0
+    return [TrainReport(params=params[s].copy(), loss_history=history[s], status=status[s],
+                        wall_time=wall, fail_step=fail_step[s]) for s in range(S)]
 
 
 def save_report(report: TrainReport, path) -> None:
@@ -238,12 +281,12 @@ def verify_gradients(branch, system: HybridSystem, n_points: int = 5,
 
     h = HybridSystem(system.spec, branch, system.dt, system.integrator, system.scale)
     s0, s1 = path[:, 0], path[:, 1]
-    _, tf_g = tf_loss_grads(h, s0, s1)
+    _, tf_g, _ = tf_loss_grads(h, s0, s1)
     tf_fd = _fd_gradient(branch, lambda: tf_loss_value(h, s0, s1))
     tf_err, tf_idx = _max_rel_error(tf_g, tf_fd)
 
     starts, targets = path[:, 0], path[:, 1:]
-    _, bp_g = bptt_grads_arrays(h, starts, targets)
+    _, bp_g, _ = bptt_grads_arrays(h, starts, targets)
     bp_fd = _fd_gradient(branch, lambda: bptt_value_arrays(h, starts, targets))
     bp_err, bp_idx = _max_rel_error(bp_g, bp_fd)
 

@@ -88,7 +88,7 @@ def test_criterion_02_oracle_closure():
         spec = oscillator(name)
         ds = generate_dataset(spec, 4, 2, 0.01, 120, seed=0)
         h = oracle_system(spec, ds.dt)
-        tf, _ = tf_loss_grads(h, *transitions_of(ds.train))
+        tf, _, _ = tf_loss_grads(h, *transitions_of(ds.train))
         bp = bptt_value_arrays(h, *windows_of(ds.train, 50))
         surface = sample_surface(OracleResidual(spec, ds.scale), spec,
                                  GridSpec(), ds.scale)

@@ -259,6 +259,49 @@ class TestFitSymbolic:
         assert "x^2*v -1" in out
 
 
+class TestCheckpointInput:
+    """A checkpoint with a bad parameter line exits 1 and names its line."""
+
+    @pytest.mark.parametrize("edit,line", [
+        (lambda lines: lines[:5] + ["nan"] + lines[6:], 6),
+        (lambda lines: lines[:5] + ["abc"] + lines[6:], 6),
+        (lambda lines: lines[:-5], 116),
+        (lambda lines: lines + ["0.5"], 122),
+        (lambda lines: ["v2,kan,2x4x1,5,3,0,1,-1,1,s"] + lines[1:], 1),
+    ], ids=["nan", "text", "short", "long", "header-seed"])
+    def test_bad_checkpoint_is_named(self, capsys, tmp_path, edit, line):
+        from residual_lab.netcore import KanArch, new_branch, save_branch
+
+        path = tmp_path / "A.ckpt"
+        save_branch(new_branch(KanArch((2, 4, 1)), 0), path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 121
+        path.write_text("\n".join(edit(lines)) + "\n")
+        code, out, err = run(capsys, "fit-symbolic", "--checkpoint", str(path),
+                             "--system", "duffing", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert f"{path}:{line}:" in err
+
+
+class TestConfigFileInput:
+    """A config file with a non-finite or unparsable number exits 1, names
+    its line and leaves no sweep directory."""
+
+    @pytest.mark.parametrize("text", [
+        "learning_rate = nan", "learning_rate = inf", "dt = -inf", "grad_clip = nan",
+        "steps = nan", "steps = 2.5", "horizon = x",
+    ])
+    def test_bad_number_is_named(self, capsys, tmp_path, text):
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("config = A\nsteps = 1\n" + text + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "sweep", "--config-file", str(cfg),
+                           "--seeds", "1", "--out", str(out))
+        assert code == 1
+        assert f"{cfg}:3:" in err
+        assert not out.exists()
+
+
 class TestExportSurface:
     def test_oracle_export(self, capsys, tmp_path):
         code, out, _ = run(capsys, "export-surface", "--oracle",

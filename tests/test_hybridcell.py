@@ -180,7 +180,7 @@ class TestTeacherForcing:
         h = oracle_system(duffing(), duffing_data.dt)
         s0, s1 = transitions_of(duffing_data.train)
         for n in (1, len(s0)):
-            loss, grads = tf_loss_grads(h, s0[:n], s1[:n])
+            loss, grads, _ = tf_loss_grads(h, s0[:n], s1[:n])
             assert loss < 1e-16
             assert grads.shape == (0,)
 
@@ -202,7 +202,7 @@ class TestTeacherForcing:
             for integrator in (RK4, EULER):
                 b = new_branch(KanArch((2, 4, 1), KAN53), seed=3)
                 h = HybridSystem(duffing(), b, 0.01, integrator)
-                _, grads = tf_loss_grads(h, s0[:n], s1[:n])
+                _, grads, _ = tf_loss_grads(h, s0[:n], s1[:n])
 
                 def loss_at(p, integrator=integrator, n=n):
                     h2 = HybridSystem(duffing(), with_params(b, p), 0.01, integrator)
@@ -263,7 +263,7 @@ class TestBptt:
         h = oracle_system(vanderpol(), vdp_data.dt)
         starts, targets = windows_of(vdp_data.train, 50)
         for n in (1, len(starts)):
-            loss, _ = bptt_grads_arrays(h, starts[:n], targets[:n])
+            loss, _, _ = bptt_grads_arrays(h, starts[:n], targets[:n])
             assert loss < 1e-14
 
     def test_k1_reproduces_teacher_forcing(self, vdp_data):
@@ -272,8 +272,8 @@ class TestBptt:
         s0, s1 = transitions_of(vdp_data.train)
         starts, targets = windows_of(vdp_data.train, 1)
         for n in (1, len(s0)):
-            tf_loss_n, tf_grads = tf_loss_grads(h, s0[:n], s1[:n])
-            bp_loss, bp_grads = bptt_grads_arrays(h, starts[:n], targets[:n])
+            tf_loss_n, tf_grads, _ = tf_loss_grads(h, s0[:n], s1[:n])
+            bp_loss, bp_grads, _ = bptt_grads_arrays(h, starts[:n], targets[:n])
             assert abs(tf_loss_n - bp_loss) < 1e-12
             assert np.abs(tf_grads - bp_grads).max() < 1e-12
 
@@ -282,7 +282,7 @@ class TestBptt:
         h = HybridSystem(vanderpol(), b, vdp_data.dt)
         starts, targets = windows_of(vdp_data.train, 5)
         for n in (1, 4):
-            _, grads = bptt_grads_arrays(h, starts[:n], targets[:n])
+            _, grads, _ = bptt_grads_arrays(h, starts[:n], targets[:n])
 
             def loss_at(p, n=n):
                 return bptt_value_arrays(
@@ -304,11 +304,11 @@ class TestBptt:
         train(h, vdp_data, cfg)
         # At K=1 there is no path between steps, so the two must agree.
         starts, targets = windows_of(vdp_data.train, 1)
-        _, full = bptt_grads_arrays(h, starts[:8], targets[:8])
+        _, full, _ = bptt_grads_arrays(h, starts[:8], targets[:8])
         assert np.allclose(local_only_bptt_grads(h, starts[:8], targets[:8]), full,
                            rtol=1e-12, atol=0.0)
         starts, targets = windows_of(vdp_data.train, 10)
-        _, full = bptt_grads_arrays(h, starts[:8], targets[:8])
+        _, full, _ = bptt_grads_arrays(h, starts[:8], targets[:8])
         local = local_only_bptt_grads(h, starts[:8], targets[:8])
         assert np.linalg.norm(full - local) / np.linalg.norm(full) > 1e-3
 
@@ -319,8 +319,10 @@ class TestBptt:
         h = HybridSystem(duffing(), huge, 0.01)
         starts, targets = windows_of(ds.train, 10)
         for n in (1, len(starts)):
+            # The value path raises; the gradient path clears the seed's ok.
             with pytest.raises(DivergenceError):
-                bptt_grads_arrays(h, starts[:n], targets[:n])
+                bptt_value_arrays(h, starts[:n], targets[:n])
+            assert not bptt_grads_arrays(h, starts[:n], targets[:n])[2]
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ValueError, match="shorter than one BPTT window"):

@@ -213,8 +213,13 @@ class TestInputJacobian:
         rng = stream(9, "gradcheck")
         pts = np.array([rng.uniform(-0.9, 0.9, 2) for _ in range(50)])
         xs, vs = pts[:, 0], pts[:, 1]
+        from residual_lab.netcore import _mlp_layers
+
+        # Hidden pre-activations, from each layer's cached input.
         _, cache = forward_batch(b.prepare(), xs, vs)
-        smooth = np.min([np.abs(c["Z"]).min(axis=1) for c in cache[:-1]], axis=0) >= 1e-3
+        hidden = zip(cache[:-1], _mlp_layers(b.arch, b.params))
+        smooth = np.min([np.abs(c["U"] @ W + bias).min(axis=1) for c, (W, bias) in hidden],
+                        axis=0) >= 1e-3
         assert smooth.sum() > 10
         eps = 1e-6
         fdx = (values(b, xs + eps, vs) - values(b, xs - eps, vs)) / (2 * eps)

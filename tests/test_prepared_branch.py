@@ -223,7 +223,7 @@ def test_tf_loss_and_gradient_match_per_call_path(datasets, system, config, n):
     for integrator in (RK4, EULER):
         h, ref = systems(config, duffing() if system == "duffing" else vanderpol(),
                          integrator)
-        loss, grads = tf_loss_grads(h, s0, s1)
+        loss, grads, _ = tf_loss_grads(h, s0, s1)
         ref_loss, ref_grads = reference_tf_loss_grads(ref, s0, s1)
         assert loss == ref_loss == tf_loss_value(h, s0, s1)
         assert np.array_equal(grads, ref_grads)
@@ -236,7 +236,7 @@ def test_bptt_loss_and_gradient_match_per_call_path(datasets, system, config, n)
     ds = datasets[system]
     starts, targets = batch(windows_of(ds.train, HORIZON), n)
     h, ref = systems(config, duffing() if system == "duffing" else vanderpol())
-    loss, grads = bptt_grads_arrays(h, starts, targets)
+    loss, grads, _ = bptt_grads_arrays(h, starts, targets)
     ref_loss, ref_grads = reference_bptt_grads(ref, starts, targets)
     assert loss == ref_loss == bptt_value_arrays(h, starts, targets)
     assert np.array_equal(grads, ref_grads)
@@ -271,9 +271,9 @@ def test_plan_does_not_outlive_an_in_place_write(datasets, config):
     h, _ = systems(config, duffing())
     first = bptt_grads_arrays(h, starts, targets)[1]
     h.branch.params[:] += 0.01 * np.sign(first)
-    loss, grads = bptt_grads_arrays(h, starts, targets)
+    loss, grads, _ = bptt_grads_arrays(h, starts, targets)
     fresh = HybridSystem(duffing(), with_params(h.branch, h.branch.params), 0.01)
-    fresh_loss, fresh_grads = bptt_grads_arrays(fresh, starts, targets)
+    fresh_loss, fresh_grads, _ = bptt_grads_arrays(fresh, starts, targets)
     assert loss == fresh_loss
     assert np.array_equal(grads, fresh_grads)
     assert not np.array_equal(grads, first)
@@ -294,7 +294,7 @@ def test_one_plan_per_call(monkeypatch, datasets, config, views):
 
     monkeypatch.setattr(netcore, views, counted)
     starts, targets = batch(windows_of(datasets["duffing"].train, HORIZON), 16)
-    _, grads = bptt_grads_arrays(h, starts, targets)
+    _, grads, _ = bptt_grads_arrays(h, starts, targets)
     assert len(seen) == 2
     assert seen[0] is h.branch.params and seen[1] is grads
     seen.clear()
