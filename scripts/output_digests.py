@@ -42,7 +42,8 @@ SWEEPS = (
     ("duffing", "G", "bptt", 40),
     ("duffing", "kan-deep", "bptt", 40),
 )
-GRADIENT_CHECKS = ("A", "mlp-small")
+# D adds the l1 term to the checked losses and G a 20-interval spline grid.
+GRADIENT_CHECKS = ("A", "D", "G", "mlp-small")
 # (system, config, paradigm, training steps, seeds) of the block sweep, and
 # the seeds its resumed copy keeps.
 BLOCK_SWEEP = ("vanderpol", "mlp-small", "bptt", 5, 18)

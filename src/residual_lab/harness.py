@@ -49,15 +49,11 @@ from .netcore import (
     ResidualBranch,
     SplineSpec,
     init_params,
-    new_branch,
     param_count,
 )
-from .trainer import BPTT, TEACHER_FORCING, TrainConfig, TrainReport, train, train_block
+from .trainer import BLOCK_SEEDS, BPTT, TEACHER_FORCING, TrainConfig, TrainReport, train_block
 
 ENV_OUT = "RESIDUAL_LAB_OUT"
-# Seeds of a sweep trained in lockstep by one block; past about 16 the
-# per-seed cost stops falling while the block's memory keeps growing.
-BLOCK_SEEDS = 16
 
 
 @dataclass(frozen=True)
@@ -251,23 +247,17 @@ def _shared_dataset(system, n_train_ics, n_test_ics, dt, data_steps, data_seed, 
     return ds
 
 
-def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | None = None,
-                    ds: Dataset | None = None) -> MetricRow:
+def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | None,
+                    ds: Dataset) -> MetricRow:
     """Evaluate one seed of a sweep into its row, from the ``report`` of its
-    training on ``ds``; without a report, the seed is first trained alone,
-    and without ``ds`` its dataset is looked up."""
+    training on ``ds`` (``None`` for an oracle sweep, which trains nothing)."""
     cfg, seed = task
     spec = oscillator(cfg.system)
-    if ds is None:
-        ds = _dataset_for(cfg, seed)
     arch, preset = resolve_arch(cfg)
     if cfg.oracle:
         branch = OracleResidual(spec, ds.scale)
         status = "Oracle"
     else:
-        if report is None:
-            system = HybridSystem(spec, new_branch(arch, seed), ds.dt, cfg.integrator, ds.scale)
-            report = train(system, ds, make_train_config(cfg, arch, seed))
         branch = ResidualBranch(arch, report.params)
         status = report.status
     system = HybridSystem(spec, branch, ds.dt, cfg.integrator, ds.scale)

@@ -25,11 +25,15 @@ Everything here is batched over a sample axis; batch size 1 is a batch of
 one row, not a separate scalar API.  A branch whose ``params`` is an (S, P)
 block of S seeds adds a leading seed axis: states are (S, N), loss inputs
 (S, N, ...), and the losses return per-seed losses (S,), gradients (S, P)
-and an (S,) ok-mask, so a seed that diverges marks itself and leaves the
-others of its block untouched.  Seed s does exactly the float operations it
-would do in a block of its own.  A one-seed (P,) branch drops the axis, and
-its forward-only paths (``rollout``, ``step_batch`` without a mask) raise
-``DivergenceError`` as before.
+and an (S,) ok-mask.  Seed s does exactly the float operations it would do
+in a block of its own.  A one-seed (P,) branch drops the axis, and its mask
+is 0-d.
+
+Divergence has one policy: ``step_batch`` clears the ``ok`` entry of every
+seed whose state leaves ``DIVERGE_BOUND`` or turns non-finite, and raises
+nothing, so a diverging seed marks itself and leaves the others of its
+block alone.  The losses fold that mask into the one they return;
+``rollout`` turns a cleared mask into ``DivergenceError`` with the step.
 """
 
 from __future__ import annotations
@@ -114,22 +118,15 @@ def _vdot_batch(h: HybridSystem, X, V):
     return h.spec.known_vdot(X, V) + vals, cache
 
 
-def _check_finite(X, V, step: int) -> None:
-    # NaN and inf fail the comparison, so this also rejects non-finite states.
-    if not ((np.abs(X) <= DIVERGE_BOUND).all() and (np.abs(V) <= DIVERGE_BOUND).all()):
-        raise DivergenceError(f"state diverged at step {step}", step=step)
-
-
-def step_batch(h: HybridSystem, X, V, step: int = 0, ok=None):
+def step_batch(h: HybridSystem, X, V, ok):
     """One integrator step over a batch; returns (X', V', cache).
 
     ``X`` and ``V`` are (N,) rows, or (S, N) for a system prepared from an
-    (S, P) block, row s by seed s.  Without ``ok`` a divergent row raises
-    ``DivergenceError`` with ``step``; given the per-seed bool mask ``ok``
-    (shape ``X.shape[:-1]``), the step clears the entries of divergent
-    seeds in place and raises nothing, so one seed's divergence leaves the
-    others of its block alone.  The cache records each stage's input states
-    and branch cache, which is exactly what ``step_vjp`` consumes.
+    (S, P) block, row s by seed s.  ``ok`` is the per-seed bool mask, shape
+    ``X.shape[:-1]`` (0-d for one seed): the step clears, in place, the
+    entry of each seed with a row past ``DIVERGE_BOUND`` or non-finite, and
+    raises nothing.  The cache records each stage's input states and branch
+    cache, which is exactly what ``step_vjp`` consumes.
     """
     dt = h.dt
     if h.integrator == EULER:
@@ -148,10 +145,8 @@ def step_batch(h: HybridSystem, X, V, step: int = 0, ok=None):
         XP = X + (dt / 6.0) * (V + 2.0 * V2 + 2.0 * V3 + V4)
         VP = V + (dt / 6.0) * (F1 + 2.0 * F2 + 2.0 * F3 + F4)
         cache = [(X, V, bc1), (X2, V2, bc2), (X3, V3, bc3), (X4, V4, bc4)]
-    if ok is None:
-        _check_finite(XP, VP, step)
-    else:
-        ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
+    # NaN and inf fail the comparison, so this also clears non-finite rows.
+    ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
     return XP, VP, cache
 
 
@@ -190,14 +185,17 @@ def step_vjp(h: HybridSystem, cache, lx, lv):
 def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
     """Free rollout of W trajectories in lockstep, one ``step_batch`` call per
     time step: (W, 2) start states in, (W, n + 1, 2) states out.  Raises
-    ``DivergenceError`` with the step number, as ``step_batch`` does."""
+    ``DivergenceError`` with the number of the step that diverged."""
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or n < 1:
         raise ValueError("rollout needs (S, 2) start states and n >= 1 steps")
     h = h.prepare()
+    ok = np.ones((), dtype=bool)
     states = [starts]
     for step in range(1, n + 1):
-        X, V, _ = step_batch(h, states[-1][:, 0], states[-1][:, 1], step=step)
+        X, V, _ = step_batch(h, states[-1][:, 0], states[-1][:, 1], ok)
+        if not ok:
+            raise DivergenceError(f"state diverged at step {step}", step=step)
         states.append(np.stack([X, V], axis=1))
     return np.stack(states, axis=1)
 
@@ -222,13 +220,6 @@ def windows_of(trajectories: np.ndarray, horizon: int) -> tuple[np.ndarray, np.n
     return starts, trajectories[:, 1 : n * horizon + 1].reshape(-1, horizon, 2)
 
 
-def tf_loss_value(h: HybridSystem, s0: np.ndarray, s1: np.ndarray) -> float:
-    h = h.prepare()
-    XP, VP, _ = step_batch(h, s0[:, 0], s0[:, 1])
-    sq = (XP - s1[:, 0]) ** 2 + (VP - s1[:, 1]) ** 2
-    return float(sq.mean()) + h.branch.l1_value()
-
-
 def _loss_result(h: HybridSystem, loss, grads, ok):
     """Add the l1 gradient and fold non-finite losses and gradients into
     the per-seed ``ok`` mask."""
@@ -250,22 +241,11 @@ def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
     ok = np.ones(s0.shape[:-2], dtype=bool)
     h = h.prepare(grads)
     with np.errstate(all="ignore"):
-        XP, VP, cache = step_batch(h, s0[..., 0], s0[..., 1], ok=ok)
+        XP, VP, cache = step_batch(h, s0[..., 0], s0[..., 1], ok)
         dx, dv = XP - s1[..., 0], VP - s1[..., 1]
         loss = (dx ** 2 + dv ** 2).mean(-1) + h.branch.l1_value()
         step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv)
         return _loss_result(h, loss, grads, ok)
-
-
-def bptt_value_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray) -> float:
-    horizon = targets.shape[1]
-    h = h.prepare()
-    X, V = starts[:, 0], starts[:, 1]
-    total = 0.0
-    for t in range(horizon):
-        X, V, _ = step_batch(h, X, V, step=t + 1)
-        total += float(((X - targets[:, t, 0]) ** 2 + (V - targets[:, t, 1]) ** 2).sum())
-    return total / (starts.shape[0] * horizon) + h.branch.l1_value()
 
 
 def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
@@ -286,7 +266,7 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
     total = np.zeros(ok.shape)
     with np.errstate(all="ignore"):
         for t in range(horizon):
-            X, V, cache = step_batch(h, X, V, step=t + 1, ok=ok)
+            X, V, cache = step_batch(h, X, V, ok)
             dx, dv = X - targets[..., t, 0], V - targets[..., t, 1]
             total += (dx ** 2 + dv ** 2).sum(-1)
             caches.append(cache)

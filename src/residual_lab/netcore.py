@@ -34,8 +34,8 @@ RK4 stage of that call: it holds the per-layer views of ``params``, for a
 KAN each layer's gather table (one (n_in G, K n_out) row per input and knot
 interval) with the per-input row offsets, and, for a loss, the per-layer
 views of the caller's gradient buffer ``grads``.  The plan is built fresh per
-call and never cached on the branch, because ``train`` and the
-finite-difference check write ``params`` in place between calls.
+call and never cached on the branch, because training writes ``params`` in
+place between calls.
 
 A branch's ``params`` may also be an (S, P) block: S seeds of one
 architecture, evaluated together.  Every layer view then keeps a leading S

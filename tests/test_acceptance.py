@@ -36,7 +36,7 @@ from residual_lab.harness import (
 from residual_lab.hybridcell import (
     HybridSystem,
     OracleResidual,
-    bptt_value_arrays,
+    bptt_grads_arrays,
     oracle_system,
     tf_loss_grads,
     transitions_of,
@@ -89,7 +89,7 @@ def test_criterion_02_oracle_closure():
         ds = generate_dataset(spec, 4, 2, 0.01, 120, seed=0)
         h = oracle_system(spec, ds.dt)
         tf, _, _ = tf_loss_grads(h, *transitions_of(ds.train))
-        bp = bptt_value_arrays(h, *windows_of(ds.train, 50))
+        bp, _, _ = bptt_grads_arrays(h, *windows_of(ds.train, 50))
         surface = sample_surface(OracleResidual(spec, ds.scale), spec,
                                  GridSpec(), ds.scale)
         r2 = discovery_r2(surface)

@@ -10,6 +10,7 @@ from residual_lab.harness import (
     ExperimentConfig,
     PresetConfig,
     SweepResult,
+    _run_block,
     aggregate_tables,
     builtin_configs,
     config_fingerprint,
@@ -18,7 +19,6 @@ from residual_lab.harness import (
     make_train_config,
     output_root,
     resolve_arch,
-    run_single_seed,
     run_sweep,
     save_config_file,
     sweep_directory,
@@ -370,7 +370,7 @@ class TestAggregateTables:
 class TestRunSingleSeed:
     def test_oracle_row(self, tmp_path):
         cfg = oracle_config(tmp_path, system="vanderpol")
-        row = run_single_seed((cfg, 7))
+        row, = _run_block((cfg, [7]))
         assert row.seed == 7
         assert row.status == "Oracle"
         assert row.discovery_r2 == 1.0

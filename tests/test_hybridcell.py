@@ -10,22 +10,28 @@ from residual_lab.dynamics import (
     vanderpol,
 )
 from residual_lab.hybridcell import (
+    DIVERGE_BOUND,
     EULER,
     RK4,
     HybridSystem,
     OracleResidual,
     bptt_grads_arrays,
-    bptt_value_arrays,
     oracle_system,
     rollout,
     step_batch,
     step_vjp,
     tf_loss_grads,
-    tf_loss_value,
     transitions_of,
     windows_of,
 )
-from residual_lab.netcore import KanArch, MlpArch, l1_penalty, new_branch
+from residual_lab.netcore import (
+    KanArch,
+    MlpArch,
+    ResidualBranch,
+    init_params,
+    l1_penalty,
+    new_branch,
+)
 from residual_lab.splines import SplineSpec
 
 KAN53 = SplineSpec(grid_size=5, order=3)
@@ -64,7 +70,7 @@ def max_rel_error(a, b, floor=1e-6):
 def step_rows(h, states):
     """One step of every (x, v) row in a single batched call, as an (S, 2) array."""
     states = np.asarray(states, dtype=float)
-    XP, VP, _ = step_batch(h.prepare(), states[:, 0], states[:, 1])
+    XP, VP, _ = step_batch(h.prepare(), states[:, 0], states[:, 1], np.ones((), dtype=bool))
     return np.stack([XP, VP], axis=1)
 
 
@@ -112,9 +118,28 @@ class TestHybridStep:
             with pytest.raises(DivergenceError) as err:
                 rollout(h, starts, 100)
             assert err.value.step == 1
-        with pytest.raises(DivergenceError) as err:
-            step_batch(h.prepare(), np.array([1.0]), np.array([1.0]), step=7)
-        assert err.value.step == 7
+
+    def test_divergence_clears_only_its_seed(self):
+        # Seed 1 of the block has every parameter at 1e9, so its state passes
+        # DIVERGE_BOUND in one step; seeds 0 and 2 must not notice.
+        arch = KanArch((2, 4, 1), KAN53)
+        params = np.stack([init_params(arch, s) for s in range(3)])
+        params[1] = 1e9
+        rng = np.random.default_rng(0)
+        X, V = rng.uniform(-1.5, 1.5, size=(2, 3, 4))
+        for integrator in (RK4, EULER):
+            h = HybridSystem(duffing(), ResidualBranch(arch, params), 0.01, integrator)
+            ok = np.ones(3, dtype=bool)
+            with np.errstate(all="ignore"):
+                XP, VP, _ = step_batch(h.prepare(), X, V, ok)
+            assert ok.tolist() == [True, False, True]
+            assert not (np.abs(VP[1]) <= DIVERGE_BOUND).all()
+            for s in (0, 2):
+                lone = HybridSystem(duffing(), ResidualBranch(arch, params[s]), 0.01, integrator)
+                lone_ok = np.ones((), dtype=bool)
+                lx, lv, _ = step_batch(lone.prepare(), X[s], V[s], lone_ok)
+                assert lone_ok
+                assert XP[s].tobytes() == lx.tobytes() and VP[s].tobytes() == lv.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,7 +193,7 @@ def local_only_bptt_grads(h, starts, targets):
     grads = np.zeros_like(h.branch.params)
     h = h.prepare(grads)
     for t in range(horizon):
-        X, V, cache = step_batch(h, X, V, step=t + 1)
+        X, V, cache = step_batch(h, X, V, np.ones((), dtype=bool))
         step_vjp(h, cache, (2.0 / norm) * (X - targets[:, t, 0]),
                  (2.0 / norm) * (V - targets[:, t, 1]))
     h.branch.l1_grad_into(grads)
@@ -206,7 +231,7 @@ class TestTeacherForcing:
 
                 def loss_at(p, integrator=integrator, n=n):
                     h2 = HybridSystem(duffing(), with_params(b, p), 0.01, integrator)
-                    return tf_loss_value(h2, s0[:n], s1[:n])
+                    return tf_loss_grads(h2, s0[:n], s1[:n])[0]
 
                 fd = fd_loss_gradient(loss_at, b)
                 assert max_rel_error(grads, fd) < 1e-4
@@ -285,9 +310,9 @@ class TestBptt:
             _, grads, _ = bptt_grads_arrays(h, starts[:n], targets[:n])
 
             def loss_at(p, n=n):
-                return bptt_value_arrays(
+                return bptt_grads_arrays(
                     HybridSystem(vanderpol(), with_params(b, p), vdp_data.dt),
-                    starts[:n], targets[:n])
+                    starts[:n], targets[:n])[0]
 
             fd = fd_loss_gradient(loss_at, b)
             assert max_rel_error(grads, fd) < 1e-3
@@ -319,9 +344,6 @@ class TestBptt:
         h = HybridSystem(duffing(), huge, 0.01)
         starts, targets = windows_of(ds.train, 10)
         for n in (1, len(starts)):
-            # The value path raises; the gradient path clears the seed's ok.
-            with pytest.raises(DivergenceError):
-                bptt_value_arrays(h, starts[:n], targets[:n])
             assert not bptt_grads_arrays(h, starts[:n], targets[:n])[2]
 
     def test_empty_windows_rejected(self):

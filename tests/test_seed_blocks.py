@@ -2,7 +2,7 @@
 block it trains in.
 
 ``run_sweep`` trains the missing seeds of a sweep in lockstep blocks of up
-to ``harness.BLOCK_SEEDS``.  Each seed's metrics row, status, failing step,
+to ``trainer.BLOCK_SEEDS``.  Each seed's metrics row, status, failing step,
 loss history and final parameters must come out byte for byte as when the
 seed trains alone: in a block of 16, beside seeds that go ``Unstable``,
 under two workers, after a resume from a metrics file holding a scattered
@@ -18,18 +18,17 @@ import pytest
 from residual_lab import harness
 from residual_lab.evaluation import write_metrics
 from residual_lab.harness import (
-    BLOCK_SEEDS,
     ExperimentConfig,
     _dataset_for,
+    _run_block,
     make_train_config,
     resolve_arch,
-    run_single_seed,
     run_sweep,
 )
 from residual_lab.hybridcell import HybridSystem
 from residual_lab.dynamics import oscillator
 from residual_lab.netcore import ResidualBranch, init_params
-from residual_lab.trainer import TrainConfig, adam_step, init_moments
+from residual_lab.trainer import BLOCK_SEEDS, TrainConfig, adam_step, init_moments
 
 SMALL_DATA = dict(n_train_ics=3, n_test_ics=1, data_steps=120)
 CASES = {
@@ -63,8 +62,7 @@ def reports(monkeypatch, tmp_path):
                 pickle.dump(report, fh)
         return results
 
-    real_train, real_block = harness.train, harness.train_block
-    monkeypatch.setattr(harness, "train", lambda s, d, c: save([c], [real_train(s, d, c)])[0])
+    real_block = harness.train_block
     monkeypatch.setattr(harness, "train_block",
                         lambda s, d, cs: save(cs, real_block(s, d, cs)))
 
@@ -101,8 +99,8 @@ def assert_same_report(got, want):
 
 
 def alone(cfg, seeds, reports, tmp_path):
-    """Rows and reports of each seed trained on its own."""
-    rows = [run_single_seed((cfg, s)) for s in seeds]
+    """Rows and reports of each seed trained on its own, in a block of one."""
+    rows = [row for s in seeds for row in _run_block((cfg, [s]))]
     return row_lines(rows, tmp_path), reports()
 
 

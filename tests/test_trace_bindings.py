@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from residual_lab import hybridcell, trainer
-from residual_lab.harness import ExperimentConfig, run_single_seed
+from residual_lab.harness import ExperimentConfig, _run_block
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,7 +35,7 @@ def test_traced_training_reaches_the_cell(perfbench, config, paradigm):
     try:
         assert trainer.tf_loss_grads is not originals[1]
         assert trainer.bptt_grads_arrays is not originals[2]
-        row = run_single_seed((cfg, 0))
+        row, = _run_block((cfg, [0]))
     finally:
         restore()
     assert (hybridcell.step_batch, trainer.tf_loss_grads,

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from conftest import with_params
 
-from residual_lab.dynamics import duffing, generate_dataset, vanderpol
-from residual_lab.hybridcell import HybridSystem
+from residual_lab import trainer
+from residual_lab.dynamics import (
+    DivergenceError,
+    duffing,
+    generate_dataset,
+    oscillator,
+    vanderpol,
+)
+from residual_lab.harness import ExperimentConfig, resolve_arch
+from residual_lab.hybridcell import EULER, RK4, HybridSystem
 from residual_lab.netcore import (
     KanArch,
     MlpArch,
@@ -249,3 +257,44 @@ class TestVerifyGradients:
         h = HybridSystem(duffing(), b, 0.01)
         with pytest.raises(ValueError):
             verify_gradients(b, h, n_points=0)
+
+    def test_diverging_probe_raises(self):
+        # A NaN finite difference would pass the tolerance comparison, so a
+        # probe that diverges stops the check instead.
+        b = with_params(new_branch(KanArch((2, 4, 1), KAN53), seed=0), np.full(120, 1e9))
+        h = HybridSystem(duffing(), b, 0.01)
+        with pytest.raises(DivergenceError):
+            verify_gradients(b, h, n_points=1)
+
+
+def sequential_fd_gradient(h, loss_grads, inputs, eps=1e-5):
+    """The reference check: perturb the lone branch's parameters in place,
+    one at a time, and take each loss from a call of its own."""
+    params = h.branch.params
+    grad = np.zeros(params.size)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + eps
+        up = loss_grads(h, *inputs)[0]
+        params[i] = orig - eps
+        dn = loss_grads(h, *inputs)[0]
+        params[i] = orig
+        grad[i] = (up - dn) / (2.0 * eps)
+    return grad
+
+
+@pytest.mark.parametrize("system", ["duffing", "vanderpol"])
+@pytest.mark.parametrize("config", ["A", "D", "G", "mlp-small"])
+def test_block_gradient_check_equals_sequential_reference(monkeypatch, config, system):
+    # The 2P perturbed copies run as seed blocks, and each copy's loss is the
+    # float it is alone, so the whole report is the sequential one's.
+    arch, _ = resolve_arch(ExperimentConfig(config=config))
+    for integrator in (RK4, EULER):
+        b = new_branch(arch, 0)
+        h = HybridSystem(oscillator(system), b, 0.01, integrator)
+        got = verify_gradients(b, h)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_fd_gradient", sequential_fd_gradient)
+            want = verify_gradients(b, h)
+        assert got == want
+        assert np.array_equal(b.params, new_branch(arch, 0).params)
