@@ -35,14 +35,16 @@ from residual_lab.hybridcell import HybridSystem
 from residual_lab.netcore import new_branch
 from residual_lab.trainer import verify_gradients
 
-# (system, config, paradigm, training steps) of each sweep.
+# (system, config, paradigm, training steps, integrator) of each sweep.
 SWEEPS = (
-    ("duffing", "A", "teacher_forcing", 200),
-    ("vanderpol", "mlp-small", "bptt", 40),
-    ("duffing", "G", "bptt", 40),
-    ("duffing", "kan-deep", "bptt", 40),
+    ("duffing", "A", "teacher_forcing", 200, "rk4"),
+    ("vanderpol", "mlp-small", "bptt", 40, "rk4"),
+    ("duffing", "G", "bptt", 40, "rk4"),
+    ("duffing", "kan-deep", "bptt", 40, "rk4"),
+    ("vanderpol", "A", "teacher_forcing", 100, "euler"),
 )
 # D adds the l1 term to the checked losses and G a 20-interval spline grid.
+# Each is checked under both integrators.
 GRADIENT_CHECKS = ("A", "D", "G", "mlp-small")
 # (system, config, paradigm, training steps, seeds) of the block sweep, and
 # the seeds its resumed copy keeps.
@@ -80,9 +82,10 @@ def digests(seeds: int, steps_scale: float) -> dict[str, str]:
     def steps(n):
         return max(1, round(n * steps_scale))
 
-    for system, config, paradigm, n in SWEEPS:
+    for system, config, paradigm, n, integrator in SWEEPS:
         run_sweep(ExperimentConfig(system=system, config=config, paradigm=paradigm,
-                                   n_seeds=seeds, steps=steps(n), out="sweeps"))
+                                   n_seeds=seeds, steps=steps(n), integrator=integrator,
+                                   out="sweeps"))
 
     system, config, paradigm, n, seeds = BLOCK_SWEEP
     block = ExperimentConfig(system=system, config=config, paradigm=paradigm, n_seeds=seeds,
@@ -120,9 +123,11 @@ def digests(seeds: int, steps_scale: float) -> dict[str, str]:
     for config in GRADIENT_CHECKS:
         arch, _ = resolve_arch(ExperimentConfig(config=config))
         branch = new_branch(arch, 0)
-        rep = verify_gradients(branch, HybridSystem(oscillator("duffing"), branch, 0.01))
-        fields = (rep.tf_error.hex(), rep.bptt_error.hex(), str(rep.worst_index))
-        out[f"verify_gradients {config}"] = sha256(" ".join(fields).encode())
+        for integrator, suffix in (("rk4", ""), ("euler", " euler")):
+            system = HybridSystem(oscillator("duffing"), branch, 0.01, integrator)
+            rep = verify_gradients(branch, system)
+            fields = (rep.tf_error.hex(), rep.bptt_error.hex(), str(rep.worst_index))
+            out[f"verify_gradients {config}{suffix}"] = sha256(" ".join(fields).encode())
 
     for root, _, files in os.walk("."):
         for name in files:

@@ -6,8 +6,9 @@ ground-truth residual acting only on the acceleration:
 * Duffing:     x' = v,  v' = -x - 0.3 x^3      (known -x, residual -0.3 x^3)
 * Van der Pol: x' = v,  v' = -x + (1 - x^2) v  (known -x, residual (1 - x^2) v)
 
-Reference trajectories come from classical fixed-step RK4 on the full
-right-hand side.  Datasets bundle (n, T, 2) train/test trajectory arrays
+Reference trajectories come from ``rk_step`` RK4 on the full right-hand
+side; ``SCHEMES`` is the one scheme table, which the hybrid cell and its
+adjoint read too.  Datasets bundle (n, T, 2) train/test trajectory arrays
 with the normalization constant used by residual branches.
 """
 
@@ -23,6 +24,14 @@ from .rng import stream
 DUFFING = "duffing"
 VANDERPOL = "vanderpol"
 OSCILLATOR_KINDS = (DUFFING, VANDERPOL)
+
+RK4 = "rk4"
+EULER = "euler"
+# Per scheme: the feeds f_i (stage i + 1 starts from the step's state plus
+# f_i dt times stage i's slope), the whole-number stage weights and their
+# divisor, so the step adds dt / divisor times the weighted slope sum.
+SCHEMES = {RK4: ((0.5, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0),
+           EULER: ((), (1.0,), 1.0)}
 
 # Normalization divisor applied to states before they enter a residual branch;
 # matches the evaluation window so normalized inputs land in roughly [-1, 1].
@@ -93,8 +102,20 @@ def oscillator(kind: str) -> OscillatorSpec:
     return OscillatorSpec(kind)
 
 
-def _full_rhs_arrays(spec: OscillatorSpec, X, V):
-    return V, spec.known_vdot(X, V) + spec.true_residual(X, V)
+def rk_step(accel, X, V, dt: float, scheme: str):
+    """One ``SCHEMES[scheme]`` step of x' = v, v' = a, with ``accel(X, V)``
+    returning (a, aux).  Returns (X', V', stages): per stage its state, whose
+    V_i is also its x-slope, and its aux, as (X_i, V_i, aux_i)."""
+    feeds, weights, div = SCHEMES[scheme]
+    Xi, Vi, stages = X, V, []
+    for i, w in enumerate(weights):
+        a, aux = accel(Xi, Vi)
+        stages.append((Xi, Vi, aux))
+        # The sums start from their first term, not 0.0, to keep a -0.0's sign.
+        sx, sv = (sx + w * Vi, sv + w * a) if i else (w * Vi, w * a)
+        if i < len(feeds):
+            Xi, Vi = X + feeds[i] * dt * Vi, V + feeds[i] * dt * a
+    return X + dt / div * sx, V + dt / div * sv, stages
 
 
 def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
@@ -106,13 +127,12 @@ def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: i
     out = np.empty((n, n_steps + 1, 2))
     out[:, 0] = ics
     X, V = ics[:, 0].copy(), ics[:, 1].copy()
+
+    def accel(X, V):
+        return spec.known_vdot(X, V) + spec.true_residual(X, V), None
+
     for t in range(n_steps):
-        k1x, k1v = _full_rhs_arrays(spec, X, V)
-        k2x, k2v = _full_rhs_arrays(spec, X + dt / 2 * k1x, V + dt / 2 * k1v)
-        k3x, k3v = _full_rhs_arrays(spec, X + dt / 2 * k2x, V + dt / 2 * k2v)
-        k4x, k4v = _full_rhs_arrays(spec, X + dt * k3x, V + dt * k3v)
-        X = X + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        V = V + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        X, V, _ = rk_step(accel, X, V, dt, RK4)
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
             raise DivergenceError("batch integration diverged", step=t + 1)
         out[:, t + 1, 0] = X
@@ -134,10 +154,11 @@ class Dataset:
     def __post_init__(self):
         if self.oscillator not in OSCILLATOR_KINDS:
             raise ValueError(f"unknown oscillator kind {self.oscillator!r}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # Chained comparisons fail for NaN as well as for inf.
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         shape = self.test.shape
         if len(shape) != 3 or shape[1] < 2 or shape[2] != 2 or self.train.shape[1:] != shape[1:]:
             raise ValueError(f"splits must be (n, T>=2, 2) arrays of one T, "
@@ -180,8 +201,10 @@ def generate_dataset(
     """
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     if n_train_ics + n_test_ics < 1:
         raise ValueError("a dataset needs at least one trajectory")
     rng = stream(seed, "dataset")

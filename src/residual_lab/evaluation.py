@@ -164,12 +164,6 @@ class SymbolicFit:
     def active(self) -> dict[str, float]:
         return {n: float(c) for n, c in zip(self.names, self.coefficients) if c != 0.0}
 
-    def top_term(self) -> str | None:
-        """Name of the largest-|coefficient| active term, if any."""
-        if not np.any(self.coefficients != 0.0):
-            return None
-        return self.names[int(np.argmax(np.abs(self.coefficients)))]
-
     def __str__(self) -> str:
         if not self.active:
             return "0"

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -27,7 +28,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .dynamics import DUFFING, VANDERPOL, Dataset, generate_dataset, oscillator
+from .dynamics import DUFFING, RK4, SCHEMES, VANDERPOL, Dataset, generate_dataset, oscillator
 from .evaluation import (
     GridSpec,
     MetricRow,
@@ -41,7 +42,7 @@ from .evaluation import (
     test_mse,
     write_metrics,
 )
-from .hybridcell import EULER, RK4, HybridSystem, OracleResidual
+from .hybridcell import HybridSystem, OracleResidual
 from .netcore import (
     Arch,
     KanArch,
@@ -156,16 +157,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown system {self.system!r}")
         if self.paradigm not in (TEACHER_FORCING, BPTT):
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
-        if self.integrator not in (RK4, EULER):
+        if self.integrator not in SCHEMES:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not (self.n_seeds >= 1):
             raise ValueError("n_seeds must be >= 1")
         if not (self.n_test_ics >= 1):
             raise ValueError("n_test_ics must be >= 1")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
         if not (self.data_steps >= 2):
             raise ValueError("data_steps must be >= 2")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         if not self.oracle:
             if not (self.n_train_ics >= 1):
                 raise ValueError("n_train_ics must be >= 1 unless oracle")

@@ -16,10 +16,11 @@ rollout and ``HybridSystem.prepare`` call prepares the branch once, and
 ``l1_grad_into(grads)``.  The oracle has no parameters and prepares to
 itself.
 
-The teacher-forcing loss (on ``transitions_of`` pairs) and the BPTT loss (on
-``windows_of`` windows), both cut from an (n, T, 2) trajectory array, come
-with exact reverse-mode gradients threaded through the integrator stages; for
-BPTT the adjoint also flows through the state path via the branch input jacobian.
+The cell steps with ``dynamics.rk_step`` and its adjoint reads the same
+``dynamics.SCHEMES`` table, so the cell and the data generator share one
+scheme.  The BPTT loss on ``windows_of`` windows of an (n, T, 2) array has
+an exact reverse-mode gradient through every stage and, via the branch input
+jacobian, the state path; teacher forcing is its one-step window.
 
 Everything here is batched over a sample axis; batch size 1 is a batch of
 one row, not a separate scalar API.  A branch whose ``params`` is an (S, P)
@@ -38,14 +39,12 @@ block alone.  The losses fold that mask into the one they return;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DivergenceError, OscillatorSpec
-
-RK4 = "rk4"
-EULER = "euler"
+from .dynamics import RK4, SCHEMES, DivergenceError, OscillatorSpec, rk_step
 
 # A state is divergent once any component is non-finite or exceeds this.
 DIVERGE_BOUND = 1.0e6
@@ -93,12 +92,12 @@ class HybridSystem:
     scale: float = 2.5
 
     def __post_init__(self):
-        if self.integrator not in (RK4, EULER):
+        if self.integrator not in SCHEMES:
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     def prepare(self, grads: np.ndarray | None = None) -> HybridSystem:
         """This system with its branch prepared for one call (see
@@ -125,26 +124,10 @@ def step_batch(h: HybridSystem, X, V, ok):
     (S, P) block, row s by seed s.  ``ok`` is the per-seed bool mask, shape
     ``X.shape[:-1]`` (0-d for one seed): the step clears, in place, the
     entry of each seed with a row past ``DIVERGE_BOUND`` or non-finite, and
-    raises nothing.  The cache records each stage's input states and branch
-    cache, which is exactly what ``step_vjp`` consumes.
+    raises nothing.  The cache is ``rk_step``'s stages, each stage's input
+    states and branch cache, which is exactly what ``step_vjp`` consumes.
     """
-    dt = h.dt
-    if h.integrator == EULER:
-        F, bc = _vdot_batch(h, X, V)
-        XP = X + dt * V
-        VP = V + dt * F
-        cache = [(X, V, bc)]
-    else:
-        F1, bc1 = _vdot_batch(h, X, V)
-        X2, V2 = X + 0.5 * dt * V, V + 0.5 * dt * F1
-        F2, bc2 = _vdot_batch(h, X2, V2)
-        X3, V3 = X + 0.5 * dt * V2, V + 0.5 * dt * F2
-        F3, bc3 = _vdot_batch(h, X3, V3)
-        X4, V4 = X + dt * V3, V + dt * F3
-        F4, bc4 = _vdot_batch(h, X4, V4)
-        XP = X + (dt / 6.0) * (V + 2.0 * V2 + 2.0 * V3 + V4)
-        VP = V + (dt / 6.0) * (F1 + 2.0 * F2 + 2.0 * F3 + F4)
-        cache = [(X, V, bc1), (X2, V2, bc2), (X3, V3, bc3), (X4, V4, bc4)]
+    XP, VP, cache = rk_step(lambda X, V: _vdot_batch(h, X, V), X, V, h.dt, h.integrator)
     # NaN and inf fail the comparison, so this also clears non-finite rows.
     ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
     return XP, VP, cache
@@ -157,15 +140,13 @@ def step_vjp(h: HybridSystem, cache, lx, lv):
 
     Stages run last to first.  Each stage's F = known_vdot + R takes the
     adjoint wv and its kinematic slope (the stage V) takes wx; both are the
-    step's adjoint times the stage's RK4 weight plus the adjoint that flowed
-    into the next stage's state.
+    step's adjoint times the stage's weight plus the adjoint that flowed
+    into the next stage's state times its feed, both from ``SCHEMES``.
     """
     dt, branch, spec, scale = h.dt, h.branch, h.spec, h.scale
-    if h.integrator == EULER:
-        weights, feeds = (dt,), ()
-    else:
-        w6, w3 = dt / 6.0, dt / 3.0
-        weights, feeds = (w6, w3, w3, w6), (0.5 * dt, 0.5 * dt, dt)
+    feeds, weights, div = SCHEMES[h.integrator]
+    weights = [w * (dt / div) for w in weights]
+    feeds = [f * dt for f in feeds]
     ax, av = lx, lv
     sx = sv = None
     for i in range(len(cache) - 1, -1, -1):
@@ -228,34 +209,15 @@ def _loss_result(h: HybridSystem, loss, grads, ok):
     return loss, grads, ok
 
 
-def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
-    """Teacher-forcing loss and its gradient on a batch of (N, 2) transition
-    pairs, or on (S, N, 2) pairs for a system with an (S, P) block.
-
-    Returns (loss, grads, ok): per seed the loss, the gradient and whether
-    every state stayed bounded and both are finite.  A seed that is not ok
-    raises nothing; its loss and gradient are not to be used.
-    """
-    n = s0.shape[-2]
-    grads = np.zeros_like(h.branch.params)
-    ok = np.ones(s0.shape[:-2], dtype=bool)
-    h = h.prepare(grads)
-    with np.errstate(all="ignore"):
-        XP, VP, cache = step_batch(h, s0[..., 0], s0[..., 1], ok)
-        dx, dv = XP - s1[..., 0], VP - s1[..., 1]
-        loss = (dx ** 2 + dv ** 2).mean(-1) + h.branch.l1_value()
-        step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv)
-        return _loss_result(h, loss, grads, ok)
-
-
 def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
     """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, or on
     (S, W, 2) and (S, W, K, 2) for a system with an (S, P) block, and its
     gradient from the full adjoint sweep back through every step.
 
-    Returns (loss, grads, ok) per seed, as ``tf_loss_grads`` does.  Each
-    seed's loss is summed step by step, the same float additions whatever
-    the block.
+    Returns (loss, grads, ok): per seed the loss, the gradient and whether
+    every state stayed bounded and both are finite.  A seed that is not ok
+    raises nothing; its loss and gradient are not to be used.  Each seed's
+    loss is summed step by step, the same float additions whatever the block.
     """
     n, horizon = targets.shape[-3], targets.shape[-2]
     grads = np.zeros_like(h.branch.params)
@@ -282,3 +244,14 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
             lv = lv + (2.0 / norm) * dv
             lx, lv = step_vjp(h, caches[t], lx, lv)
         return _loss_result(h, loss, grads, ok)
+
+
+# The window loss under a private name: perfbench's tracer rebinds the
+# public one in this module, which would count each teacher-forcing loss twice.
+_window_loss_grads = bptt_grads_arrays
+
+
+def tf_loss_grads(h: HybridSystem, s0: np.ndarray, s1: np.ndarray):
+    """Teacher-forcing (loss, grads, ok) on (N, 2) ``transitions_of`` pairs,
+    or (S, N, 2) for an (S, P) block: the window loss of one-step windows."""
+    return _window_loss_grads(h, s0, s1[..., None, :])

@@ -165,10 +165,6 @@ class ResidualBranch:
                 f"params length {self.params.shape} != param_count {param_count(self.arch)}"
             )
 
-    @property
-    def kind(self) -> str:
-        return KAN if isinstance(self.arch, KanArch) else MLP
-
     def prepare(self, grads: np.ndarray | None = None) -> PreparedBranch:
         """The branch as the hybrid cell uses it for one loss, rollout or
         surface call; ``grads`` is the buffer its backward passes add into."""

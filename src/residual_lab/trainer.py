@@ -237,17 +237,16 @@ class GradCheckReport:
 
 
 def _max_rel_error(analytic: np.ndarray, fd: np.ndarray):
-    """Worst relative disagreement; entries where both sides are below 1e-9
-    in magnitude count as exact agreement (0/0 -> 0)."""
-    worst, idx = 0.0, -1
-    for i in range(analytic.size):
-        a, f = analytic[i], fd[i]
-        if abs(a) < 1e-9 and abs(f) < 1e-9:
-            continue
-        err = abs(a - f) / max(abs(a), abs(f))
-        if err > worst:
-            worst, idx = err, i
-    return worst, idx
+    """Worst relative disagreement and its first index, (0.0, -1) if none.
+    Entries where both sides are below 1e-9 in magnitude agree exactly (0/0
+    -> 0); an entry not finite on either side is error inf."""
+    a, f = np.abs(analytic), np.abs(fd)
+    with np.errstate(all="ignore"):
+        err = np.abs(analytic - fd) / np.maximum(a, f)
+    err[(a < 1e-9) & (f < 1e-9)] = 0.0
+    err[~(np.isfinite(analytic) & np.isfinite(fd))] = np.inf
+    idx = int(np.argmax(err))
+    return (float(err[idx]), idx) if err[idx] > 0.0 else (0.0, -1)
 
 
 def _fd_gradient(h: HybridSystem, loss_grads, inputs, eps: float = 1e-5) -> np.ndarray:

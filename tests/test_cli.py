@@ -64,6 +64,15 @@ class TestGenData:
         assert code == 1
         assert "required" in err
 
+    @pytest.mark.parametrize("flags", [("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"),
+                                       ("--noise", "nan"), ("--noise", "-1")])
+    def test_bad_parameter_is_validation_error(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "gen-data", "--system", "duffing", "--n-train", "1",
+                             "--n-test", "1", "--steps", "20", *flags, "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert flags[0][2:] in err
+        assert not list(tmp_path.iterdir())
+
     def test_no_trajectories_is_validation_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "gen-data", "--system", "duffing", "--n-train", "0",
                              "--n-test", "0", "--out", str(tmp_path))
@@ -104,8 +113,10 @@ class TestDatasetInput:
         (lambda lines: lines[:2] + ["0,0.5"] + lines[3:], ":3: malformed state row"),
         (lambda lines: [lines[0].replace("duffing", "lorenz")] + lines[1:],
          "unknown oscillator kind 'lorenz'"),
+        (lambda lines: ["duffing,nan,nan,2,2"] + lines[1:], "dt must be finite"),
+        (lambda lines: ["duffing,0.01,inf,2,2"] + lines[1:], "scale must be finite"),
     ], ids=["unknown-split", "stray-row", "ragged", "short-header", "nan-row", "short-row",
-            "unknown-oscillator"])
+            "unknown-oscillator", "nan-dt-and-scale", "inf-scale"])
     def test_malformed_file_is_validation_error(self, capsys, tmp_path, edit, message):
         path = self._saved(capsys, tmp_path)
         with open(path) as fh:
@@ -195,6 +206,7 @@ class TestSweepAggregate:
         "paradigm = bptt\nhorizon = 60\ndata_steps = 50\n",
         "steps = 0\n",
         "learning_rate = -1\n",
+        "noise_std = -1\n",
     ])
     def test_sweep_rejects_config_that_fails_every_seed(self, capsys, tmp_path, fields):
         cfg = tmp_path / "exp.txt"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from residual_lab.dynamics import (
     Dataset,
     DivergenceError,
-    _full_rhs_arrays,
     duffing,
     generate_dataset,
     integrate_batch,
@@ -22,7 +21,28 @@ finite_coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 def rhs_rows(spec, states):
     """(x', v') of every (x, v) row in one batched call, as an (S, 2) array."""
     states = np.asarray(states, dtype=float)
-    return np.stack(_full_rhs_arrays(spec, states[:, 0], states[:, 1]), axis=1)
+    X, V = states[:, 0], states[:, 1]
+    return np.stack([V, spec.known_vdot(X, V) + spec.true_residual(X, V)], axis=1)
+
+
+def reference_integrate_batch(spec, ics, dt, n_steps):
+    """The generator's RK4 loop written out by hand, stage by stage."""
+    def rhs(X, V):
+        return V, spec.known_vdot(X, V) + spec.true_residual(X, V)
+
+    out = np.empty((len(ics), n_steps + 1, 2))
+    out[:, 0] = ics
+    X, V = ics[:, 0].copy(), ics[:, 1].copy()
+    for t in range(n_steps):
+        k1x, k1v = rhs(X, V)
+        k2x, k2v = rhs(X + dt / 2 * k1x, V + dt / 2 * k1v)
+        k3x, k3v = rhs(X + dt / 2 * k2x, V + dt / 2 * k2v)
+        k4x, k4v = rhs(X + dt * k3x, V + dt * k3v)
+        X = X + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        V = V + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        out[:, t + 1, 0] = X
+        out[:, t + 1, 1] = V
+    return out
 
 
 class TestFullRhs:
@@ -83,6 +103,14 @@ class TestRk4:
         e2 = np.abs(integrate_batch(spec, np.array([[1.0, 0.0]]), 0.01, 100)[0][-1] - ref).max()
         assert e1 / e2 >= 12.0
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.037, 0.3])
+    def test_matches_hand_expanded_reference(self, dt):
+        ics = np.random.default_rng(0).uniform(-2.0, 2.0, size=(5, 2))
+        for spec in (duffing(), vanderpol()):
+            for block in (ics[:1], ics):
+                got = integrate_batch(spec, block, dt, 200)
+                assert got.tobytes() == reference_integrate_batch(spec, block, dt, 200).tobytes()
+
     def test_divergent_rhs_raises(self):
         # -0.3 x^3 overflows at x = 1e103, so the state after the first step
         # is non-finite: the error names step 1, as rollout does.
@@ -139,16 +167,25 @@ class TestDataset:
         noisy = generate_dataset(duffing(), 2, 1, 0.01, 50, seed=0, noise_std=0.01)
         assert not np.array_equal(clean.train[0], noisy.train[0])
 
+    def test_non_finite_or_negative_parameters_rejected(self):
+        for dt in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt"):
+                generate_dataset(duffing(), 2, 1, dt, 50, seed=0)
+        for noise in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise_std"):
+                generate_dataset(duffing(), 2, 1, 0.01, 50, seed=0, noise_std=noise)
+
 
 class TestTypes:
     def test_trajectory_invariants(self):
         ok = np.zeros((2, 5, 2))
         assert Dataset("duffing", 0.1, ok, ok[:1]).test.shape == (1, 5, 2)
         assert Dataset("duffing", 0.1, ok[:0], ok).train.shape == (0, 5, 2)
-        with pytest.raises(ValueError, match="dt"):
-            Dataset("duffing", 0.0, ok, ok)
-        with pytest.raises(ValueError, match="scale"):
-            Dataset("duffing", 0.1, ok, ok, scale=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt"):
+                Dataset("duffing", bad, ok, ok)
+            with pytest.raises(ValueError, match="scale"):
+                Dataset("duffing", 0.1, ok, ok, scale=bad)
         for train, test in ((ok, np.zeros((2, 1, 2))), (np.zeros((2, 1, 2)), ok),
                             (ok, ok[0]), (ok, np.zeros((2, 5, 3))), (ok, ok[:, :4])):
             with pytest.raises(ValueError, match="splits"):

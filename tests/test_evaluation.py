@@ -314,7 +314,6 @@ class TestStlsq:
         fit = stlsq_fit(s, threshold=0.05)
         assert fit.active == {}
         assert fit.r2 == 1.0  # exact zero-variance match, by convention
-        assert fit.top_term() is None
 
     def test_threshold_zero_is_ols(self):
         rng = stream(0, "bootstrap")

@@ -86,6 +86,11 @@ class TestExperimentConfig:
         dict(data_steps=1),
         dict(n_train_ics=0),
         dict(paradigm=BPTT, horizon=51, data_steps=50),
+        dict(dt=float("nan")),
+        dict(dt=float("inf")),
+        dict(noise_std=-1.0),
+        dict(noise_std=float("nan")),
+        dict(noise_std=float("inf")),
     ])
     def test_data_fields_that_fail_every_seed_rejected(self, fields):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import pytest
 from conftest import with_params, zero_branch
 
 from residual_lab.dynamics import (
+    EULER,
+    RK4,
     DivergenceError,
     duffing,
     generate_dataset,
@@ -11,8 +13,6 @@ from residual_lab.dynamics import (
 )
 from residual_lab.hybridcell import (
     DIVERGE_BOUND,
-    EULER,
-    RK4,
     HybridSystem,
     OracleResidual,
     bptt_grads_arrays,
@@ -74,7 +74,57 @@ def step_rows(h, states):
     return np.stack([XP, VP], axis=1)
 
 
+def reference_step_batch(h, X, V, ok):
+    """The cell's step written out by hand for each integrator."""
+    def vdot(X, V):
+        vals, cache = h.branch.eval_batch(X / h.scale, V / h.scale)
+        return h.spec.known_vdot(X, V) + vals, cache
+
+    dt = h.dt
+    if h.integrator == EULER:
+        F, bc = vdot(X, V)
+        XP = X + dt * V
+        VP = V + dt * F
+        cache = [(X, V, bc)]
+    else:
+        F1, bc1 = vdot(X, V)
+        X2, V2 = X + 0.5 * dt * V, V + 0.5 * dt * F1
+        F2, bc2 = vdot(X2, V2)
+        X3, V3 = X + 0.5 * dt * V2, V + 0.5 * dt * F2
+        F3, bc3 = vdot(X3, V3)
+        X4, V4 = X + dt * V3, V + dt * F3
+        F4, bc4 = vdot(X4, V4)
+        XP = X + (dt / 6.0) * (V + 2.0 * V2 + 2.0 * V3 + V4)
+        VP = V + (dt / 6.0) * (F1 + 2.0 * F2 + 2.0 * F3 + F4)
+        cache = [(X, V, bc1), (X2, V2, bc2), (X3, V3, bc3), (X4, V4, bc4)]
+    ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
+    return XP, VP, cache
+
+
 class TestHybridStep:
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.037, 0.3])
+    @pytest.mark.parametrize("integrator", [RK4, EULER])
+    def test_step_matches_hand_expanded_reference(self, integrator, dt):
+        # The scheme-table step against the step written out by hand, for
+        # one seed and for a block of 3, state by state and stage by stage.
+        X, V = np.random.default_rng(1).uniform(-2.0, 2.0, size=(2, 3, 8))
+        cases = [(OracleResidual(vanderpol(), 2.5), X[0], V[0])]
+        for arch in (KanArch((2, 4, 1), KAN53), MlpArch((2, 16, 16, 1))):
+            params = np.stack([init_params(arch, s) for s in range(3)])
+            cases += [(ResidualBranch(arch, params[0]), X[0], V[0]),
+                      (ResidualBranch(arch, params), X, V)]
+        for branch, x, v in cases:
+            h = HybridSystem(vanderpol(), branch, dt, integrator).prepare()
+            ok, ref_ok = np.ones(x.shape[:-1], bool), np.ones(x.shape[:-1], bool)
+            XP, VP, cache = step_batch(h, x, v, ok)
+            RX, RV, ref_cache = reference_step_batch(h, x, v, ref_ok)
+            assert XP.tobytes() == RX.tobytes() and VP.tobytes() == RV.tobytes()
+            assert ok.tolist() == ref_ok.tolist()
+            assert len(cache) == len(ref_cache)
+            for (sx, sv, _), (rx, rv, _) in zip(cache, ref_cache):
+                assert sx.tobytes() == rx.tobytes() and sv.tobytes() == rv.tobytes()
+
+
     def test_euler_hand_example(self):
         h = zero_system(duffing(), 0.1, EULER)
         for S in (1, 3):
@@ -144,10 +194,12 @@ class TestHybridStep:
     def test_validation(self):
         with pytest.raises(ValueError):
             HybridSystem(duffing(), zero_branch(), 0.01, "leapfrog")
-        with pytest.raises(ValueError):
-            HybridSystem(duffing(), zero_branch(), -0.01)
-        with pytest.raises(ValueError):
-            HybridSystem(duffing(), zero_branch(), 0.01, RK4, scale=0.0)
+        for bad in (-0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt"):
+                HybridSystem(duffing(), zero_branch(), bad)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="scale"):
+                HybridSystem(duffing(), zero_branch(), 0.01, RK4, scale=bad)
 
 
 class TestRollout:

@@ -15,12 +15,10 @@ import pytest
 from conftest import with_params
 
 from residual_lab import netcore
-from residual_lab.dynamics import duffing, generate_dataset, vanderpol
+from residual_lab.dynamics import EULER, RK4, duffing, generate_dataset, vanderpol
 from residual_lab.evaluation import GridSpec, sample_surface
 from residual_lab.harness import ExperimentConfig, resolve_arch
 from residual_lab.hybridcell import (
-    EULER,
-    RK4,
     HybridSystem,
     OracleResidual,
     bptt_grads_arrays,

@@ -33,8 +33,9 @@ def test_output_digests_lists_every_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     table = {key: digest for digest, key in (line.split("  ", 1) for line in lines)}
     assert all(len(digest) == 64 for digest in table.values())
-    # Four sweeps, and the block sweep four ways.
-    assert sum(key.endswith("/metrics.csv") for key in table) == 8
+    # Five sweeps, one of them Euler, and the block sweep four ways.
+    assert sum(key.endswith("/metrics.csv") for key in table) == 9
     for key in ("stdout eval", "stdout train", "verify_gradients A",
-                "verify_gradients mlp-small", "data/vanderpol-seed1.dataset"):
+                "verify_gradients mlp-small", "verify_gradients A euler",
+                "data/vanderpol-seed1.dataset"):
         assert key in table

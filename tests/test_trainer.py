@@ -4,6 +4,8 @@ from conftest import with_params
 
 from residual_lab import trainer
 from residual_lab.dynamics import (
+    EULER,
+    RK4,
     DivergenceError,
     duffing,
     generate_dataset,
@@ -11,7 +13,7 @@ from residual_lab.dynamics import (
     vanderpol,
 )
 from residual_lab.harness import ExperimentConfig, resolve_arch
-from residual_lab.hybridcell import EULER, RK4, HybridSystem
+from residual_lab.hybridcell import HybridSystem
 from residual_lab.netcore import (
     KanArch,
     MlpArch,
@@ -258,6 +260,23 @@ class TestVerifyGradients:
         with pytest.raises(ValueError):
             verify_gradients(b, h, n_points=0)
 
+    def test_non_finite_analytic_gradient_fails(self, monkeypatch):
+        # A NaN entry fails every comparison, so it must count as error inf
+        # rather than be skipped as agreement.
+        real = trainer.tf_loss_grads
+
+        def nan_grads(h, *inputs):
+            loss, grads, ok = real(h, *inputs)
+            if grads.ndim == 1:
+                grads[3] = np.nan
+            return loss, grads, ok
+
+        monkeypatch.setattr(trainer, "tf_loss_grads", nan_grads)
+        b = new_branch(KanArch((2, 4, 1), KAN53), seed=0)
+        report = verify_gradients(b, HybridSystem(vanderpol(), b, 0.01), n_points=2)
+        assert report.tf_error == np.inf and report.worst_index == 3
+        assert not report.passed
+
     def test_diverging_probe_raises(self):
         # A NaN finite difference would pass the tolerance comparison, so a
         # probe that diverges stops the check instead.
@@ -265,6 +284,38 @@ class TestVerifyGradients:
         h = HybridSystem(duffing(), b, 0.01)
         with pytest.raises(DivergenceError):
             verify_gradients(b, h, n_points=1)
+
+
+def loop_max_rel_error(analytic, fd):
+    """The entry-by-entry loop the vectorised check replaced, for finite
+    inputs: the first index of the worst relative error, (0.0, -1) if none."""
+    worst, idx = 0.0, -1
+    for i in range(analytic.size):
+        a, f = analytic[i], fd[i]
+        if abs(a) < 1e-9 and abs(f) < 1e-9:
+            continue
+        err = abs(a - f) / max(abs(a), abs(f))
+        if err > worst:
+            worst, idx = err, i
+    return worst, idx
+
+
+def test_max_rel_error_matches_loop_and_flags_non_finite():
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 300):
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-12, 2, size=n)
+        f = a * (1 + rng.normal(scale=1e-6, size=n))
+        f[::5] = a[::5]  # exact agreement
+        f[1::7] = 0.0  # one side zero
+        for other in (f, a):
+            assert trainer._max_rel_error(a, other) == loop_max_rel_error(a, other)
+    a = np.array([1.0, 2.0, 3.0, 1e-12])
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (1, 3):
+            f = a.copy()
+            f[i] = bad
+            assert trainer._max_rel_error(a, f) == (np.inf, i)
+            assert trainer._max_rel_error(f, a) == (np.inf, i)
 
 
 def sequential_fd_gradient(h, loss_grads, inputs, eps=1e-5):
