@@ -43,6 +43,14 @@ SWEEPS = (
     ("duffing", "kan-deep", "bptt", 40, "rk4"),
     ("vanderpol", "A", "teacher_forcing", 100, "euler"),
 )
+# (digest key suffix, system, config, paradigm, training steps, scored on the
+# saved gen-data set) of each checkpoint taken through train, eval, fit-symbolic
+# and export-surface.  The KAN is scored on the default held-out set of 5
+# trajectories x 1000 steps, as the eval-ckpt benchmark scores its checkpoints.
+CLI_CHECKPOINTS = (
+    ("", "vanderpol", "mlp-small", "bptt", 20, True),
+    (" A", "duffing", "A", "teacher_forcing", 100, False),
+)
 # D adds the l1 term to the checked losses and G a 20-interval spline grid.
 # Each is checked under both integrators.
 GRADIENT_CHECKS = ("A", "D", "G", "mlp-small")
@@ -106,19 +114,21 @@ def digests(seeds: int, steps_scale: float) -> dict[str, str]:
     data = run_cli(["gen-data", "--system", "vanderpol", "--n-train", "4", "--n-test", "2",
                     "--steps", "300", "--seed", "1", "--out", "data"]).decode().strip()
     out["stdout gen-data"] = sha256(data.encode())
-    train = ["train", "--system", "vanderpol", "--config", "mlp-small", "--paradigm", "bptt",
-             "--steps", str(steps(20)), "--seed", "2", "--out", "runs"]
-    printed = run_cli(train)
-    out["stdout train"] = sha256(printed)
-    ckpt = printed.decode().rsplit("checkpoint=", 1)[1].strip()
-    for name, argv in (
-        ("eval", ["eval", "--system", "vanderpol", "--checkpoint", ckpt, "--data", data]),
-        ("eval --oracle", ["eval", "--system", "vanderpol", "--oracle", "--data", data]),
-        ("fit-symbolic", ["fit-symbolic", "--system", "vanderpol", "--checkpoint", ckpt]),
-        ("export-surface", ["export-surface", "--system", "vanderpol", "--checkpoint", ckpt,
-                            "--out", "surface"]),
-    ):
-        out[f"stdout {name}"] = sha256(run_cli(argv))
+    out["stdout eval --oracle"] = sha256(run_cli(["eval", "--system", "vanderpol", "--oracle",
+                                                  "--data", data]))
+    for suffix, system, config, paradigm, n, saved_data in CLI_CHECKPOINTS:
+        printed = run_cli(["train", "--system", system, "--config", config, "--paradigm", paradigm,
+                           "--steps", str(steps(n)), "--seed", "2", "--out", "runs"])
+        out[f"stdout train{suffix}"] = sha256(printed)
+        ckpt = printed.decode().rsplit("checkpoint=", 1)[1].strip()
+        source = ["--system", system, "--checkpoint", ckpt]
+        data_args = ["--data", data] if saved_data else []
+        for name, argv in (
+            ("eval", ["eval", *source, *data_args]),
+            ("fit-symbolic", ["fit-symbolic", *source]),
+            ("export-surface", ["export-surface", *source, "--out", "surface"]),
+        ):
+            out[f"stdout {name}{suffix}"] = sha256(run_cli(argv))
 
     for config in GRADIENT_CHECKS:
         arch, _ = resolve_arch(ExperimentConfig(config=config))

@@ -182,8 +182,8 @@ def stlsq_fit(s: SurfaceSample, dictionary: CandidateDictionary | None = None,
               threshold: float = 0.05, max_iters: int = 10) -> SymbolicFit:
     """Sequentially thresholded least squares of the predicted surface on the
     candidate dictionary; threshold 0 with max_iters 1 is plain OLS."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if dictionary is None:
@@ -243,11 +243,9 @@ def _write_ppm(panel: np.ndarray, path) -> tuple[float, float]:
     t = np.full_like(panel, 0.5) if hi == lo else (panel - lo) / (hi - lo)
     img = _colormap(t.T[::-1, :])
     h, w = img.shape[0], img.shape[1]
-    lines = ["P3", f"{w} {h}", "255"]
-    for row in img:
-        lines.append(" ".join(f"{r} {g} {b}" for r, g, b in row))
+    row = " ".join(["%d"] * (3 * w)) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"P3\n{w} {h}\n255\n" + (row * h) % tuple(img.ravel().tolist()))
     return lo, hi
 
 
@@ -258,15 +256,12 @@ def export_surface(s: SurfaceSample, prefix) -> list[str]:
     if s.flagged or not np.all(np.isfinite(s.truth)):
         raise ValueError("cannot export a surface with non-finite nodes")
     prefix = str(prefix)
-    xs, vs = s.grid.xs(), s.grid.vs()
     csv_path = prefix + ".csv"
-    rows = ["x,v,value,truth"]
-    for i in range(s.grid.nx):
-        for j in range(s.grid.nv):
-            rows.append(",".join(_FLOAT_FMT % f for f in
-                                 (xs[i], vs[j], s.values[i, j], s.truth[i, j])))
+    # One (x, v, value, truth) row per node, x slowest, in one format call.
+    table = np.stack([*s.grid.mesh(), s.values, s.truth], axis=-1).reshape(-1, 4)
+    row = ",".join([_FLOAT_FMT] * 4) + "\n"
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("x,v,value,truth\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
     pred_path, truth_path = prefix + ".pred.ppm", prefix + ".truth.ppm"
     pred_lo, pred_hi = _write_ppm(s.values, pred_path)

@@ -169,6 +169,8 @@ class ExperimentConfig:
             raise ValueError("data_steps must be >= 2")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be finite and >= 0")
+        if not 0 <= self.stlsq_threshold < math.inf:
+            raise ValueError("stlsq_threshold must be finite and >= 0")
         if not self.oracle:
             if not (self.n_train_ics >= 1):
                 raise ValueError("n_train_ics must be >= 1 unless oracle")
@@ -238,11 +240,11 @@ def _dataset_for(cfg: ExperimentConfig, seed: int):
                            cfg.data_steps, data_seed, cfg.noise_std)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _shared_dataset(system, n_train_ics, n_test_ics, dt, data_steps, data_seed, noise_std):
     """The dataset of one set of data fields, generated once and shared by
-    every seed and config that asks for it.  Its two split arrays are
-    read-only, so no consumer can alter what a later seed sees."""
+    every seed and config that asks for it; two are kept, for runs that alternate
+    oscillators.  Its splits are read-only, so no consumer alters what a later seed sees."""
     ds = generate_dataset(oscillator(system), n_train_ics, n_test_ics, dt, data_steps,
                           seed=data_seed, noise_std=noise_std)
     ds.train.flags.writeable = False

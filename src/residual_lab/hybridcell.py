@@ -164,21 +164,23 @@ def step_vjp(h: HybridSystem, cache, lx, lv):
 
 
 def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
-    """Free rollout of W trajectories in lockstep, one ``step_batch`` call per
-    time step: (W, 2) start states in, (W, n + 1, 2) states out.  Raises
-    ``DivergenceError`` with the number of the step that diverged."""
+    """Free rollout of W trajectories in lockstep, one forward-only ``step_batch``
+    call per time step: (W, 2) starts in, one (W, n + 1, 2) array of states out.
+    Raises ``DivergenceError`` with the number of the step that diverged."""
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or n < 1:
         raise ValueError("rollout needs (S, 2) start states and n >= 1 steps")
     h = h.prepare()
     ok = np.ones((), dtype=bool)
-    states = [starts]
+    out = np.empty((len(starts), n + 1, 2))
+    out[:, 0] = starts
+    X, V = starts[:, 0], starts[:, 1]
     for step in range(1, n + 1):
-        X, V, _ = step_batch(h, states[-1][:, 0], states[-1][:, 1], ok)
+        X, V, _ = step_batch(h, X, V, ok)
         if not ok:
             raise DivergenceError(f"state diverged at step {step}", step=step)
-        states.append(np.stack([X, V], axis=1))
-    return np.stack(states, axis=1)
+        out[:, step, 0], out[:, step, 1] = X, V
+    return out
 
 
 def transitions_of(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,10 +50,10 @@ grads)`` consumes without re-evaluating anything.  Backward adds the
 parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
 returns that buffer with the input adjoints, so the stages of one loss
 accumulate into one array with no per-call zero buffer.  A forward-only plan
-(``grads=None``) has no gradient views.  KAN layer cache: ``U`` (N, n_in) layer
-input, ``sig``/``silu`` (N, n_in), ``B``/``dB`` (N, n_in, K) local basis
-values and u-derivatives, ``first`` (N, n_in) first nonzero column,
-``local`` (N, n_in, K, n_out) gathered coefficients, ``spl`` (N, n_in,
+(``grads=None``) cannot run backward, so its cache is ``[]``.  KAN layer cache:
+``U`` (N, n_in) layer input, ``sig``/``silu`` (N, n_in), ``B``/``dB`` (N, n_in,
+K) local basis values and u-derivatives, ``first`` (N, n_in) first nonzero
+column, ``local`` (N, n_in, K, n_out) gathered coefficients, ``spl`` (N, n_in,
 n_out) edge spline values, ``mask`` (N, n_in) inputs inside the domain.
 MLP layer cache: the layer input ``U`` (N, n_in); backward reads a hidden
 layer's ReLU mask off the next layer's input.  With a seed axis, every cache
@@ -277,12 +277,13 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
 
     Returns (values, cache), values shaped like ``xn``; the cache holds
     everything ``backward_batch`` needs, so gradients never re-evaluate the
-    network.
+    network.  A plan without a gradient buffer gets ``[]``.
     """
     U = np.empty(np.asarray(xn).shape + (2,))
     U[..., 0] = xn
     U[..., 1] = vn
     layers = []
+    keep = x.glayers is not None
     if isinstance(x.arch, KanArch):
         spec = x.arch.spline
         lo, hi = spec.domain
@@ -294,15 +295,15 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
             sig, silu = _silu(U)
             spl = np.einsum(x.spline_sum, B, local)
             Y = silu @ base + np.einsum(x.out_sum, spl, scale)
-            layers.append(
-                {"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB, "first": first,
-                 "local": local, "spl": spl, "mask": (U >= lo) & (U <= hi)}
-            )
+            if keep:
+                layers.append({"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB, "first": first,
+                               "local": local, "spl": spl, "mask": (U >= lo) & (U <= hi)})
             U = Y
     else:
         last = len(x.layers) - 1
         for li, (W, b) in enumerate(x.layers):
-            layers.append({"U": U})
+            if keep:
+                layers.append({"U": U})
             Z = U @ W + b
             U = np.maximum(Z, 0.0) if li < last else Z
     return U[..., 0], layers

@@ -10,12 +10,12 @@ biinfinite uniform family.
 Only ``order + 1`` of those functions are nonzero at any point, and on a
 uniform grid each of them is a translate of one cardinal B-spline.  So
 ``basis_and_derivative`` returns just those ``order + 1`` local weights plus
-the index of the first nonzero column.  It locates the knot interval, takes
-the local coordinate ``t`` in [0, 1] inside it, and multiplies the powers of
-``t`` and ``1 - t`` by one small matrix that gives the values and the
-derivatives.  The matrix is built once per order from the Cox-de Boor
-recursion in the local coordinate, and cached.  ``dense_basis`` scatters the local result into all
-``grid_size + order`` columns for callers that want the full matrix.
+the index of the first nonzero column.  It finds the knot interval among the
+``grid_size - 1`` interior knots, takes the local coordinate ``t`` in [0, 1]
+inside it, and multiplies the powers of ``t`` and ``1 - t`` by one small
+matrix, built once per order from the Cox-de Boor recursion in the local
+coordinate and cached, that gives the values and the derivatives.
+``dense_basis`` scatters them into all ``grid_size + order`` columns.
 
 The right domain endpoint belongs to the last interior interval (closed on
 the right), so evaluation at the boundary is exact and derivatives there are
@@ -109,15 +109,15 @@ def _local_matrix(order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _tables(spec: SplineSpec) -> tuple[np.ndarray, float, np.ndarray]:
-    """Knot vector, knot spacing h, and the order's local matrix with its
-    derivative columns divided by h (d/du = d/dt / h)."""
+def _tables(spec: SplineSpec) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Interior knots, the left knot of each interval, knot spacing h, and the
+    order's local matrix with its derivative columns divided by h (d/du = d/dt / h)."""
     h = (spec.domain[1] - spec.domain[0]) / spec.grid_size
     M = _local_matrix(spec.order).copy()
     M[:, spec.order + 1 :] /= h
     T = knot_vector(spec)
     T.flags.writeable = M.flags.writeable = False
-    return T, h, M
+    return T[spec.order + 1 : spec.n_basis], T[spec.order : spec.n_basis], h, M
 
 
 def basis_and_derivative(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,24 +129,24 @@ def basis_and_derivative(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, n
     order`` of the full ``n_basis``-column basis; ``first`` has shape
     ``u.shape``.
     """
-    G, k = spec.grid_size, spec.order
-    T, h, M = _tables(spec)
+    k = spec.order
+    interior, left, h, M = _tables(spec)
     u = np.asarray(u, dtype=float)
-    # Interior interval containing u; the right boundary maps into the last
-    # interior interval so the closed domain is covered.
-    idx = np.minimum(np.maximum(np.searchsorted(T, u, side="right") - 1, k), k + G - 1)
+    # Interval containing u: the count of interior knots <= u, so the right
+    # boundary (and NaN) fall in the last interval and the domain is closed.
+    first = np.searchsorted(interior, u, side="right")
     # Powers of the local coordinate t in [0, 1] and of s = 1 - t; the
     # minimum only removes rounding at the right end of the interval.
     V = np.empty((u.size, 2, k + 1))
     V[..., 0] = 1.0
     if k:
-        np.minimum((u.ravel() - T[idx.ravel()]) / h, 1.0, out=V[:, 0, 1])
+        np.minimum((u.ravel() - left[first.ravel()]) / h, 1.0, out=V[:, 0, 1])
         np.subtract(1.0, V[:, 0, 1], out=V[:, 1, 1])
         for p in range(2, k + 1):
             np.multiply(V[..., p - 1], V[..., 1], out=V[..., p])
     P = V.reshape(u.size, -1) @ M
     shape = u.shape + (k + 1,)
-    return P[:, : k + 1].reshape(shape), P[:, k + 1 :].reshape(shape), idx - k
+    return P[:, : k + 1].reshape(shape), P[:, k + 1 :].reshape(shape), first
 
 
 def scatter_to_dense(local: np.ndarray, first: np.ndarray, n_basis: int) -> np.ndarray:

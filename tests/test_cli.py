@@ -207,6 +207,8 @@ class TestSweepAggregate:
         "steps = 0\n",
         "learning_rate = -1\n",
         "noise_std = -1\n",
+        "stlsq_threshold = -1\n",
+        "oracle = true\nstlsq_threshold = -1\n",
     ])
     def test_sweep_rejects_config_that_fails_every_seed(self, capsys, tmp_path, fields):
         cfg = tmp_path / "exp.txt"
@@ -269,6 +271,14 @@ class TestFitSymbolic:
         assert code == 0
         assert "v +1" in out
         assert "x^2*v -1" in out
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_threshold_is_validation_error(self, capsys, tmp_path, threshold):
+        code, out, err = run(capsys, "fit-symbolic", "--oracle", "--system", "duffing",
+                             "--threshold", threshold, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "threshold must be finite and nonnegative" in err
 
 
 class TestCheckpointInput:

@@ -18,6 +18,7 @@ from residual_lab.evaluation import (
     MetricRow,
     SurfaceSample,
     SymbolicFit,
+    _colormap,
     bootstrap_ci,
     discovery_r2,
     export_surface,
@@ -355,8 +356,9 @@ class TestStlsq:
 
     def test_validation(self):
         s = surface_from(lambda X, V: X)
-        with pytest.raises(ValueError):
-            stlsq_fit(s, threshold=-0.1)
+        for threshold in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold"):
+                stlsq_fit(s, threshold=threshold)
         with pytest.raises(ValueError):
             stlsq_fit(s, max_iters=0)
 
@@ -403,7 +405,51 @@ class TestBootstrap:
             bootstrap_ci([1.0], n_resamples=0)
 
 
+def reference_write_ppm(panel, path):
+    """The heat-map writer as it was: one f-string per pixel."""
+    lo, hi = float(panel.min()), float(panel.max())
+    t = np.full_like(panel, 0.5) if hi == lo else (panel - lo) / (hi - lo)
+    img = _colormap(t.T[::-1, :])
+    lines = ["P3", f"{img.shape[1]} {img.shape[0]}", "255"]
+    for row in img:
+        lines.append(" ".join(f"{r} {g} {b}" for r, g, b in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_export_csv(s, path):
+    """The CSV writer as it was: one format call per field."""
+    xs, vs = s.grid.xs(), s.grid.vs()
+    rows = ["x,v,value,truth"]
+    for i in range(s.grid.nx):
+        for j in range(s.grid.nv):
+            rows.append(",".join("%.17g" % f for f in
+                                 (xs[i], vs[j], s.values[i, j], s.truth[i, j])))
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
 class TestExport:
+    def test_bytes_equal_to_per_field_writer(self, tmp_path):
+        # A -0.0 node, a flat panel (hi == lo) on each side in turn, and the
+        # default 100 x 100 grid of a Duffing oracle surface.
+        grid = GridSpec((-1.5, 2.0), (-0.5, 0.75), nx=7, nv=4)
+        X, V = grid.mesh()
+        varied = 0.3 * X * V - X**3 / 7.0
+        varied[2, 1] = -0.0
+        flat = np.full(X.shape, 1.25)
+        cases = [SurfaceSample(grid, varied, flat), SurfaceSample(grid, flat, varied),
+                 sample_surface(OracleResidual(duffing(), 2.5), duffing())]
+        for n, s in enumerate(cases):
+            export_surface(s, tmp_path / f"new{n}")
+            reference_export_csv(s, tmp_path / f"ref{n}.csv")
+            reference_write_ppm(s.values, tmp_path / f"ref{n}.pred.ppm")
+            reference_write_ppm(s.truth, tmp_path / f"ref{n}.truth.ppm")
+            for suffix in (".csv", ".pred.ppm", ".truth.ppm"):
+                got = (tmp_path / f"new{n}{suffix}").read_bytes()
+                assert got == (tmp_path / f"ref{n}{suffix}").read_bytes(), (n, suffix)
+        assert b",-0,1.25\n" in (tmp_path / "new0.csv").read_bytes()
+
     def test_csv_roundtrip(self, tmp_path):
         grid = GridSpec(nx=2, nv=2)
         X, V = grid.mesh()

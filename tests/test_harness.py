@@ -91,6 +91,10 @@ class TestExperimentConfig:
         dict(noise_std=-1.0),
         dict(noise_std=float("nan")),
         dict(noise_std=float("inf")),
+        dict(stlsq_threshold=-1.0),
+        dict(stlsq_threshold=float("nan")),
+        dict(stlsq_threshold=float("inf")),
+        dict(stlsq_threshold=float("nan"), oracle=True),
     ])
     def test_data_fields_that_fail_every_seed_rejected(self, fields):
         with pytest.raises(ValueError):

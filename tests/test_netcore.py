@@ -136,6 +136,22 @@ class TestForward:
         pair = ([xn, vn], [vn, xn])
         assert np.array_equal(values(b, *pair), values(b, *pair))
 
+    @pytest.mark.parametrize("config", ["A", "B", "G", "kan-deep", "mlp-small"])
+    def test_forward_only_plan_keeps_no_cache(self, config):
+        # A plan without a gradient buffer gives the bits of a plan with one
+        # and an empty cache, for one seed and for a block of 3, on inputs
+        # that reach past the spline domain.
+        arch, _ = resolve_arch(ExperimentConfig(config=config))
+        block = np.stack([init_params(arch, s) for s in range(3)])
+        xs, vs = stream(5, "forward-only").uniform(-1.6, 1.6, (2, 3, 40))
+        for params, xn, vn in ((block[1], xs[1], vs[1]), (block, xs, vs)):
+            b = ResidualBranch(arch, params)
+            vals, cache = forward_batch(b.prepare(), xn, vn)
+            ref, ref_cache = forward_batch(b.prepare(np.zeros_like(params)), xn, vn)
+            assert cache == [] and len(ref_cache) == len(arch.widths) - 1
+            assert vals.shape == ref.shape == xn.shape
+            assert vals.tobytes() == ref.tobytes()
+
     def test_finite_on_wild_inputs(self):
         for arch in (KanArch((2, 8, 1), KAN53), MlpArch((2, 16, 16, 1))):
             b = new_branch(arch, seed=2)
@@ -216,7 +232,7 @@ class TestInputJacobian:
         from residual_lab.netcore import _mlp_layers
 
         # Hidden pre-activations, from each layer's cached input.
-        _, cache = forward_batch(b.prepare(), xs, vs)
+        _, cache = forward_batch(b.prepare(np.zeros_like(b.params)), xs, vs)
         hidden = zip(cache[:-1], _mlp_layers(b.arch, b.params))
         smooth = np.min([np.abs(c["U"] @ W + bias).min(axis=1) for c, (W, bias) in hidden],
                         axis=0) >= 1e-3

@@ -35,7 +35,8 @@ def test_output_digests_lists_every_output(capsys):
     assert all(len(digest) == 64 for digest in table.values())
     # Five sweeps, one of them Euler, and the block sweep four ways.
     assert sum(key.endswith("/metrics.csv") for key in table) == 9
-    for key in ("stdout eval", "stdout train", "verify_gradients A",
+    for key in ("stdout eval", "stdout train", "stdout eval A", "stdout export-surface A",
+                "surface/duffing-surface.csv", "verify_gradients A",
                 "verify_gradients mlp-small", "verify_gradients A euler",
                 "data/vanderpol-seed1.dataset"):
         assert key in table

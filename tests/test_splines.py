@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from residual_lab.netcore import KanArch, forward_batch, new_branch
 from residual_lab.splines import (
     SplineSpec,
+    _local_matrix,
+    basis_and_derivative,
     dense_basis,
     fit_coefficients,
     knot_vector,
@@ -92,6 +94,49 @@ class TestBasis:
         assert abs(out.sum() - 1.0) < 1e-10
         out, _ = dense_basis(spec, np.array([u, -u]))
         assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-10
+
+
+def reference_basis_and_derivative(spec, u):
+    """The basis as it located the interval before the interior-knot search:
+    ``searchsorted`` on the whole knot vector, minus 1, clipped to the
+    domain's intervals [k, k + G - 1], minus k."""
+    G, k = spec.grid_size, spec.order
+    T = knot_vector(spec)
+    h = (spec.domain[1] - spec.domain[0]) / G
+    M = _local_matrix(k).copy()
+    M[:, k + 1 :] /= h
+    u = np.asarray(u, dtype=float)
+    idx = np.minimum(np.maximum(np.searchsorted(T, u, side="right") - 1, k), k + G - 1)
+    V = np.empty((u.size, 2, k + 1))
+    V[..., 0] = 1.0
+    if k:
+        np.minimum((u.ravel() - T[idx.ravel()]) / h, 1.0, out=V[:, 0, 1])
+        np.subtract(1.0, V[:, 0, 1], out=V[:, 1, 1])
+        for p in range(2, k + 1):
+            np.multiply(V[..., p - 1], V[..., 1], out=V[..., p])
+    P = V.reshape(u.size, -1) @ M
+    shape = u.shape + (k + 1,)
+    return P[:, : k + 1].reshape(shape), P[:, k + 1 :].reshape(shape), idx - k
+
+
+class TestIntervalSearch:
+    @pytest.mark.parametrize("domain", [(-1.0, 1.0), (-2.5, 0.7)])
+    @pytest.mark.parametrize("G,k", [(1, 3), (3, 2), (4, 0), (5, 3), (6, 1), (20, 3)])
+    def test_bitwise_equal_to_whole_knot_vector_search(self, G, k, domain):
+        # Every knot with both float neighbours, the domain ends, -0.0, NaN
+        # and uniform points: the same bits and the same first column.
+        spec = SplineSpec(grid_size=G, order=k, domain=domain)
+        T = knot_vector(spec)
+        u = np.concatenate([
+            T, np.nextafter(T, -np.inf), np.nextafter(T, np.inf),
+            domain, [-0.0, 0.0, np.nan],
+            np.random.default_rng(G * 10 + k).uniform(*domain, 10_000),
+        ])
+        for points in (u, u.reshape(-1, 3)[:, :2]):
+            want = reference_basis_and_derivative(spec, points)
+            for g, w in zip(basis_and_derivative(spec, points), want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
 
 
 class TestDerivative:
