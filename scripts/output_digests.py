@@ -11,10 +11,12 @@ dropped before hashing.
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
 ``--seeds`` and ``--steps-scale`` shrink the runs to a smoke test.  The
-block sweep keeps its 18 seeds whatever ``--seeds`` says, since its point is
-the boundary between a block of 16 seeds and the next block of 2: it runs
-once, again with per-seed datasets, again with two workers, and once more
-resumed from a metrics file cut down to a scattered set of its seeds.
+block sweeps keep their 18 seeds whatever ``--seeds`` says, since their
+point is the boundary between a block of 16 seeds and the next block of 2.
+The MLP one runs once, again with per-seed datasets, again with two workers,
+and once more resumed from a metrics file cut down to a scattered set of its
+seeds; the KAN one runs once, so that stacked KAN gather tables and caches
+cross that boundary too.
 """
 
 import argparse
@@ -58,6 +60,8 @@ GRADIENT_CHECKS = ("A", "D", "G", "mlp-small")
 # the seeds its resumed copy keeps.
 BLOCK_SWEEP = ("vanderpol", "mlp-small", "bptt", 5, 18)
 RESUME_KEEP = (0, 3, 4, 9, 17)
+# The same for the KAN block sweep, which runs once.
+KAN_BLOCK_SWEEP = ("vanderpol", "A", "bptt", 5, 18)
 
 
 def sha256(data: bytes) -> str:
@@ -110,6 +114,9 @@ def digests(seeds: int, steps_scale: float) -> dict[str, str]:
     with open(metrics, "w") as fh:
         fh.write("\n".join(lines[:2] + kept) + "\n")
     run_sweep(resumed)
+    system, config, paradigm, n, seeds = KAN_BLOCK_SWEEP
+    run_sweep(ExperimentConfig(system=system, config=config, paradigm=paradigm, n_seeds=seeds,
+                               steps=steps(n), out="blocks"))
 
     data = run_cli(["gen-data", "--system", "vanderpol", "--n-train", "4", "--n-test", "2",
                     "--steps", "300", "--seed", "1", "--out", "data"]).decode().strip()

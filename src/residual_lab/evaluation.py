@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import DivergenceError, OscillatorSpec
 from .hybridcell import HybridSystem, rollout, step_batch, transitions_of
 from .rng import stream
+from .trainer import CONVERGED, MAX_STEPS, UNSTABLE
 
 _FLOAT_FMT = "%.17g"
 
@@ -302,6 +303,10 @@ class MetricRow:
 
 METRIC_COLUMNS = ("system", "arch", "config", "paradigm", "seed",
                   "discovery_r2", "test_mse", "fit_r2", "fit_terms", "status")
+# The status of an oracle sweep's rows, which train nothing, and every status
+# a row can carry.
+ORACLE = "Oracle"
+ROW_STATUSES = (MAX_STEPS, CONVERGED, UNSTABLE, ORACLE)
 
 
 def format_fit_terms(fit: SymbolicFit) -> str:
@@ -324,9 +329,10 @@ def write_metrics(path, rows, fingerprint: str | None = None) -> None:
 
 
 def read_metrics(path) -> tuple[list[MetricRow], str | None]:
-    """Inverse of ``write_metrics``; a row without one field per column, or
-    with a seed or number that does not parse, raises ``ValueError`` naming
-    the file and line."""
+    """Inverse of ``write_metrics``; a row without one field per column, with
+    a seed or number that does not parse, a fit term that is not
+    ``name:coef`` with a finite coef, or a status ``write_metrics`` never
+    writes raises ``ValueError`` naming the file and line."""
     with open(path) as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln]
     fingerprint = None
@@ -341,6 +347,12 @@ def read_metrics(path) -> tuple[list[MetricRow], str | None]:
         try:
             if len(f) != len(METRIC_COLUMNS):
                 raise ValueError(f"expected {len(METRIC_COLUMNS)} fields, got {len(f)}")
+            for term in f[8].split(";") if f[8] else ():
+                name, _, coef = term.rpartition(":")
+                if not (name and np.isfinite(float(coef))):
+                    raise ValueError(f"fit term {term!r} is not name:coef with a finite coef")
+            if f[9] not in ROW_STATUSES:
+                raise ValueError(f"unknown status {f[9]!r}")
             rows.append(MetricRow(f[0], f[1], f[2], f[3], int(f[4]), float(f[5]),
                                   float(f[6]), float(f[7]), f[8], f[9]))
         except ValueError as exc:

@@ -32,6 +32,7 @@ from .dynamics import DUFFING, RK4, SCHEMES, VANDERPOL, Dataset, generate_datase
 from .evaluation import (
     GridSpec,
     MetricRow,
+    ORACLE,
     R2_SENTINEL,
     bootstrap_ci,
     discovery_r2,
@@ -177,8 +178,13 @@ class ExperimentConfig:
             if self.paradigm == BPTT and not (self.horizon <= self.data_steps):
                 raise ValueError(f"horizon {self.horizon} exceeds data_steps "
                                  f"{self.data_steps}: no BPTT window fits")
-            # Apply the seeds' TrainConfig bounds before any sweep output exists.
+            # Apply the seeds' TrainConfig bounds before any sweep output exists,
+            # and the Adam fields it leaves open: eps = 0 makes a frozen entry 0/0.
             make_train_config(self, resolve_arch(self)[0], 0)
+            if not 0 < self.eps < math.inf:
+                raise ValueError("eps must be finite and positive")
+            if not (0 <= self.grad_clip < math.inf and 0 <= self.converge_tol < math.inf):
+                raise ValueError("grad_clip and converge_tol must be finite and >= 0")
 
 
 _FINGERPRINT_EXCLUDED = ("out", "n_seeds")
@@ -261,7 +267,7 @@ def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | No
     arch, preset = resolve_arch(cfg)
     if cfg.oracle:
         branch = OracleResidual(spec, ds.scale)
-        status = "Oracle"
+        status = ORACLE
     else:
         branch = ResidualBranch(arch, report.params)
         status = report.status

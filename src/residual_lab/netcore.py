@@ -21,11 +21,11 @@ KAN layers use the local support of the spline basis: at each input only
 K = order + 1 of the M basis functions are nonzero, and
 ``splines.basis_and_derivative`` returns just those (B, dB) plus the first
 nonzero column.  The forward pass gathers, per point and input, the K
-coefficients of every outgoing edge on that interval and contracts over K,
-not M; the input adjoint contracts dB the same way.  Only the coefficient
-gradient touches all M columns: the K weights are scattered into a dense
-(N, n_in, M) buffer (``splines.scatter_to_dense``) that one GEMM sums over
-the batch.
+coefficients of every outgoing edge on that interval and contracts them
+over K, not M, with B for the values and, in a loss, with dB for their input
+slopes.  Only the coefficient gradient touches all M columns: the K weights
+are scattered into a dense (N, n_in, M) buffer (``splines.scatter_to_dense``)
+that one GEMM sums over the batch.
 
 The cell does not call a ``ResidualBranch`` directly.  Each loss, rollout
 or surface call first turns it into a ``PreparedBranch`` with
@@ -50,14 +50,14 @@ grads)`` consumes without re-evaluating anything.  Backward adds the
 parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
 returns that buffer with the input adjoints, so the stages of one loss
 accumulate into one array with no per-call zero buffer.  A forward-only plan
-(``grads=None``) cannot run backward, so its cache is ``[]``.  KAN layer cache:
-``U`` (N, n_in) layer input, ``sig``/``silu`` (N, n_in), ``B``/``dB`` (N, n_in,
-K) local basis values and u-derivatives, ``first`` (N, n_in) first nonzero
-column, ``local`` (N, n_in, K, n_out) gathered coefficients, ``spl`` (N, n_in,
-n_out) edge spline values, ``mask`` (N, n_in) inputs inside the domain.
-MLP layer cache: the layer input ``U`` (N, n_in); backward reads a hidden
-layer's ReLU mask off the next layer's input.  With a seed axis, every cache
-array has a leading S.
+(``grads=None``) cannot run backward, so its cache is ``[]``.  A KAN layer
+caches backward's operands and nothing else, so forward also computes the
+two input slopes: ``silu``/``dsilu`` (N, n_in) base term and its u-slope,
+``B`` (N, n_in, K) local basis values, ``first`` (N, n_in) first nonzero
+column, ``spl``/``dspl`` (N, n_in, n_out) edge spline values and their
+u-slopes, ``mask`` (N, n_in) inputs inside the domain.  MLP layer cache: the
+layer input ``U`` (N, n_in); backward reads a hidden layer's ReLU mask off
+the next layer's input.  With a seed axis, every cache array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -296,8 +296,9 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
             spl = np.einsum(x.spline_sum, B, local)
             Y = silu @ base + np.einsum(x.out_sum, spl, scale)
             if keep:
-                layers.append({"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB, "first": first,
-                               "local": local, "spl": spl, "mask": (U >= lo) & (U <= hi)})
+                dsilu, dspl = sig * (1.0 + U * (1.0 - sig)), np.einsum(x.spline_sum, dB, local)
+                layers.append({"silu": silu, "dsilu": dsilu, "B": B, "first": first, "spl": spl,
+                               "dspl": dspl, "mask": (U >= lo) & (U <= hi)})
             U = Y
     else:
         last = len(x.layers) - 1
@@ -332,10 +333,8 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
             gsum = dense.reshape(Wy.shape[:-1] + (n_in * M,)).swapaxes(-1, -2) @ Wy
             gsum = gsum.reshape(gsum.shape[:-2] + (n_in, M, -1)).swapaxes(-1, -2)
             gcoef += scale[..., None] * gsum
-            dsilu = c["sig"] * (1.0 + c["U"] * (1.0 - c["sig"]))
-            dspl = np.einsum(x.spline_sum, c["dB"], c["local"])
-            Wy = dsilu * (Wy @ base.swapaxes(-1, -2)) + c["mask"] * np.einsum(
-                x.input_grad_sum, dspl, Wy[..., None, :] * scale[..., None, :, :]
+            Wy = c["dsilu"] * (Wy @ base.swapaxes(-1, -2)) + c["mask"] * np.einsum(
+                x.input_grad_sum, c["dspl"], Wy[..., None, :] * scale[..., None, :, :]
             )
     else:
         last = len(x.layers) - 1

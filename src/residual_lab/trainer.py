@@ -2,8 +2,10 @@
 
 ``train_block`` trains a block of seeds of the protocol in lockstep: each
 seed samples batches from its own named PRNG stream, and every step takes
-one batched loss call (teacher forcing or BPTT) and one batched Adam step
-for the seeds still training, recording each seed's loss history.
+one batched window loss call and one batched Adam step for the seeds still
+training, recording each seed's loss history.  Both paradigms cut the
+training trajectories into windows and train on the same loss: BPTT on
+windows of ``horizon`` steps, teacher forcing on one-step windows.
 Divergence is data, not an exception: a seed whose step fails is retried
 once with a fresh batch, then halts with status ``Unstable`` and keeps its
 last finite parameters as its checkpoint, while the rest of the block goes
@@ -25,7 +27,6 @@ from .hybridcell import (
     bptt_grads_arrays,
     rollout,
     tf_loss_grads,
-    transitions_of,
     windows_of,
 )
 from .netcore import MlpArch, ResidualBranch, trainable_mask
@@ -34,9 +35,10 @@ from .rng import stream
 TEACHER_FORCING = "teacher_forcing"
 BPTT = "bptt"
 
-# Seeds evaluated in lockstep by one block, in a sweep or a gradient check;
-# past about 16 the per-seed cost stops falling while the block's memory
-# keeps growing.
+# Seeds evaluated in lockstep by one block, in a sweep or a gradient check.
+# Memory bounds the block, not speed (config A BPTT still costs less per seed
+# at 64): a BPTT loss keeps every step's and RK4 stage's KAN cache, 534 bytes
+# per row and stage for config A and 2434 for kan-deep.
 BLOCK_SEEDS = 16
 
 CONVERGED = "Converged"
@@ -146,12 +148,8 @@ def train_block(system: HybridSystem, data: list[Dataset],
     cfg, S = cfgs[0], len(cfgs)
     mask = trainable_mask(arch)
     rngs = [stream(c.seed, "batches") for c in cfgs]
-    if cfg.paradigm == TEACHER_FORCING:
-        loss_grads = tf_loss_grads
-        cuts = {id(ds): transitions_of(ds.train) for ds in data}
-    else:
-        loss_grads = bptt_grads_arrays
-        cuts = {id(ds): windows_of(ds.train, cfg.horizon) for ds in data}
+    horizon = 1 if cfg.paradigm == TEACHER_FORCING else cfg.horizon
+    cuts = {id(ds): windows_of(ds.train, horizon) for ds in data}
     inputs = [cuts[id(ds)] for ds in data]
     pools = [len(pair[0]) for pair in inputs]
 
@@ -164,9 +162,9 @@ def train_block(system: HybridSystem, data: list[Dataset],
             # A lone seed drops the seed axis, which spares the stacked calls
             # their overhead; the float operations are the same.
             one = replace(system, branch=ResidualBranch(arch, params[seeds[0]]))
-            return tuple(r[None] for r in loss_grads(one, *batches[0]))
+            return tuple(r[None] for r in bptt_grads_arrays(one, *batches[0]))
         a, b = (np.stack(part) for part in zip(*batches))
-        return loss_grads(replace(system, branch=ResidualBranch(arch, params[seeds])), a, b)
+        return bptt_grads_arrays(replace(system, branch=ResidualBranch(arch, params[seeds])), a, b)
 
     m, v = init_moments((S, params.shape[-1]))
     history: list[list[float]] = [[] for _ in range(S)]
@@ -281,6 +279,8 @@ def verify_gradients(branch, system: HybridSystem, n_points: int = 5,
     (so an all-zero branch agrees bitwise on both sides)."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    if not (0 < tolerance < np.inf and 0 < bptt_tolerance < np.inf):
+        raise ValueError("gradient check tolerances must be finite and positive")
     rng = stream(seed, "gradcheck")
     ics = rng.uniform(-1.5, 1.5, size=(n_points, 2))
     # A zero-weight linear branch outputs exactly 0.0: the known part alone.

@@ -206,6 +206,9 @@ class TestSweepAggregate:
         "paradigm = bptt\nhorizon = 60\ndata_steps = 50\n",
         "steps = 0\n",
         "learning_rate = -1\n",
+        "config = B\nsteps = 5\neps = 0\n",
+        "grad_clip = -1\n",
+        "converge_tol = -1\n",
         "noise_std = -1\n",
         "stlsq_threshold = -1\n",
         "oracle = true\nstlsq_threshold = -1\n",
@@ -235,6 +238,26 @@ class TestSweepAggregate:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert f"{metrics}:4: malformed metrics row" in err
+
+    @pytest.mark.parametrize("column,text", [(8, "nan"), (8, "x:abc"), (9, "Bogus")])
+    def test_resume_on_bad_fit_terms_or_status_is_named(self, capsys, tmp_path, column, text):
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("config = A\noracle = true\nn_train_ics = 2\n"
+                       "n_test_ics = 1\ndata_steps = 50\n")
+        argv = ["sweep", "--config-file", str(cfg), "--seeds", "1", "--out", str(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        metrics = os.path.join(out.split(":")[0], "metrics.csv")
+        with open(metrics) as fh:
+            lines = fh.read().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = text
+        with open(metrics, "w") as fh:
+            fh.write("\n".join(lines[:2] + [",".join(fields)]) + "\n")
+        argv[4] = "2"
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"{metrics}:3: malformed metrics row" in err
 
     def test_aggregate_from_sweep_dirs(self, capsys, tmp_path):
         cfg = tmp_path / "exp.txt"
@@ -352,3 +375,13 @@ class TestVerifyGrads:
                            "--out", str(tmp_path))
         assert code == 2
         assert "FAILED at parameter index" in out
+
+    @pytest.mark.parametrize("flag,value", [("--tolerance", "nan"), ("--tolerance", "-1"),
+                                            ("--bptt-tolerance", "0"),
+                                            ("--bptt-tolerance", "inf")])
+    def test_bad_tolerance_is_validation_error(self, capsys, tmp_path, flag, value):
+        code, out, err = run(capsys, "verify-grads", "--config", "A",
+                             "--system", "duffing", "--points", "3", flag, value,
+                             "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert "tolerances must be finite and positive" in err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -527,6 +529,27 @@ class TestMetricsFile:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n")
         with pytest.raises(ValueError):
+            read_metrics(path)
+
+    @pytest.mark.parametrize("terms,status", [("", "Unstable"), ("1:0.5;x^2*v:-1", "Converged"),
+                                              ("x^3:-0.3", "Oracle")])
+    def test_written_terms_and_statuses_read_back(self, tmp_path, terms, status):
+        row = MetricRow("vanderpol", "mlp-small", "mlp-small", "bptt", 4, -10.0, np.inf, 0.0,
+                        terms, status)
+        path = tmp_path / "metrics.csv"
+        write_metrics(path, [row])
+        assert read_metrics(path)[0] == [row]
+
+    @pytest.mark.parametrize("column,text", [(8, "nan"), (8, "x:abc"), (8, "x:inf"), (8, ":1"),
+                                             (8, "x:1;"), (9, "Bogus"), (9, "")])
+    def test_bad_terms_or_status_named(self, tmp_path, column, text):
+        path = tmp_path / "metrics.csv"
+        write_metrics(path, [self.row()])
+        header, line = path.read_text().splitlines()
+        fields = line.split(",")
+        fields[column] = text
+        path.write_text(header + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed metrics row")):
             read_metrics(path)
 
     def test_format_fit_terms(self):

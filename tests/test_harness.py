@@ -107,6 +107,13 @@ class TestExperimentConfig:
         (dict(horizon=0), "horizon"),
         (dict(beta1=1.0), "betas"),
         (dict(beta2=0.0), "betas"),
+        (dict(config="B", eps=0.0), "eps"),
+        (dict(eps=-1e-8), "eps"),
+        (dict(eps=float("nan")), "eps"),
+        (dict(grad_clip=-1.0), "grad_clip"),
+        (dict(grad_clip=float("inf")), "grad_clip"),
+        (dict(converge_tol=-1.0), "converge_tol"),
+        (dict(converge_tol=float("nan")), "converge_tol"),
     ])
     def test_training_fields_that_fail_every_seed_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):

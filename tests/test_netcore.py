@@ -152,6 +152,26 @@ class TestForward:
             assert vals.shape == ref.shape == xn.shape
             assert vals.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("config", ["A", "B", "G", "kan-deep"])
+    def test_kan_cache_holds_backward_operands(self, config):
+        # A plan with a gradient buffer caches what backward reads and
+        # nothing else: both input slopes, and neither the layer input, the
+        # basis derivatives nor the (.., n_in, K, n_out) gathered coefficients.
+        # For one seed and a block of 3, on inputs past the spline domain.
+        arch, _ = resolve_arch(ExperimentConfig(config=config))
+        K = arch.spline.order + 1
+        block = np.stack([init_params(arch, s) for s in range(3)])
+        xs, vs = stream(6, "cache-layout").uniform(-1.6, 1.6, (2, 3, 40))
+        for params, xn, vn in ((block[1], xs[1], vs[1]), (block, xs, vs)):
+            b = ResidualBranch(arch, params)
+            _, cache = forward_batch(b.prepare(np.zeros_like(params)), xn, vn)
+            assert len(cache) == len(arch.widths) - 1
+            for c, n_in, n_out in zip(cache, arch.widths[:-1], arch.widths[1:]):
+                row = xn.shape + (n_in,)
+                assert {key: a.shape for key, a in c.items()} == {
+                    "silu": row, "dsilu": row, "B": row + (K,), "first": row,
+                    "spl": row + (n_out,), "dspl": row + (n_out,), "mask": row}
+
     def test_finite_on_wild_inputs(self):
         for arch in (KanArch((2, 8, 1), KAN53), MlpArch((2, 16, 16, 1))):
             b = new_branch(arch, seed=2)

@@ -33,8 +33,9 @@ def test_output_digests_lists_every_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     table = {key: digest for digest, key in (line.split("  ", 1) for line in lines)}
     assert all(len(digest) == 64 for digest in table.values())
-    # Five sweeps, one of them Euler, and the block sweep four ways.
-    assert sum(key.endswith("/metrics.csv") for key in table) == 9
+    # Five sweeps, one of them Euler, the MLP block sweep four ways and the
+    # KAN block sweep once.
+    assert sum(key.endswith("/metrics.csv") for key in table) == 10
     for key in ("stdout eval", "stdout train", "stdout eval A", "stdout export-surface A",
                 "surface/duffing-surface.csv", "verify_gradients A",
                 "verify_gradients mlp-small", "verify_gradients A euler",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import with_params
@@ -13,14 +15,16 @@ from residual_lab.dynamics import (
     vanderpol,
 )
 from residual_lab.harness import ExperimentConfig, resolve_arch
-from residual_lab.hybridcell import HybridSystem
+from residual_lab.hybridcell import HybridSystem, tf_loss_grads, transitions_of
 from residual_lab.netcore import (
     KanArch,
     MlpArch,
     ResidualBranch,
     new_branch,
     param_count,
+    trainable_mask,
 )
+from residual_lab.rng import stream
 from residual_lab.splines import SplineSpec
 from residual_lab.trainer import (
     BPTT,
@@ -203,6 +207,44 @@ class TestTrain:
         h = HybridSystem(duffing(), b, duffing_data.dt)
         report = train(h, duffing_data, TrainConfig(steps=2, seed=6))
         assert report.wall_time > 0
+
+
+def reference_teacher_forcing(system, data, cfg):
+    """The teacher-forcing loop ``train`` ran before both paradigms shared
+    the window path: batches of ``transitions_of`` pairs through
+    ``tf_loss_grads``, for a lone seed that never fails.  Returns the final
+    parameters and the loss history."""
+    arch = system.branch.arch
+    params = system.branch.params[None].copy()
+    mask = trainable_mask(arch)
+    rng = stream(cfg.seed, "batches")
+    s0, s1 = transitions_of(data.train)
+    moments = init_moments(params.shape)
+    history = []
+    for t in range(1, cfg.steps + 1):
+        i = rng.choice(len(s0), size=min(cfg.batch_size, len(s0)), replace=False)
+        one = replace(system, branch=ResidualBranch(arch, params[0]))
+        loss, grads, ok = tf_loss_grads(one, s0[i], s1[i])
+        assert ok
+        grads = grads[None]
+        grads[:, ~mask] = 0.0
+        params, moments = adam_step(params, grads, moments, t, cfg)
+        history.append(float(loss))
+    return params[0], history
+
+
+@pytest.mark.parametrize("config", ["A", "mlp-small"])
+def test_teacher_forcing_trains_as_the_transition_loop(duffing_data, config):
+    # Teacher forcing trains on one-step windows; the pool is the same
+    # transitions in the same order, so every draw and bit is the old loop's.
+    arch, _ = resolve_arch(ExperimentConfig(config=config))
+    b = new_branch(arch, seed=3)
+    h = HybridSystem(duffing(), b, duffing_data.dt)
+    cfg = TrainConfig(steps=5, learning_rate=3e-3, seed=3)
+    want_params, want_history = reference_teacher_forcing(h, duffing_data, cfg)
+    report = train(h, duffing_data, cfg)
+    assert report.loss_history == want_history
+    assert report.params.tobytes() == want_params.tobytes()
 
 
 class TestReportSerialization:
