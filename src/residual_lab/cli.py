@@ -1,7 +1,13 @@
 """Command-line front end.
 
+``_COMMANDS`` is the one table of subcommands: each lists the option groups
+it reads, and parses no other flag (nor any prefix of one).  A flag named
+after an ExperimentConfig field overrides that field of ``--config-file``
+or of the defaults, so ``fit-symbolic --threshold`` overrides
+``stlsq_threshold`` as ``train --steps`` overrides ``steps``.
+
 Exit codes: 0 success, 1 validation error (bad flags, unknown names,
-malformed config files), 2 runtime failure.
+malformed config files, paths that name no file), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .dynamics import (
     save_dataset,
 )
 from .evaluation import (
-    GridSpec,
     discovery_r2,
     export_surface,
     rollout_mse,
@@ -60,54 +65,30 @@ class _Parser(argparse.ArgumentParser):
         raise _Validation(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="primary seed")
-    p.add_argument("--out", default="", help="output directory or prefix "
-                   f"(default from ${harness.ENV_OUT} or ./results)")
-
-
-def _add_config_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
-                   help="registry config name (see list-configs)")
-    p.add_argument("--config-file", default=None,
-                   help="path to a key = value experiment file")
-    p.add_argument("--system", choices=[DUFFING, VANDERPOL], default=None)
-    p.add_argument("--paradigm", choices=["teacher_forcing", "bptt"], default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--seeds", type=int, default=None, dest="n_seeds",
-                   help="number of sweep seeds")
-
-
 def _experiment_config(args) -> ExperimentConfig:
-    if args.config_file:
-        cfg = load_config_file(args.config_file)
-    else:
-        cfg = ExperimentConfig(config=args.config or "A")
-    overrides = {}
-    if args.config and args.config_file:
-        overrides["config"] = args.config
-    for field, attr in (("system", "system"), ("paradigm", "paradigm"),
-                        ("steps", "steps"), ("learning_rate", "learning_rate"),
-                        ("n_seeds", "n_seeds")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[field] = val
-    if args.out:
-        overrides["out"] = args.out
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    """The config file's fields, or the defaults, with every config field
+    that a flag of the same name sets replaced by the flag's value."""
+    cfg = load_config_file(args.config_file) if args.config_file else ExperimentConfig()
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return dataclasses.replace(cfg, **{name: value for name, value in vars(args).items()
+                                       if name in fields and value is not None})
 
 
 def _branch_for(args, cfg: ExperimentConfig, spec, scale: float):
-    if getattr(args, "oracle", False):
+    if args.oracle:
         return OracleResidual(spec, scale)
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         branch, _ = load_branch(args.checkpoint)
         return branch
     arch, _ = resolve_arch(cfg)
     return new_branch(arch, args.seed)
+
+
+def _surface(args):
+    """The run's config and the residual surface of its branch."""
+    cfg = _experiment_config(args)
+    spec = oscillator(cfg.system)
+    return cfg, sample_surface(_branch_for(args, cfg, spec, DEFAULT_SCALE), spec)
 
 
 def _cmd_gen_data(args) -> int:
@@ -155,7 +136,7 @@ def _cmd_eval(args) -> int:
         ds = harness._dataset_for(cfg, args.seed)
     branch = _branch_for(args, cfg, spec, ds.scale)
     system = HybridSystem(spec, branch, ds.dt, cfg.integrator, ds.scale)
-    surface = sample_surface(branch, spec, GridSpec(), ds.scale)
+    surface = sample_surface(branch, spec, scale=ds.scale)
     r2 = discovery_r2(surface)
     mse = test_mse(system, ds.test)
     rmse = rollout_mse(system, ds.test)
@@ -186,11 +167,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_fit_symbolic(args) -> int:
-    cfg = _experiment_config(args)
-    spec = oscillator(cfg.system)
-    branch = _branch_for(args, cfg, spec, DEFAULT_SCALE)
-    surface = sample_surface(branch, spec, GridSpec(), DEFAULT_SCALE)
-    fit = stlsq_fit(surface, threshold=args.threshold)
+    cfg, surface = _surface(args)
+    fit = stlsq_fit(surface, threshold=cfg.stlsq_threshold)
     for name, coef in fit.active.items():
         print(f"{name} {coef:+.6g}")
     print(f"fit_r2={fit.r2:.6g} iterations={fit.iterations}")
@@ -198,10 +176,7 @@ def _cmd_fit_symbolic(args) -> int:
 
 
 def _cmd_export_surface(args) -> int:
-    cfg = _experiment_config(args)
-    spec = oscillator(cfg.system)
-    branch = _branch_for(args, cfg, spec, DEFAULT_SCALE)
-    surface = sample_surface(branch, spec, GridSpec(), DEFAULT_SCALE)
+    cfg, surface = _surface(args)
     root = output_root(args.out)
     os.makedirs(root, exist_ok=True)
     prefix = os.path.join(root, f"{cfg.system}-surface")
@@ -251,74 +226,81 @@ def _cmd_list_configs(args) -> int:
     return 0
 
 
+def _opt(flag: str, **spec):
+    return flag, spec
+
+
+# Option groups.  A flag whose dest names an ExperimentConfig field overrides
+# that field (see _experiment_config), so those flags default to None.
+_SEED = [_opt("--seed", type=int, default=0, help="primary seed")]
+_OUT = [_opt("--out", help="output directory or prefix "
+             f"(default from ${harness.ENV_OUT} or ./results)")]
+_CONFIG = [
+    _opt("--config", help="registry config name (see list-configs)"),
+    _opt("--config-file", help="path to a key = value experiment file"),
+    _opt("--system", choices=[DUFFING, VANDERPOL]),
+]
+_TRAINING = [
+    _opt("--paradigm", choices=["teacher_forcing", "bptt"]),
+    _opt("--steps", type=int),
+    _opt("--learning-rate", type=float),
+]
+_BRANCH = [
+    _opt("--checkpoint"),
+    _opt("--oracle", action="store_true", default=None,
+         help="use the analytical residual instead"),
+]
+
+# Each subcommand's handler, help line and the options it reads; no other
+# option parses.
+_COMMANDS = {
+    "gen-data": (_cmd_gen_data, "generate and save a dataset", _SEED + _OUT + [
+        _opt("--system", choices=[DUFFING, VANDERPOL], required=True),
+        _opt("--n-train", type=int, default=20),
+        _opt("--n-test", type=int, default=5),
+        _opt("--dt", type=float, default=0.01),
+        _opt("--steps", type=int, default=1000),
+        _opt("--noise", type=float, default=0.0),
+    ]),
+    "train": (_cmd_train, "train one seed and save a checkpoint",
+              _SEED + _OUT + _CONFIG + _TRAINING),
+    "eval": (_cmd_eval, "evaluate a checkpoint or the oracle", _SEED + _CONFIG + _BRANCH + [
+        _opt("--data", help="saved dataset path"),
+    ]),
+    "sweep": (_cmd_sweep, "run a multi-seed sweep (resumable)", _OUT + _CONFIG + _TRAINING + [
+        _opt("--seeds", type=int, dest="n_seeds", help="number of sweep seeds"),
+        _opt("--workers", type=int, default=1),
+    ]),
+    "aggregate": (_cmd_aggregate, "combine sweep directories into tables", _OUT + [
+        _opt("sweeps", nargs="+", help="sweep output directories"),
+    ]),
+    "fit-symbolic": (_cmd_fit_symbolic, "STLSQ fit of a residual surface",
+                     _SEED + _CONFIG + _BRANCH + [
+        _opt("--threshold", type=float, dest="stlsq_threshold", metavar="THRESHOLD",
+             help="STLSQ threshold (default: the config's stlsq_threshold, 0.05)"),
+    ]),
+    "export-surface": (_cmd_export_surface, "CSV + pixmap heat maps",
+                       _SEED + _OUT + _CONFIG + _BRANCH),
+    "verify-grads": (_cmd_verify_grads, "finite-difference gradient check", _SEED + _CONFIG + [
+        _opt("--points", type=int, default=5),
+        _opt("--tolerance", type=float, default=1e-4),
+        _opt("--bptt-tolerance", type=float, default=1e-3),
+    ]),
+    "list-configs": (_cmd_list_configs, "print the experiment registry", []),
+}
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="residual-lab",
+    # No prefix matching: a removed flag must not resolve to a longer one.
+    parser = _Parser(prog="residual-lab", allow_abbrev=False,
                      description="KAN vs MLP residual branches in a "
                                  "hard-constrained recurrent integrator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate and save a dataset")
-    _add_common(p)
-    p.add_argument("--system", choices=[DUFFING, VANDERPOL], required=True)
-    p.add_argument("--n-train", type=int, default=20)
-    p.add_argument("--n-test", type=int, default=5)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="train one seed and save a checkpoint")
-    _add_common(p)
-    _add_config_source(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint or the oracle")
-    _add_common(p)
-    _add_config_source(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--oracle", action="store_true",
-                   help="evaluate the analytical residual instead")
-    p.add_argument("--data", default=None, help="saved dataset path")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="run a multi-seed sweep (resumable)")
-    _add_common(p)
-    _add_config_source(p)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("aggregate", help="combine sweep directories into tables")
-    _add_common(p)
-    p.add_argument("sweeps", nargs="+", help="sweep output directories")
-    p.set_defaults(func=_cmd_aggregate)
-
-    p = sub.add_parser("fit-symbolic", help="STLSQ fit of a residual surface")
-    _add_common(p)
-    _add_config_source(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.set_defaults(func=_cmd_fit_symbolic)
-
-    p = sub.add_parser("export-surface", help="CSV + pixmap heat maps")
-    _add_common(p)
-    _add_config_source(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=_cmd_export_surface)
-
-    p = sub.add_parser("verify-grads", help="finite-difference gradient check")
-    _add_common(p)
-    _add_config_source(p)
-    p.add_argument("--points", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--bptt-tolerance", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_verify_grads)
-
-    p = sub.add_parser("list-configs", help="print the experiment registry")
-    _add_common(p)
-    p.set_defaults(func=_cmd_list_configs)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -332,7 +314,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_Validation, ValueError) as exc:
+    except (_Validation, ValueError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError) as exc:
+        # A path that names no readable file is a bad flag.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

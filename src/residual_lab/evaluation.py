@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DivergenceError, OscillatorSpec
+from .dynamics import DEFAULT_SCALE, DivergenceError, OscillatorSpec
 from .hybridcell import HybridSystem, rollout, step_batch, transitions_of
 from .rng import stream
 from .trainer import CONVERGED, MAX_STEPS, UNSTABLE
@@ -28,8 +28,8 @@ R2_SENTINEL = -10.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    x_range: tuple[float, float] = (-2.5, 2.5)
-    v_range: tuple[float, float] = (-2.5, 2.5)
+    x_range: tuple[float, float] = (-DEFAULT_SCALE, DEFAULT_SCALE)
+    v_range: tuple[float, float] = (-DEFAULT_SCALE, DEFAULT_SCALE)
     nx: int = 100
     nv: int = 100
 
@@ -69,7 +69,7 @@ class SurfaceSample:
 
 
 def sample_surface(branch, spec: OscillatorSpec, grid: GridSpec = GridSpec(),
-                   scale: float = 2.5) -> SurfaceSample:
+                   scale: float = DEFAULT_SCALE) -> SurfaceSample:
     X, V = grid.mesh()
     vals, _ = branch.prepare().eval_batch((X / scale).ravel(), (V / scale).ravel())
     return SurfaceSample(grid, vals.reshape(X.shape), spec.true_residual(X, V))
@@ -330,9 +330,11 @@ def write_metrics(path, rows, fingerprint: str | None = None) -> None:
 
 def read_metrics(path) -> tuple[list[MetricRow], str | None]:
     """Inverse of ``write_metrics``; a row without one field per column, with
-    a seed or number that does not parse, a fit term that is not
-    ``name:coef`` with a finite coef, or a status ``write_metrics`` never
-    writes raises ``ValueError`` naming the file and line."""
+    a seed or number that does not parse, a score no evaluation writes (a
+    non-finite discovery_r2, a NaN or +inf fit_r2, a NaN or negative
+    test_mse), a fit term that is not ``name:coef`` with a finite coef, or
+    a status ``write_metrics`` never writes raises ``ValueError`` naming the
+    file and line."""
     with open(path) as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln]
     fingerprint = None
@@ -347,14 +349,21 @@ def read_metrics(path) -> tuple[list[MetricRow], str | None]:
         try:
             if len(f) != len(METRIC_COLUMNS):
                 raise ValueError(f"expected {len(METRIC_COLUMNS)} fields, got {len(f)}")
+            r2, mse, fit_r2 = float(f[5]), float(f[6]), float(f[7])
+            if not np.isfinite(r2):
+                raise ValueError(f"discovery_r2 {f[5]!r} is not finite")
+            if not mse >= 0:
+                raise ValueError(f"test_mse {f[6]!r} is NaN or negative")
+            if not fit_r2 < np.inf:
+                raise ValueError(f"fit_r2 {f[7]!r} is NaN or +inf")
             for term in f[8].split(";") if f[8] else ():
                 name, _, coef = term.rpartition(":")
                 if not (name and np.isfinite(float(coef))):
                     raise ValueError(f"fit term {term!r} is not name:coef with a finite coef")
             if f[9] not in ROW_STATUSES:
                 raise ValueError(f"unknown status {f[9]!r}")
-            rows.append(MetricRow(f[0], f[1], f[2], f[3], int(f[4]), float(f[5]),
-                                  float(f[6]), float(f[7]), f[8], f[9]))
+            rows.append(MetricRow(f[0], f[1], f[2], f[3], int(f[4]), r2, mse, fit_r2,
+                                  f[8], f[9]))
         except ValueError as exc:
             raise ValueError(f"{path}:{no}: malformed metrics row {ln!r}: {exc}") from None
     return rows, fingerprint

@@ -171,7 +171,7 @@ class ExperimentConfig:
         if not 0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be finite and >= 0")
         if not 0 <= self.stlsq_threshold < math.inf:
-            raise ValueError("stlsq_threshold must be finite and >= 0")
+            raise ValueError("stlsq_threshold must be finite and nonnegative")
         if not self.oracle:
             if not (self.n_train_ics >= 1):
                 raise ValueError("n_train_ics must be >= 1 unless oracle")

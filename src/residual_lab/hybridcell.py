@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import RK4, SCHEMES, DivergenceError, OscillatorSpec, rk_step
+from .dynamics import DEFAULT_SCALE, RK4, SCHEMES, DivergenceError, OscillatorSpec, rk_step
 
 # A state is divergent once any component is non-finite or exceeds this.
 DIVERGE_BOUND = 1.0e6
@@ -89,7 +89,7 @@ class HybridSystem:
     branch: object
     dt: float
     integrator: str = RK4
-    scale: float = 2.5
+    scale: float = DEFAULT_SCALE
 
     def __post_init__(self):
         if self.integrator not in SCHEMES:
@@ -107,7 +107,7 @@ class HybridSystem:
 
 
 def oracle_system(spec: OscillatorSpec, dt: float, integrator: str = RK4,
-                  scale: float = 2.5) -> HybridSystem:
+                  scale: float = DEFAULT_SCALE) -> HybridSystem:
     return HybridSystem(spec, OracleResidual(spec, scale), dt, integrator, scale)
 
 

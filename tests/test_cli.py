@@ -1,10 +1,47 @@
+import argparse
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from residual_lab.cli import main
+from residual_lab.cli import build_parser, main
 from residual_lab.dynamics import load_dataset
-from residual_lab.evaluation import read_metrics
+from residual_lab.evaluation import METRIC_COLUMNS, read_metrics
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The flags each subcommand parses, 54 (subcommand, flag) slots in all.
+FLAGS = {
+    "gen-data": {"--seed", "--out", "--system", "--n-train", "--n-test", "--dt", "--steps",
+                 "--noise"},
+    "train": {"--seed", "--out", "--config", "--config-file", "--system", "--paradigm",
+              "--steps", "--learning-rate"},
+    "eval": {"--seed", "--config", "--config-file", "--system", "--checkpoint", "--oracle",
+             "--data"},
+    "sweep": {"--out", "--config", "--config-file", "--system", "--paradigm", "--steps",
+              "--learning-rate", "--seeds", "--workers"},
+    "aggregate": {"--out"},
+    "fit-symbolic": {"--seed", "--config", "--config-file", "--system", "--checkpoint",
+                     "--oracle", "--threshold"},
+    "export-surface": {"--seed", "--out", "--config", "--config-file", "--system",
+                       "--checkpoint", "--oracle"},
+    "verify-grads": {"--seed", "--config", "--config-file", "--system", "--points",
+                     "--tolerance", "--bptt-tolerance"},
+    "list-configs": set(),
+}
+# The 24 flags that subcommands once parsed and never read, and a value for each.
+REMOVED = [("train", "--seeds"), ("sweep", "--seed"), ("aggregate", "--seed"),
+           ("list-configs", "--seed"), ("list-configs", "--out")]
+REMOVED += [(command, flag) for command in ("eval", "fit-symbolic", "verify-grads")
+            for flag in ("--out", "--paradigm", "--steps", "--learning-rate", "--seeds")]
+REMOVED += [("export-surface", flag)
+            for flag in ("--paradigm", "--steps", "--learning-rate", "--seeds")]
+VALUES = {"--seed": "3", "--seeds": "3", "--out": "x", "--paradigm": "bptt", "--steps": "3",
+          "--learning-rate": "0.1"}
+# A tiny oracle cell, so that a run which wrongly gets past parsing ends fast.
+TINY = "config = A\noracle = true\nsteps = 1\nn_train_ics = 1\nn_test_ics = 1\ndata_steps = 20\n"
 
 
 def run(capsys, *argv):
@@ -32,6 +69,70 @@ class TestParsing:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys, )
         assert code == 1
+
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return parser, action.choices
+
+    def test_each_subcommand_parses_exactly_its_flags(self):
+        _, commands = self._subparsers()
+        flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, p in commands.items()}
+        assert flags == FLAGS
+        assert sum(map(len, flags.values())) == 54
+
+    def test_no_prefix_matching(self):
+        parser, commands = self._subparsers()
+        assert not parser.allow_abbrev
+        assert not any(p.allow_abbrev for p in commands.values())
+
+    @pytest.mark.parametrize("command,flag", REMOVED)
+    def test_removed_flag_is_validation_error(self, capsys, tmp_path, monkeypatch, command,
+                                              flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.cfg").write_text(TINY)
+        extra = {"aggregate": [str(tmp_path)], "list-configs": []}.get(
+            command, ["--config-file", "tiny.cfg"])
+        code, out, err = run(capsys, command, *extra, flag, VALUES[flag])
+        assert code == 1 and out == ""
+        assert "usage" in err and f"unrecognized arguments: {flag} " in err
+        assert sorted(os.listdir(tmp_path)) == ["tiny.cfg"]
+
+    @pytest.mark.parametrize("argv", [("sweep", "--seed", "3"),
+                                      ("eval", "--oracle", "--check", "x.ckpt"),
+                                      ("train", "--learn", "0.1")],
+                             ids=["sweep-seed", "eval-check", "train-learn"])
+    def test_prefix_is_no_alias(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.cfg").write_text(TINY)
+        code, out, err = run(capsys, *argv, "--config-file", "tiny.cfg")
+        assert code == 1 and out == ""
+        assert "usage" in err and f"unrecognized arguments: {argv[-2]} " in err
+        assert sorted(os.listdir(tmp_path)) == ["tiny.cfg"]
+
+
+class TestReadme:
+    """The README's commands and flag table stay true to the parser."""
+
+    @staticmethod
+    def _commands():
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        return [shlex.split(line, comments=True) for line in lines
+                if line.startswith("residual-lab ")]
+
+    def test_every_command_parses(self):
+        commands = self._commands()
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
+
+    def test_flag_table_matches_parser(self):
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(), re.M)
+        assert {name: set(re.findall(r"`(--[a-z-]+)`", flags)) for name, flags in rows} == FLAGS
 
 
 class TestListConfigs:
@@ -149,7 +250,7 @@ class TestTrainEval:
         assert os.path.exists(ckpt.replace(".ckpt", ".report.json"))
 
         code, out, _ = run(capsys, "eval", "--checkpoint", ckpt,
-                           "--system", "duffing", "--out", str(tmp_path),
+                           "--system", "duffing",
                            "--config-file", self._write_cfg(tmp_path))
         assert code == 0
         assert "discovery_r2=" in out and "rollout_mse=" in out
@@ -165,17 +266,16 @@ class TestTrainEval:
 
     def test_eval_oracle(self, capsys, tmp_path):
         code, out, _ = run(capsys, "eval", "--oracle", "--system", "vanderpol",
-                           "--out", str(tmp_path),
                            "--config-file", self._write_cfg(tmp_path))
         assert code == 0
         value = float(out.split("discovery_r2=")[1].split()[0])
         assert value == 1.0
 
-    def test_missing_config_file_is_runtime_failure(self, capsys, tmp_path):
+    def test_missing_config_file_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--config-file",
                            str(tmp_path / "absent.txt"), "--out", str(tmp_path))
-        assert code == 2
-        assert "runtime failure" in err
+        assert code == 1
+        assert "error" in err and str(tmp_path / "absent.txt") in err
 
     def test_malformed_config_file_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -259,6 +359,34 @@ class TestSweepAggregate:
         assert code == 1
         assert f"{metrics}:3: malformed metrics row" in err
 
+    @pytest.mark.parametrize("field,text,code", [
+        ("discovery_r2", "nan", 1), ("discovery_r2", "inf", 1), ("discovery_r2", "-inf", 1),
+        ("test_mse", "nan", 1), ("test_mse", "-1", 1), ("test_mse", "inf", 0),
+        ("fit_r2", "nan", 1), ("fit_r2", "inf", 1),
+    ])
+    def test_resume_on_non_finite_score(self, capsys, tmp_path, field, text, code):
+        """Rows carry only the scores an evaluation writes: a finite
+        discovery_r2, a fit_r2 that is not NaN or +inf, and a test_mse that is
+        not NaN or negative (+inf is a diverged held-out step)."""
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("config = A\noracle = true\nn_train_ics = 2\n"
+                       "n_test_ics = 1\ndata_steps = 50\n")
+        argv = ["sweep", "--config-file", str(cfg), "--seeds", "1", "--out", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        directory = next(p for p in tmp_path.iterdir() if p.is_dir())
+        metrics = directory / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[METRIC_COLUMNS.index(field)] = text
+        metrics.write_text("\n".join(lines[:2] + [",".join(fields)]) + "\n")
+        argv[4] = "2"
+        result, _, err = run(capsys, *argv)
+        assert result == code
+        if code:
+            assert f"{metrics}:3: malformed metrics row" in err and field in err
+        else:
+            assert "NaN" not in (directory / "summary.json").read_text()
+
     def test_aggregate_from_sweep_dirs(self, capsys, tmp_path):
         cfg = tmp_path / "exp.txt"
         cfg.write_text("config = A\noracle = true\nn_train_ics = 2\n"
@@ -274,31 +402,69 @@ class TestSweepAggregate:
         assert os.path.exists(tmp_path / "report.csv")
         assert os.path.exists(tmp_path / "report.txt")
 
+    @pytest.mark.parametrize("argv,path", [
+        (("eval", "--system", "duffing", "--checkpoint", "{missing}"), "missing"),
+        (("eval", "--oracle", "--system", "duffing", "--data", "{missing}"), "missing"),
+        (("sweep", "--config-file", "{missing}", "--out", "{out}"), "missing"),
+        (("sweep", "--config-file", "{empty}", "--out", "{out}"), "empty"),
+        (("aggregate", "{empty}", "--out", "{out}"), "empty"),
+        (("aggregate", "{plain}", "--out", "{out}"), "plain"),
+    ], ids=["eval-checkpoint", "eval-data", "sweep-config-file", "config-file-directory",
+            "aggregate-no-config", "aggregate-file"])
+    def test_path_that_names_no_file_is_validation_error(self, capsys, tmp_path, argv, path):
+        """A missing file, a directory where a file belongs and a file where
+        a directory belongs are bad flags; the message names the path."""
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "plain").write_text("")
+        paths = {name: str(tmp_path / name) for name in ("missing", "empty", "plain", "out")}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and out == ""
+        assert paths[path] in err
+        assert not (tmp_path / "out").exists()
+
     def test_aggregate_missing_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, "aggregate", str(tmp_path / "nowhere"),
                            "--out", str(tmp_path / "r"))
-        assert code == 2
+        assert code == 1
+        assert str(tmp_path / "nowhere") in err
 
 
 class TestFitSymbolic:
     def test_oracle_duffing_recovers_cubic(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "fit-symbolic", "--oracle",
-                           "--system", "duffing", "--out", str(tmp_path))
+        code, out, _ = run(capsys, "fit-symbolic", "--oracle", "--system", "duffing")
         assert code == 0
         assert "x^3 -0.3" in out
         assert "fit_r2=1" in out
 
     def test_oracle_vanderpol_terms(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "fit-symbolic", "--oracle",
-                           "--system", "vanderpol", "--out", str(tmp_path))
+        code, out, _ = run(capsys, "fit-symbolic", "--oracle", "--system", "vanderpol")
         assert code == 0
         assert "v +1" in out
         assert "x^2*v -1" in out
 
+    def test_threshold_comes_from_the_config(self, capsys, tmp_path):
+        """fit-symbolic fits at the config's stlsq_threshold, as the sweep of
+        the same file does, and --threshold overrides it."""
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("system = duffing\noracle = true\nstlsq_threshold = 0.5\n"
+                       "n_train_ics = 2\nn_test_ics = 1\ndata_steps = 50\n")
+        code, out, _ = run(capsys, "fit-symbolic", "--oracle", "--config-file", str(cfg))
+        assert code == 0
+        assert [line.split("=")[0] for line in out.splitlines()] == ["fit_r2"]
+        code, out, _ = run(capsys, "sweep", "--config-file", str(cfg), "--seeds", "1",
+                           "--out", str(tmp_path))
+        assert code == 0
+        rows, _ = read_metrics(os.path.join(out.split(":")[0], "metrics.csv"))
+        assert rows[0].fit_terms == ""
+        code, out, _ = run(capsys, "fit-symbolic", "--oracle", "--config-file", str(cfg),
+                           "--threshold", "0.05")
+        assert code == 0
+        assert "x^3 -0.3" in out
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_bad_threshold_is_validation_error(self, capsys, tmp_path, threshold):
         code, out, err = run(capsys, "fit-symbolic", "--oracle", "--system", "duffing",
-                             "--threshold", threshold, "--out", str(tmp_path))
+                             "--threshold", threshold)
         assert code == 1
         assert out == ""
         assert "threshold must be finite and nonnegative" in err
@@ -323,7 +489,7 @@ class TestCheckpointInput:
         assert len(lines) == 121
         path.write_text("\n".join(edit(lines)) + "\n")
         code, out, err = run(capsys, "fit-symbolic", "--checkpoint", str(path),
-                             "--system", "duffing", "--out", str(tmp_path))
+                             "--system", "duffing")
         assert code == 1 and out == ""
         assert f"{path}:{line}:" in err
 
@@ -363,16 +529,14 @@ class TestExportSurface:
 class TestVerifyGrads:
     def test_kan_passes(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify-grads", "--config", "A",
-                           "--system", "duffing", "--points", "3",
-                           "--out", str(tmp_path))
+                           "--system", "duffing", "--points", "3")
         assert code == 0
         assert "OK" in out
 
     def test_impossible_tolerance_fails_with_runtime_code(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify-grads", "--config", "A",
                            "--system", "duffing", "--points", "3",
-                           "--tolerance", "1e-18", "--bptt-tolerance", "1e-18",
-                           "--out", str(tmp_path))
+                           "--tolerance", "1e-18", "--bptt-tolerance", "1e-18")
         assert code == 2
         assert "FAILED at parameter index" in out
 
@@ -381,7 +545,6 @@ class TestVerifyGrads:
                                             ("--bptt-tolerance", "inf")])
     def test_bad_tolerance_is_validation_error(self, capsys, tmp_path, flag, value):
         code, out, err = run(capsys, "verify-grads", "--config", "A",
-                             "--system", "duffing", "--points", "3", flag, value,
-                             "--out", str(tmp_path))
+                             "--system", "duffing", "--points", "3", flag, value)
         assert code == 1 and out == ""
         assert "tolerances must be finite and positive" in err
