@@ -15,8 +15,8 @@ block sweeps keep their 18 seeds whatever ``--seeds`` says, since their
 point is the boundary between a block of 16 seeds and the next block of 2.
 The MLP one runs once, again with per-seed datasets, again with two workers,
 and once more resumed from a metrics file cut down to a scattered set of its
-seeds; the KAN one runs once, so that stacked KAN gather tables and caches
-cross that boundary too.
+seeds; the KAN one runs once, so that stacked KAN weight matrices and
+caches cross that boundary too.
 """
 
 import argparse

@@ -75,7 +75,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _branch_for(args, cfg: ExperimentConfig, spec, scale: float):
-    if args.oracle:
+    """The oracle if the run's config asks for it (``--oracle`` sets the
+    config's field), else the checkpoint, else a fresh branch of the config."""
+    if cfg.oracle:
         return OracleResidual(spec, scale)
     if args.checkpoint:
         branch, _ = load_branch(args.checkpoint)
@@ -177,7 +179,7 @@ def _cmd_fit_symbolic(args) -> int:
 
 def _cmd_export_surface(args) -> int:
     cfg, surface = _surface(args)
-    root = output_root(args.out)
+    root = output_root(cfg.out)
     os.makedirs(root, exist_ok=True)
     prefix = os.path.join(root, f"{cfg.system}-surface")
     for path in export_surface(surface, prefix):

@@ -17,22 +17,22 @@ Flat parameter layout, in layer order:
   n_out), then spline scales (n_in, n_out).
 * MLP layer: weights (n_in, n_out) C-order, then biases (n_out,).
 
-KAN layers use the local support of the spline basis: at each input only
-K = order + 1 of the M basis functions are nonzero, and
-``splines.basis_and_derivative`` returns just those (B, dB) plus the first
-nonzero column.  The forward pass gathers, per point and input, the K
-coefficients of every outgoing edge on that interval and contracts them
-over K, not M, with B for the values and, in a loss, with dB for their input
-slopes.  Only the coefficient gradient touches all M columns: the K weights
-are scattered into a dense (N, n_in, M) buffer (``splines.scatter_to_dense``)
-that one GEMM sums over the batch.
+A KAN layer is one GEMM over its spline basis, the basis-expansion form of
+Liu et al.'s KAN (2024).  ``splines.basis_and_derivative`` returns the K =
+order + 1 nonzero basis functions of each input and the first nonzero
+column, and ``splines.scatter_to_dense`` places them in a dense (N, n_in, M)
+basis.  With the spline scale folded into the coefficients, W[i M + m, o] =
+spline_scale[i, o] coef[i, o, m], a layer's values are ``silu(U) @ base_scale
++ dense @ W``; in a loss the dense basis derivative times W, one GEMM per
+input, gives the edge splines' input slopes.  Backward sums the coefficient
+gradient from the cached dense basis, one GEMM per seed, and takes the spline
+scale's gradient from it: the edge spline is sum_m coef_m B_m.
 
 The cell does not call a ``ResidualBranch`` directly.  Each loss, rollout
 or surface call first turns it into a ``PreparedBranch`` with
 ``branch.prepare(grads)``, which does the per-parameter work once for every
 RK4 stage of that call: it holds the per-layer views of ``params``, for a
-KAN each layer's gather table (one (n_in G, K n_out) row per input and knot
-interval) with the per-input row offsets, and, for a loss, the per-layer
+KAN each layer's scaled weight matrix W, and, for a loss, the per-layer
 views of the caller's gradient buffer ``grads``.  The plan is built fresh per
 call and never cached on the branch, because training writes ``params`` in
 place between calls.
@@ -40,9 +40,9 @@ place between calls.
 A branch's ``params`` may also be an (S, P) block: S seeds of one
 architecture, evaluated together.  Every layer view then keeps a leading S
 axis, the inputs are (S, N), and each contraction is a stack of per-seed
-ones (stacked ``matmul``, ``einsum`` over a seed axis), so seed s gets the same
-float operations as in a block of its own.  A (P,) vector is the one-seed
-case with no seed axis at all.
+ones (stacked ``matmul``, ``einsum`` over the leading axes), so seed s gets
+the same float operations as in a block of its own.  A (P,) vector is the
+one-seed case with no seed axis at all.
 
 ``forward_batch(x, xn, vn)`` takes a prepared branch and returns the values
 and one cache dict per layer, which ``backward_batch(x, cache, upstream,
@@ -50,14 +50,15 @@ grads)`` consumes without re-evaluating anything.  Backward adds the
 parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
 returns that buffer with the input adjoints, so the stages of one loss
 accumulate into one array with no per-call zero buffer.  A forward-only plan
-(``grads=None``) cannot run backward, so its cache is ``[]``.  A KAN layer
-caches backward's operands and nothing else, so forward also computes the
-two input slopes: ``silu``/``dsilu`` (N, n_in) base term and its u-slope,
-``B`` (N, n_in, K) local basis values, ``first`` (N, n_in) first nonzero
-column, ``spl``/``dspl`` (N, n_in, n_out) edge spline values and their
-u-slopes, ``mask`` (N, n_in) inputs inside the domain.  MLP layer cache: the
-layer input ``U`` (N, n_in); backward reads a hidden layer's ReLU mask off
-the next layer's input.  With a seed axis, every cache array has a leading S.
+(``grads=None``) cannot run backward, so its cache is ``[]``, and it runs at
+most ``FORWARD_ROWS`` rows per pass, so a large surface grid never holds its
+whole dense basis.  A KAN layer caches backward's operands and nothing else,
+so forward also computes the two input slopes: ``dense`` (N, n_in, M) dense
+basis, ``dspl`` (N, n_in, n_out) scaled edge spline u-slopes, ``silu``/
+``dsilu`` (N, n_in) base term and its u-slope, ``mask`` (N, n_in) inputs
+inside the domain.  MLP layer cache: the layer input ``U`` (N, n_in);
+backward reads a hidden layer's ReLU mask off the next layer's input.  With
+a seed axis, every cache array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -78,6 +79,8 @@ MLP = "mlp"
 _FLOAT_FMT = "%.17g"
 # First field of a checkpoint header; load_branch rejects any other.
 CHECKPOINT_VERSION = "v2"
+# Rows per pass of a forward-only call: bounds the dense basis it holds.
+FORWARD_ROWS = 2048
 
 
 def _check_widths(widths):
@@ -174,41 +177,24 @@ class ResidualBranch:
 class PreparedBranch:
     """Per-parameter work of one call, done once for all its RK4 stages.
 
-    Holds the per-layer views of ``params``, for a KAN each layer's gather
-    table and per-input row offsets, and, given a gradient buffer, the
-    per-layer views of that buffer.  For an (S, P) block the views keep the
-    leading S axis, and the S seeds' tables are stacked into one, so seed s
-    gathers its rows at an offset of s n_in G.  The table copies the
-    coefficients, so a plan goes stale once ``params`` is written: build a
-    fresh one per call.  Its four methods are the branch interface of
-    ``hybridcell``.
+    Holds the per-layer views of ``params``, for a KAN each layer's scaled
+    weight matrix W (n_in M, n_out), and, given a gradient buffer, the
+    per-layer views of that buffer.  For an (S, P) block the views and W keep
+    the leading S axis.  W copies the coefficients, so a plan goes stale once
+    ``params`` is written: build a fresh one per call.  Its four methods are
+    the branch interface of ``hybridcell``.
     """
 
     def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None):
         self.arch, self.params, self.grads = branch.arch, branch.params, grads
-        lead = self.params.shape[:-1]
         if isinstance(self.arch, KanArch):
-            # einsum subscripts, with the seed axis s for a block.  An empty
-            # "..." would serve both, but it is slower on one seed's arrays.
-            s = "s" * len(lead)
-            self.spline_sum = f"{s}nic,{s}nico->{s}nio"
-            self.out_sum = f"{s}nio,{s}io->{s}no"
-            self.scale_grad_sum = f"{s}nio,{s}no->{s}io"
-            self.input_grad_sum = f"{s}nio,{s}nio->{s}ni"
-            G, K = self.arch.spline.grid_size, self.arch.spline.order + 1
-            # Basis columns that are nonzero on each knot interval.
-            windows = np.arange(G)[:, None] + np.arange(K)
             self.layers = []
             for coef, base, scale in _kan_layers(self.arch, self.params):
-                n_in, n_out = base.shape[-2:]
-                # One table row per (seed, input, interval) holds the K
-                # coefficients of that interval for every out unit; a point
-                # gathers row first + G (s n_in + i) for input i of seed s, so
-                # local[.., n, i, c, o] = coef[.., i, o, first[.., n, i] + c].
-                table = np.moveaxis(coef[..., windows], -3, -1).reshape(-1, K * n_out)
-                rows = lead + (1,) * len(lead) + (n_in,)  # broadcast over each seed's points
-                offsets = G * np.arange(table.shape[0] // G).reshape(rows)
-                self.layers.append((coef, base, scale, table, offsets))
+                n_in, n_out, M = coef.shape[-3:]
+                # One GEMM row per (input, basis column), spline scale folded
+                # in: W[.., i M + m, o] = scale[.., i, o] coef[.., i, o, m].
+                W = (scale[..., None] * coef).swapaxes(-1, -2)
+                self.layers.append((coef, base, scale, W.reshape(W.shape[:-3] + (n_in * M, n_out))))
             views = _kan_layers
         else:
             # Biases broadcast over the rows of each seed.
@@ -277,37 +263,50 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
 
     Returns (values, cache), values shaped like ``xn``; the cache holds
     everything ``backward_batch`` needs, so gradients never re-evaluate the
-    network.  A plan without a gradient buffer gets ``[]``.
+    network.  A plan without a gradient buffer gets ``[]`` and runs at most
+    ``FORWARD_ROWS`` rows per pass.
     """
     U = np.empty(np.asarray(xn).shape + (2,))
     U[..., 0] = xn
     U[..., 1] = vn
-    layers = []
-    keep = x.glayers is not None
+    if x.glayers is not None:
+        cache = []
+        return _forward_rows(x, U, cache), cache
+    values = np.empty(U.shape[:-1])
+    for a in range(0, values.shape[-1], FORWARD_ROWS):
+        values[..., a : a + FORWARD_ROWS] = _forward_rows(x, U[..., a : a + FORWARD_ROWS, :], None)
+    return values, []
+
+
+def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.ndarray:
+    """The branch's values on the (.., N, 2) inputs ``U``; appends each
+    layer's backward operands to ``cache`` unless it is None."""
     if isinstance(x.arch, KanArch):
         spec = x.arch.spline
         lo, hi = spec.domain
-        K = spec.order + 1
-        for _, base, scale, table, offsets in x.layers:
-            Uc = np.minimum(np.maximum(U, lo), hi)
-            B, dB, first = basis_and_derivative(spec, Uc)
-            local = np.take(table, first + offsets, axis=0).reshape(first.shape + (K, -1))
+        M = spec.n_basis
+        for _, base, _, W in x.layers:
+            B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
+            dense = scatter_to_dense(B, first, M)
             sig, silu = _silu(U)
-            spl = np.einsum(x.spline_sum, B, local)
-            Y = silu @ base + np.einsum(x.out_sum, spl, scale)
-            if keep:
-                dsilu, dspl = sig * (1.0 + U * (1.0 - sig)), np.einsum(x.spline_sum, dB, local)
-                layers.append({"silu": silu, "dsilu": dsilu, "B": B, "first": first, "spl": spl,
-                               "dspl": dspl, "mask": (U >= lo) & (U <= hi)})
+            Y = silu @ base + dense.reshape(U.shape[:-1] + (-1,)) @ W
+            if cache is not None:
+                # The scaled edge splines' u-slopes, one GEMM per input.
+                n_in, n_out = base.shape[-2:]
+                dspl = (scatter_to_dense(dB, first, M).swapaxes(-2, -3)
+                        @ W.reshape(W.shape[:-2] + (n_in, M, n_out))).swapaxes(-2, -3)
+                cache.append({"dense": dense, "dspl": dspl, "silu": silu,
+                              "dsilu": sig * (1.0 + U * (1.0 - sig)),
+                              "mask": (U >= lo) & (U <= hi)})
             U = Y
     else:
         last = len(x.layers) - 1
         for li, (W, b) in enumerate(x.layers):
-            if keep:
-                layers.append({"U": U})
+            if cache is not None:
+                cache.append({"U": U})
             Z = U @ W + b
             U = np.maximum(Z, 0.0) if li < last else Z
-    return U[..., 0], layers
+    return U[..., 0]
 
 
 def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.ndarray):
@@ -321,21 +320,19 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
     Wy = upstream[..., None]
     if isinstance(x.arch, KanArch):
         for li in range(len(x.layers) - 1, -1, -1):
-            coef, base, scale, _, _ = x.layers[li]
+            coef, base, scale, _ = x.layers[li]
             gcoef, gbase, gscale = x.glayers[li]
             c = cache[li]
+            n_in, n_out, M = coef.shape[-3:]
             gbase += c["silu"].swapaxes(-1, -2) @ Wy
-            gscale += np.einsum(x.scale_grad_sum, c["spl"], Wy)
-            # Scatter the local weights into all M columns, then one GEMM
-            # per seed sums them over the batch.
-            n_in, _, M = coef.shape[-3:]
-            dense = scatter_to_dense(c["B"], c["first"], M)
-            gsum = dense.reshape(Wy.shape[:-1] + (n_in * M,)).swapaxes(-1, -2) @ Wy
-            gsum = gsum.reshape(gsum.shape[:-2] + (n_in, M, -1)).swapaxes(-1, -2)
+            # gsum[.., i, o, m] = sum_n dense[.., n, i, m] Wy[.., n, o], one
+            # GEMM per seed; the edge spline is sum_m coef_m B_m, scaled.
+            gsum = c["dense"].reshape(Wy.shape[:-1] + (n_in * M,)).swapaxes(-1, -2) @ Wy
+            gsum = gsum.reshape(gsum.shape[:-2] + (n_in, M, n_out)).swapaxes(-1, -2)
             gcoef += scale[..., None] * gsum
+            gscale += (coef * gsum).sum(-1)
             Wy = c["dsilu"] * (Wy @ base.swapaxes(-1, -2)) + c["mask"] * np.einsum(
-                x.input_grad_sum, c["dspl"], Wy[..., None, :] * scale[..., None, :, :]
-            )
+                "...nio,...no->...ni", c["dspl"], Wy)
     else:
         last = len(x.layers) - 1
         for li in range(last, -1, -1):

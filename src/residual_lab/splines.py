@@ -15,7 +15,9 @@ the index of the first nonzero column.  It finds the knot interval among the
 inside it, and multiplies the powers of ``t`` and ``1 - t`` by one small
 matrix, built once per order from the Cox-de Boor recursion in the local
 coordinate and cached, that gives the values and the derivatives.
-``dense_basis`` scatters them into all ``grid_size + order`` columns.
+``scatter_to_dense`` places them in all ``grid_size + order`` columns, the
+dense basis a KAN layer multiplies with its coefficients in one GEMM, and
+``dense_basis`` returns the basis and its derivative in that form.
 
 The right domain endpoint belongs to the last interior interval (closed on
 the right), so evaluation at the boundary is exact and derivatives there are
@@ -151,11 +153,18 @@ def basis_and_derivative(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, n
 
 def scatter_to_dense(local: np.ndarray, first: np.ndarray, n_basis: int) -> np.ndarray:
     """Place local columns ``local[..., c]`` at column ``first + c`` of a
-    zero array of shape ``first.shape + (n_basis,)``."""
+    zero array of shape ``first.shape + (n_basis,)``.
+
+    Each row's ``K`` local columns are one length-``K`` window of the flat
+    output, starting at ``row * n_basis + first``, so one assignment through
+    a view of all overlapping windows writes every row; ``K`` spare zeros at
+    the end keep the last windows inside the buffer."""
     K = local.shape[-1]
-    out = np.zeros((first.size, n_basis))
-    out[np.arange(first.size)[:, None], first.reshape(-1, 1) + np.arange(K)] = local.reshape(-1, K)
-    return out.reshape(first.shape + (n_basis,))
+    size = first.size * n_basis
+    flat = np.zeros(size + K)
+    windows = np.ndarray((size, K), buffer=flat, strides=(flat.itemsize, flat.itemsize))
+    windows[np.arange(0, size, n_basis) + first.ravel()] = local.reshape(-1, K)
+    return flat[:size].reshape(first.shape + (n_basis,))
 
 
 def dense_basis(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,8 +37,8 @@ BPTT = "bptt"
 
 # Seeds evaluated in lockstep by one block, in a sweep or a gradient check.
 # Memory bounds the block, not speed (config A BPTT still costs less per seed
-# at 64): a BPTT loss keeps every step's and RK4 stage's KAN cache, 534 bytes
-# per row and stage for config A and 2434 for kan-deep.
+# at 64): a BPTT loss keeps every step's and RK4 stage's KAN cache, 582 bytes
+# per row and stage for config A, 1302 for G and 2162 for kan-deep.
 BLOCK_SEEDS = 16
 
 CONVERGED = "Converged"

@@ -9,6 +9,7 @@ import pytest
 from residual_lab.cli import build_parser, main
 from residual_lab.dynamics import load_dataset
 from residual_lab.evaluation import METRIC_COLUMNS, read_metrics
+from residual_lab.netcore import KanArch, new_branch, save_branch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -271,6 +272,21 @@ class TestTrainEval:
         value = float(out.split("discovery_r2=")[1].split()[0])
         assert value == 1.0
 
+    @pytest.mark.parametrize("command,want", [("eval", "discovery_r2=1 "),
+                                              ("fit-symbolic", "fit_r2=1 ")])
+    def test_oracle_from_the_config_file(self, capsys, tmp_path, command, want):
+        # The file's oracle = true picks the oracle without --oracle, as the
+        # sweep of the same file does, and wins over a checkpoint.
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("system = duffing\noracle = true\nn_train_ics = 1\n"
+                       "n_test_ics = 1\ndata_steps = 50\n")
+        code, out, _ = run(capsys, command, "--config-file", str(cfg))
+        assert code == 0 and want in out
+        ckpt = tmp_path / "A.ckpt"
+        save_branch(new_branch(KanArch((2, 4, 1)), 0), ckpt)
+        code, out, _ = run(capsys, command, "--config-file", str(cfg), "--checkpoint", str(ckpt))
+        assert code == 0 and want in out
+
     def test_missing_config_file_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--config-file",
                            str(tmp_path / "absent.txt"), "--out", str(tmp_path))
@@ -481,8 +497,6 @@ class TestCheckpointInput:
         (lambda lines: ["v2,kan,2x4x1,5,3,0,1,-1,1,s"] + lines[1:], 1),
     ], ids=["nan", "text", "short", "long", "header-seed"])
     def test_bad_checkpoint_is_named(self, capsys, tmp_path, edit, line):
-        from residual_lab.netcore import KanArch, new_branch, save_branch
-
         path = tmp_path / "A.ckpt"
         save_branch(new_branch(KanArch((2, 4, 1)), 0), path)
         lines = path.read_text().splitlines()
@@ -524,6 +538,19 @@ class TestExportSurface:
             assert os.path.exists(p)
         assert paths[0].endswith(".csv")
         assert paths[3].endswith(".scale.txt")
+
+    def test_out_from_the_config_file_or_the_flag(self, capsys, tmp_path, monkeypatch):
+        # The files go under the config file's out, which --out overrides.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cell.cfg").write_text("system = duffing\noracle = true\nout = fromfile\n")
+        code, out, _ = run(capsys, "export-surface", "--config-file", "cell.cfg")
+        assert code == 0
+        assert [os.path.dirname(p) for p in out.split()] == ["fromfile"] * 4
+        code, out, _ = run(capsys, "export-surface", "--config-file", "cell.cfg",
+                           "--out", "fromflag")
+        assert code == 0
+        assert [os.path.dirname(p) for p in out.split()] == ["fromflag"] * 4
+        assert sorted(os.listdir(tmp_path)) == ["cell.cfg", "fromfile", "fromflag"]
 
 
 class TestVerifyGrads:

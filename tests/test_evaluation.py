@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ class TestSampleSurface:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SurfaceSample(SMALL_GRID, np.zeros((20, 19)), np.zeros((20, 20)))
+
+    def test_peak_memory_below_one_whole_dense_basis(self):
+        # The forward-only pass runs FORWARD_ROWS rows at a time, so the 10^4
+        # nodes of the default grid never hold config G's whole dense basis:
+        # 10^4 rows x 4 inputs x 23 columns x 8 bytes in its second layer.
+        arch, _ = resolve_arch(ExperimentConfig(config="G"))
+        branch = new_branch(arch, seed=0)
+        grid = GridSpec()
+        whole = grid.nx * grid.nv * arch.widths[1] * arch.spline.n_basis * 8
+        assert whole > 7.3e6
+        sample_surface(branch, duffing(), grid)
+        tracemalloc.start()
+        try:
+            sample_surface(branch, duffing(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole
 
 
 class TestDiscoveryR2:

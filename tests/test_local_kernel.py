@@ -1,18 +1,27 @@
-"""The local-support spline kernel against a dense Cox-de Boor reference.
+"""The spline kernel against two references.
 
 ``splines.basis_and_derivative`` returns only the order+1 nonzero basis
-weights per point, and the KAN layers contract over just those.  The dense
-reference below is the full-width recursion over all knot intervals and
-the full-width contractions over all grid_size + order coefficients, kept
-here so the local kernel has something independent to agree with.
+weights per point; ``splines.scatter_to_dense`` places them in all
+grid_size + order columns, and a KAN layer is one GEMM of that dense basis
+with its scaled coefficients.  The references below are
+
+* the full-width Cox-de Boor recursion over all knot intervals with
+  full-width einsum contractions, independent of the local basis;
+* the gather kernel the GEMM replaced: per point and input it gathers the
+  order+1 coefficients of its knot interval from a table and contracts over
+  them, and its scatter is a 2-D fancy index.  It sums in another order, so
+  the two agree to rounding, not to the bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from residual_lab.harness import ExperimentConfig, resolve_arch
 from residual_lab.netcore import (
+    FORWARD_ROWS,
     KanArch,
     ResidualBranch,
     _kan_layers,
@@ -22,7 +31,13 @@ from residual_lab.netcore import (
     param_count,
 )
 from residual_lab.rng import stream
-from residual_lab.splines import SplineSpec, basis_and_derivative, dense_basis, knot_vector
+from residual_lab.splines import (
+    SplineSpec,
+    basis_and_derivative,
+    dense_basis,
+    knot_vector,
+    scatter_to_dense,
+)
 
 DOMAINS = [(-1.0, 1.0), (-2.0, 2.0), (0.0, 1.0), (-0.5, 3.0), (-7.5, -2.5), (10.0, 12.0)]
 
@@ -161,3 +176,109 @@ class TestKanContraction:
         assert np.abs(grads - ref_grads).max() <= 1e-12 * max(1.0, np.abs(ref_grads).max())
         for got, want in ((dx, ref_dx), (dv, ref_dv)):
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def fancy_scatter(local, first, n_basis):
+    """The 2-D fancy-index scatter that ``scatter_to_dense`` replaced."""
+    K = local.shape[-1]
+    out = np.zeros((first.size, n_basis))
+    out[np.arange(first.size)[:, None], first.reshape(-1, 1) + np.arange(K)] = local.reshape(-1, K)
+    return out.reshape(first.shape + (n_basis,))
+
+
+def gather_forward(branch, xn, vn):
+    """The gather kernel's forward for one seed's (P,) vector; returns
+    (values, per-layer cache)."""
+    spec = branch.arch.spline
+    lo, hi = spec.domain
+    G, K = spec.grid_size, spec.order + 1
+    windows = np.arange(G)[:, None] + np.arange(K)
+    U = np.stack([xn, vn], axis=-1)
+    layers = []
+    for coef, base, scale in _kan_layers(branch.arch, branch.params):
+        n_in, n_out = base.shape
+        # Row first + G i holds the K coefficients of input i's interval for
+        # every out unit: local[n, i, c, o] = coef[i, o, first[n, i] + c].
+        table = np.moveaxis(coef[..., windows], -3, -1).reshape(-1, K * n_out)
+        B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
+        local = np.take(table, first + G * np.arange(n_in), axis=0).reshape(first.shape + (K, -1))
+        sig, silu = _silu(U)
+        spl = np.einsum("nic,nico->nio", B, local)
+        layers.append({"silu": silu, "dsilu": sig * (1.0 + U * (1.0 - sig)), "B": B,
+                       "first": first, "spl": spl, "dspl": np.einsum("nic,nico->nio", dB, local),
+                       "mask": (U >= lo) & (U <= hi)})
+        U = silu @ base + np.einsum("nio,io->no", spl, scale)
+    return U[..., 0], layers
+
+
+def gather_backward(branch, layers, upstream):
+    """The gather kernel's reverse sweep: (flat param gradient, (d/dxn, d/dvn))."""
+    Wy = upstream[..., None]
+    grads = np.zeros_like(branch.params)
+    views = _kan_layers(branch.arch, branch.params)
+    gviews = _kan_layers(branch.arch, grads)
+    for li in range(len(views) - 1, -1, -1):
+        (coef, base, scale), (gcoef, gbase, gscale), c = views[li], gviews[li], layers[li]
+        n_in, _, M = coef.shape
+        gbase += c["silu"].T @ Wy
+        gscale += np.einsum("nio,no->io", c["spl"], Wy)
+        gsum = fancy_scatter(c["B"], c["first"], M).reshape(len(Wy), n_in * M).T @ Wy
+        gcoef += scale[..., None] * gsum.reshape(n_in, M, -1).transpose(0, 2, 1)
+        Wy = c["dsilu"] * (Wy @ base.T) + c["mask"] * np.einsum(
+            "nio,nio->ni", c["dspl"], Wy[:, None, :] * scale)
+    return grads, (Wy[:, 0], Wy[:, 1])
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+class TestGatherKernel:
+    @pytest.mark.parametrize("n", [1, 5, 256, FORWARD_ROWS + 1])
+    @pytest.mark.parametrize("seeds", [1, 16])
+    @pytest.mark.parametrize("config", ["A", "G", "kan-deep"])
+    def test_gemm_matches_gather_kernel(self, config, seeds, n):
+        # seeds = 1 is a (P,) vector, 16 an (S, P) block compared seed by
+        # seed; FORWARD_ROWS + 1 rows take two passes of a forward-only call.
+        arch, _ = resolve_arch(ExperimentConfig(config=config))
+        lead = () if seeds == 1 else (seeds,)
+        params = stream(n, "gather-kernel").normal(0.0, 0.3, lead + (param_count(arch),))
+        rng = stream(n, "gather-kernel-inputs")
+        # Inputs reach past the domain, so clamping and the mask are covered.
+        xn, vn = rng.uniform(-1.3, 1.3, (2,) + lead + (n,))
+        upstream = rng.normal(size=lead + (n,))
+
+        branch = ResidualBranch(arch, params)
+        only, _ = forward_batch(branch.prepare(), xn, vn)
+        x = branch.prepare(np.zeros_like(params))
+        vals, cache = forward_batch(x, xn, vn)
+        grads, (dx, dv) = backward_batch(x, cache, upstream, x.grads)
+        for s in np.ndindex(lead):
+            seed = ResidualBranch(arch, params[s])
+            want, layers = gather_forward(seed, xn[s], vn[s])
+            assert_close(vals[s], want)
+            assert_close(only[s], want)
+            want_grads, (want_dx, want_dv) = gather_backward(seed, layers, upstream[s])
+            assert_close(grads[s], want_grads)
+            assert_close(dx[s], want_dx)
+            assert_close(dv[s], want_dv)
+
+
+@st.composite
+def scatter_case(draw):
+    G, k = draw(st.integers(1, 25)), draw(st.integers(0, 5))
+    lead = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    first = draw(hnp.arrays(np.int64, lead, elements=st.integers(0, G - 1)))
+    local = draw(hnp.arrays(np.float64, lead + (k + 1,),
+                            elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return local, first, G + k
+
+
+@settings(max_examples=200)
+@given(scatter_case())
+def test_window_scatter_matches_fancy_index_scatter(case):
+    local, first, n_basis = case
+    got, want = scatter_to_dense(local, first, n_basis), fancy_scatter(local, first, n_basis)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

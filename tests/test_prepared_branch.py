@@ -1,13 +1,13 @@
 """The prepared branch against the per-call path it replaced.
 
-``netcore.PreparedBranch`` builds the layer views, the KAN gather tables and
-the gradient-buffer views once per loss or rollout call, and its backward
-pass adds straight into the loss's gradient buffer.  The reference below is
-the per-call path: every forward and backward rebuilds the views and the
-table from the flat vectors, every backward returns a fresh zero-initialized
-gradient, and ``step_vjp`` adds that into the loss's buffer.  Both do the
-same arithmetic in the same order, so losses and gradients must agree bit
-for bit.
+``netcore.PreparedBranch`` builds the layer views, each KAN layer's scaled
+weight matrix and the gradient-buffer views once per loss or rollout call,
+and its backward pass adds straight into the loss's gradient buffer.  The
+reference below is the per-call path: every forward and backward rebuilds
+the views and the weight matrix from the flat vectors, every backward
+returns a fresh zero-initialized gradient, and ``step_vjp`` adds that into
+the loss's buffer.  Both do the same arithmetic in the same order, so losses
+and gradients must agree bit for bit.
 """
 
 import numpy as np
@@ -43,27 +43,27 @@ CONFIGS = ("A", "B", "C", "G", "kan-deep", "mlp-small", "oracle")
 HORIZON = 10
 
 
+def scaled_weights(coef, scale):
+    """W[i M + m, o] = scale[i, o] coef[i, o, m], rebuilt on every call."""
+    n_in, n_out, M = coef.shape
+    return (scale[:, :, None] * coef).transpose(0, 2, 1).reshape(n_in * M, n_out)
+
+
 def reference_forward(branch, xn, vn):
-    """Per-call forward: views and gather table rebuilt from the flat vector."""
+    """Per-call forward: views and weight matrices rebuilt from the flat vector."""
     U = np.stack([np.atleast_1d(xn), np.atleast_1d(vn)], axis=1).astype(float)
     layers = []
     if isinstance(branch.arch, KanArch):
         spec = branch.arch.spline
         lo, hi = spec.domain
-        G, K = spec.grid_size, spec.order + 1
-        windows = np.arange(G)[:, None] + np.arange(K)
+        M = spec.n_basis
         for coef, base, scale in _kan_layers(branch.arch, branch.params):
-            n_in, n_out = base.shape
             B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
-            table = coef[:, :, windows].transpose(0, 2, 3, 1).reshape(n_in * G, K * n_out)
-            local = np.take(table, first + G * np.arange(n_in), axis=0)
-            local = local.reshape(len(U), n_in, K, n_out)
+            dense = scatter_to_dense(B, first, M)
             sig, silu = _silu(U)
-            spl = np.einsum("nic,nico->nio", B, local)
-            layers.append({"U": U, "sig": sig, "silu": silu, "B": B, "dB": dB,
-                           "first": first, "local": local, "spl": spl,
-                           "mask": (U >= lo) & (U <= hi)})
-            U = silu @ base + np.einsum("nio,io->no", spl, scale)
+            layers.append({"U": U, "sig": sig, "silu": silu, "dense": dense, "dB": dB,
+                           "first": first, "mask": (U >= lo) & (U <= hi)})
+            U = silu @ base + dense.reshape(len(U), -1) @ scaled_weights(coef, scale)
     else:
         mlp = _mlp_layers(branch.arch, branch.params)
         for li, (W, b) in enumerate(mlp):
@@ -82,16 +82,17 @@ def reference_backward(branch, cache, upstream):
         gviews = _kan_layers(branch.arch, grads)
         for li in range(len(views) - 1, -1, -1):
             (coef, base, scale), (gcoef, gbase, gscale), c = views[li], gviews[li], cache[li]
+            n_in, n_out, M = coef.shape
             gbase += c["silu"].T @ Wy
-            gscale += np.einsum("nio,no->io", c["spl"], Wy)
-            n_in, _, M = coef.shape
-            dense = scatter_to_dense(c["B"], c["first"], M)
-            gsum = dense.reshape(len(Wy), n_in * M).T @ Wy
-            gcoef += scale[:, :, None] * gsum.reshape(n_in, M, -1).transpose(0, 2, 1)
+            gsum = c["dense"].reshape(len(Wy), n_in * M).T @ Wy
+            gsum = gsum.reshape(n_in, M, n_out).transpose(0, 2, 1)
+            gcoef += scale[:, :, None] * gsum
+            gscale += (coef * gsum).sum(-1)
             dsilu = c["sig"] * (1.0 + c["U"] * (1.0 - c["sig"]))
-            dspl = np.einsum("nic,nico->nio", c["dB"], c["local"])
-            Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum(
-                "nio,nio->ni", dspl, Wy[:, None, :] * scale)
+            ddense = scatter_to_dense(c["dB"], c["first"], M)
+            W = scaled_weights(coef, scale).reshape(n_in, M, n_out)
+            dspl = (ddense.transpose(1, 0, 2) @ W).transpose(1, 0, 2)
+            Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum("nio,no->ni", dspl, Wy)
     else:
         views = _mlp_layers(branch.arch, branch.params)
         gviews = _mlp_layers(branch.arch, grads)
