@@ -10,6 +10,10 @@ dropped before hashing.
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
+``--keep DIR`` runs in DIR instead, which must not exist yet, and leaves
+it in place, so two checkouts' outputs can be compared file by file, e.g.
+``diff -r old/sweeps new/sweeps``.
+
 ``--seeds`` and ``--steps-scale`` shrink the runs to a smoke test.  The
 block sweeps keep their 18 seeds whatever ``--seeds`` says, since their
 point is the boundary between a block of 16 seeds and the next block of 2.
@@ -158,9 +162,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=2, help="seeds per sweep")
     parser.add_argument("--steps-scale", type=float, default=1.0,
                         help="multiplier on every training step count")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run in DIR, which must not exist yet, and leave it in place")
     args = parser.parse_args(argv)
+    if args.keep is not None:
+        try:
+            os.makedirs(args.keep)
+        except FileExistsError:
+            parser.error(f"--keep {args.keep}: already exists")
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with (contextlib.nullcontext(args.keep) if args.keep is not None
+          else tempfile.TemporaryDirectory()) as tmp:
         os.chdir(tmp)
         try:
             table = digests(args.seeds, args.steps_scale)

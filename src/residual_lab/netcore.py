@@ -46,19 +46,26 @@ one-seed case with no seed axis at all.
 
 ``forward_batch(x, xn, vn)`` takes a prepared branch and returns the values
 and one cache dict per layer, which ``backward_batch(x, cache, upstream,
-grads)`` consumes without re-evaluating anything.  Backward adds the
-parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
-returns that buffer with the input adjoints, so the stages of one loss
-accumulate into one array with no per-call zero buffer.  A forward-only plan
-(``grads=None``) cannot run backward, so its cache is ``[]``, and it runs at
-most ``FORWARD_ROWS`` rows per pass, so a large surface grid never holds its
-whole dense basis.  A KAN layer caches backward's operands and nothing else,
-so forward also computes the two input slopes: ``dense`` (N, n_in, M) dense
-basis, ``dspl`` (N, n_in, n_out) scaled edge spline u-slopes, ``silu``/
-``dsilu`` (N, n_in) base term and its u-slope, ``mask`` (N, n_in) inputs
-inside the domain.  MLP layer cache: the layer input ``U`` (N, n_in);
-backward reads a hidden layer's ReLU mask off the next layer's input.  With
-a seed axis, every cache array has a leading S.
+grads)`` consumes without re-evaluating anything.  Backward returns
+``grads``, the buffer ``x`` was prepared with, and the input adjoints, so
+the stages of one loss accumulate into one array with no per-call zero
+buffer.  A KAN backward adds its parameter gradient into the buffer on the
+spot.  An MLP backward computes only the input adjoint on the spot and
+records each layer's (U, Wz) operands on the plan; once the pending rows per
+seed reach ``GRAD_ROWS``, and when the loss calls ``x.finish_grads``, one
+GEMM ``U^T @ Wz`` and one row-sum per layer add them all, so a BPTT loss
+makes a few large GEMMs instead of one small one per RK4 stage.  The flush
+points depend only on the rows per seed, never on the block.  A
+forward-only plan (``grads=None``) cannot run backward, so its cache is
+``[]``, and it runs at most ``FORWARD_ROWS`` rows per pass, so a large
+surface grid never holds its whole dense basis.  A KAN layer caches
+backward's operands and nothing else, so forward also computes the two
+input slopes: ``dense`` (N, n_in, M) dense basis, ``dspl`` (N, n_in, n_out)
+scaled edge spline u-slopes, ``silu``/``dsilu`` (N, n_in) base term and its
+u-slope, ``mask`` (N, n_in) inputs inside the domain.  MLP layer cache: the
+layer input ``U`` (N, n_in); backward reads a hidden layer's ReLU mask off
+the next layer's input.  With a seed axis, every cache array has a leading
+S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -81,6 +88,9 @@ _FLOAT_FMT = "%.17g"
 CHECKPOINT_VERSION = "v2"
 # Rows per pass of a forward-only call: bounds the dense basis it holds.
 FORWARD_ROWS = 2048
+# Pending rows per seed at which an MLP plan adds its recorded backward
+# operands into the gradient buffer: bounds the operands it holds.
+GRAD_ROWS = 512
 
 
 def _check_widths(widths):
@@ -181,7 +191,9 @@ class PreparedBranch:
     weight matrix W (n_in M, n_out), and, given a gradient buffer, the
     per-layer views of that buffer.  For an (S, P) block the views and W keep
     the leading S axis.  W copies the coefficients, so a plan goes stale once
-    ``params`` is written: build a fresh one per call.  Its four methods are
+    ``params`` is written: build a fresh one per call.  An MLP plan also
+    holds the backward operands not yet added into the buffer, so its
+    gradient is complete only after ``finish_grads``.  Its four methods are
     the branch interface of ``hybridcell``.
     """
 
@@ -201,6 +213,9 @@ class PreparedBranch:
             self.layers = [(W, b[..., None, :]) for W, b in _mlp_layers(self.arch, self.params)]
             views = _mlp_layers
         self.glayers = None if grads is None else views(self.arch, grads)
+        # One list of per-layer (U, Wz) operands per MLP backward call not
+        # yet added into the buffer, and the rows per seed they hold.
+        self.pending, self.pending_rows = [], 0
 
     def eval_batch(self, xn, vn):
         return forward_batch(self, xn, vn)
@@ -211,7 +226,10 @@ class PreparedBranch:
     def l1_value(self) -> float:
         return l1_penalty(self)
 
-    def l1_grad_into(self, grads: np.ndarray) -> None:
+    def finish_grads(self, grads: np.ndarray) -> None:
+        """Complete the gradient in ``grads``, the plan's buffer: add the
+        pending rows, then the l1 term."""
+        _flush_grads(self)
         add_l1_gradient(self, grads)
 
 
@@ -313,9 +331,12 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
     """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs),
     per seed for a block.
 
-    Adds the parameter gradient into ``grads``, the buffer ``x`` was
-    prepared with, through its layer views.  Returns (grads, (d/dxn,
-    d/dvn) arrays shaped like ``upstream``).
+    Returns (grads, (d/dxn, d/dvn) arrays shaped like ``upstream``), where
+    ``grads`` is the buffer ``x`` was prepared with.  A KAN adds its
+    parameter gradient into it through the layer views; an MLP records its
+    operands, which keep ``upstream`` and the cache's inputs, and adds them
+    once ``GRAD_ROWS`` rows per seed are pending or when ``x.finish_grads``
+    runs.  Do not write ``upstream`` or the cache in place before that.
     """
     Wy = upstream[..., None]
     if isinstance(x.arch, KanArch):
@@ -335,15 +356,31 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
                 "...nio,...no->...ni", c["dspl"], Wy)
     else:
         last = len(x.layers) - 1
+        pairs = [None] * len(x.layers)
         for li in range(last, -1, -1):
             W, _ = x.layers[li]
-            gW, gb = x.glayers[li]
             # The next layer's input max(Z, 0) is positive exactly where Z is.
             Wz = Wy if li == last else Wy * (cache[li + 1]["U"] > 0)
-            gW += cache[li]["U"].swapaxes(-1, -2) @ Wz
-            gb += np.add.reduce(Wz, axis=-2)
+            pairs[li] = (cache[li]["U"], Wz)
             Wy = Wz @ W.swapaxes(-1, -2)
+        x.pending.append(pairs)
+        x.pending_rows += upstream.shape[-1]
+        if x.pending_rows >= GRAD_ROWS:
+            _flush_grads(x)
     return grads, (Wy[..., 0], Wy[..., 1])
+
+
+def _flush_grads(x: PreparedBranch) -> None:
+    """Add the pending MLP operands into the plan's gradient buffer: per
+    layer one GEMM ``U^T @ Wz`` and one row-sum over the rows of every
+    pending call, in call order, stacked per seed for a block."""
+    if not x.pending:
+        return
+    for (gW, gb), calls in zip(x.glayers, zip(*x.pending)):
+        U, Wz = (np.concatenate(part, axis=-2) for part in zip(*calls))
+        gW += U.swapaxes(-1, -2) @ Wz
+        gb += np.add.reduce(Wz, axis=-2)
+    x.pending, x.pending_rows = [], 0
 
 
 def l1_penalty(branch: ResidualBranch | PreparedBranch):

@@ -9,6 +9,7 @@ from residual_lab.netcore import (
     KanArch,
     MlpArch,
     ResidualBranch,
+    _flush_grads,
     add_l1_gradient,
     backward_batch,
     forward_batch,
@@ -46,11 +47,14 @@ def values(branch, xs, vs):
 
 def forward_backward(branch, xs, vs, ws):
     """Forward then backward through one prepared branch: (param gradient
-    of sum(ws * R(xs, vs)), (dR/dxn, dR/dvn) weighted by ws)."""
+    of sum(ws * R(xs, vs)), (dR/dxn, dR/dvn) weighted by ws).  The plan's
+    pending rows are flushed, with no l1 term."""
     grads = np.zeros_like(branch.params)
     x = branch.prepare(grads)
     _, cache = forward_batch(x, xs, vs)
-    return backward_batch(x, cache, ws, grads)
+    grads, adjoints = backward_batch(x, cache, ws, grads)
+    _flush_grads(x)
+    return grads, adjoints
 
 
 def param_grads(branch, xs, vs, ws):

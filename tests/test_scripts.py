@@ -28,10 +28,15 @@ def test_ablation_script_writes_tables(capsys, tmp_path, name, extra, table, row
     assert len((out / f"{table}.csv").read_text().splitlines()) == 1 + rows
 
 
-def test_output_digests_lists_every_output(capsys):
-    assert load_main("output_digests")(["--seeds", "1", "--steps-scale", "0.05"]) == 0
+def test_output_digests_lists_every_output(capsys, tmp_path):
+    kept = tmp_path / "kept" / "tree"
+    assert load_main("output_digests")(["--seeds", "1", "--steps-scale", "0.05",
+                                        "--keep", str(kept)]) == 0
     lines = capsys.readouterr().out.splitlines()
     table = {key: digest for digest, key in (line.split("  ", 1) for line in lines)}
+    # --keep leaves every hashed file in place, and nothing else.
+    files = {str(p.relative_to(kept)) for p in kept.rglob("*") if p.is_file()}
+    assert files == {key for key in table if not key.startswith(("stdout ", "verify_gradients "))}
     assert all(len(digest) == 64 for digest in table.values())
     # Five sweeps, one of them Euler, the MLP block sweep four ways and the
     # KAN block sweep once.
@@ -41,3 +46,12 @@ def test_output_digests_lists_every_output(capsys):
                 "verify_gradients mlp-small", "verify_gradients A euler",
                 "data/vanderpol-seed1.dataset"):
         assert key in table
+
+
+def test_output_digests_keep_refuses_an_existing_directory(capsys, tmp_path):
+    (tmp_path / "old").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        load_main("output_digests")(["--keep", str(tmp_path / "old")])
+    assert exc.value.code == 2
+    assert "already exists" in capsys.readouterr().err
+    assert list((tmp_path / "old").iterdir()) == []
