@@ -11,13 +11,10 @@ object with a flat ``params`` array and a ``prepare(grads=None)`` method;
 rollout and ``HybridSystem.prepare`` call prepares the branch once, and
 ``step_batch`` and ``step_vjp`` use what that returns through four methods:
 ``eval_batch(xn, vn) -> (values, cache)``, ``combined_vjp(cache, upstream)
--> (grads, (d/dxn, d/dvn))``, ``l1_value()`` and ``finish_grads(grads)``.
-``combined_vjp`` returns the input adjoints at once, but the parameter
-gradient lands in the ``grads`` buffer given to ``prepare`` only by the time
-``finish_grads`` returns: a KAN adds it stage by stage, an MLP in batches
-of ``netcore.GRAD_ROWS`` rows per seed, and ``finish_grads`` adds what is
-pending and then the l1 term.  Each loss finishes its plan before it reads
-the gradient.  The oracle has no parameters and prepares to itself.
+-> (grads, (d/dxn, d/dvn))``, which adds the stage's parameter gradient
+into the ``grads`` buffer given to ``prepare`` before it returns,
+``l1_value()`` and ``l1_grad_into(grads)``.  The oracle has no parameters
+and prepares to itself.
 
 The cell steps with ``dynamics.rk_step`` and its adjoint reads the same
 ``dynamics.SCHEMES`` table, so the cell and the data generator share one
@@ -82,7 +79,7 @@ class OracleResidual:
     def l1_value(self) -> float:
         return 0.0
 
-    def finish_grads(self, grads) -> None:
+    def l1_grad_into(self, grads) -> None:
         pass
 
 
@@ -207,9 +204,9 @@ def windows_of(trajectories: np.ndarray, horizon: int) -> tuple[np.ndarray, np.n
 
 
 def _loss_result(h: HybridSystem, loss, grads, ok):
-    """Finish the plan's gradient and fold non-finite losses and gradients
-    into the per-seed ``ok`` mask."""
-    h.branch.finish_grads(grads)
+    """Add the l1 gradient and fold non-finite losses and gradients into
+    the per-seed ``ok`` mask."""
+    h.branch.l1_grad_into(grads)
     ok &= np.isfinite(loss) & np.isfinite(grads).all(-1)
     return loss, grads, ok
 

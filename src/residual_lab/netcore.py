@@ -15,7 +15,9 @@ Flat parameter layout, in layer order:
 * KAN layer (n_in -> n_out, M = grid_size + order basis functions):
   spline coefficients (n_in, n_out, M) C-order, then base scales (n_in,
   n_out), then spline scales (n_in, n_out).
-* MLP layer: weights (n_in, n_out) C-order, then biases (n_out,).
+* MLP layer: weights (n_in, n_out) C-order, then biases (n_out,), so the
+  pair reads as one (n_in + 1, n_out) block [W; b] with the bias as its
+  last row.
 
 A KAN layer is one GEMM over its spline basis, the basis-expansion form of
 Liu et al.'s KAN (2024).  ``splines.basis_and_derivative`` returns the K =
@@ -27,6 +29,11 @@ spline_scale[i, o] coef[i, o, m], a layer's values are ``silu(U) @ base_scale
 input, gives the edge splines' input slopes.  Backward sums the coefficient
 gradient from the cached dense basis, one GEMM per seed, and takes the spline
 scale's gradient from it: the edge spline is sum_m coef_m B_m.
+
+An MLP layer is one GEMM too.  Every layer input carries a trailing ones
+column, so ``Z = U @ [W; b]`` adds the bias in the product, and backward's
+``U^T @ Wz`` gives the weight and bias gradients in one GEMM and one add per
+layer and RK4 stage.
 
 The cell does not call a ``ResidualBranch`` directly.  Each loss, rollout
 or surface call first turns it into a ``PreparedBranch`` with
@@ -46,26 +53,20 @@ one-seed case with no seed axis at all.
 
 ``forward_batch(x, xn, vn)`` takes a prepared branch and returns the values
 and one cache dict per layer, which ``backward_batch(x, cache, upstream,
-grads)`` consumes without re-evaluating anything.  Backward returns
-``grads``, the buffer ``x`` was prepared with, and the input adjoints, so
-the stages of one loss accumulate into one array with no per-call zero
-buffer.  A KAN backward adds its parameter gradient into the buffer on the
-spot.  An MLP backward computes only the input adjoint on the spot and
-records each layer's (U, Wz) operands on the plan; once the pending rows per
-seed reach ``GRAD_ROWS``, and when the loss calls ``x.finish_grads``, one
-GEMM ``U^T @ Wz`` and one row-sum per layer add them all, so a BPTT loss
-makes a few large GEMMs instead of one small one per RK4 stage.  The flush
-points depend only on the rows per seed, never on the block.  A
+grads)`` consumes without re-evaluating anything.  Backward adds the
+parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
+returns that buffer with the input adjoints, so the stages of one loss
+accumulate into one array, stage by stage, with no per-call zero buffer.  A
 forward-only plan (``grads=None``) cannot run backward, so its cache is
 ``[]``, and it runs at most ``FORWARD_ROWS`` rows per pass, so a large
 surface grid never holds its whole dense basis.  A KAN layer caches
-backward's operands and nothing else, so forward also computes the two
-input slopes: ``dense`` (N, n_in, M) dense basis, ``dspl`` (N, n_in, n_out)
-scaled edge spline u-slopes, ``silu``/``dsilu`` (N, n_in) base term and its
+backward's operands and nothing else, so forward also computes the two input
+slopes: ``dense`` (N, n_in, M) dense basis, ``dspl`` (N, n_in, n_out) scaled
+edge spline u-slopes, ``silu``/``dsilu`` (N, n_in) base term and its
 u-slope, ``mask`` (N, n_in) inputs inside the domain.  MLP layer cache: the
-layer input ``U`` (N, n_in); backward reads a hidden layer's ReLU mask off
-the next layer's input.  With a seed axis, every cache array has a leading
-S.
+layer input ``U`` (N, n_in + 1) with its ones column; backward reads a
+hidden layer's ReLU mask off the next layer's input.  With a seed axis,
+every cache array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -88,9 +89,6 @@ _FLOAT_FMT = "%.17g"
 CHECKPOINT_VERSION = "v2"
 # Rows per pass of a forward-only call: bounds the dense basis it holds.
 FORWARD_ROWS = 2048
-# Pending rows per seed at which an MLP plan adds its recorded backward
-# operands into the gradient buffer: bounds the operands it holds.
-GRAD_ROWS = 512
 
 
 def _check_widths(widths):
@@ -153,12 +151,11 @@ def _kan_layers(arch: KanArch, params: np.ndarray):
 
 
 def _mlp_layers(arch: MlpArch, params: np.ndarray):
+    """Per-layer (n_in + 1, n_out) views [W; b]: weights, then the bias row."""
     lead = params.shape[:-1]
     out, off = [], 0
     for n_in, n_out in zip(arch.widths[:-1], arch.widths[1:]):
-        W = params[..., off : off + n_in * n_out].reshape(lead + (n_in, n_out))
-        b = params[..., off + n_in * n_out : off + (n_in + 1) * n_out]
-        out.append((W, b))
+        out.append(params[..., off : off + (n_in + 1) * n_out].reshape(lead + (n_in + 1, n_out)))
         off += (n_in + 1) * n_out
     return out
 
@@ -187,14 +184,13 @@ class ResidualBranch:
 class PreparedBranch:
     """Per-parameter work of one call, done once for all its RK4 stages.
 
-    Holds the per-layer views of ``params``, for a KAN each layer's scaled
-    weight matrix W (n_in M, n_out), and, given a gradient buffer, the
-    per-layer views of that buffer.  For an (S, P) block the views and W keep
-    the leading S axis.  W copies the coefficients, so a plan goes stale once
-    ``params`` is written: build a fresh one per call.  An MLP plan also
-    holds the backward operands not yet added into the buffer, so its
-    gradient is complete only after ``finish_grads``.  Its four methods are
-    the branch interface of ``hybridcell``.
+    Holds the per-layer views of ``params`` (an MLP layer's is its [W; b]
+    block), for a KAN each layer's scaled weight matrix W (n_in M, n_out),
+    and, given a gradient buffer, the per-layer views of that buffer.  For
+    an (S, P) block the views and W keep the leading S axis.  W copies the
+    coefficients, so a plan goes stale once ``params`` is written: build a
+    fresh one per call.  Its four methods are the branch interface of
+    ``hybridcell``.
     """
 
     def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None):
@@ -209,13 +205,9 @@ class PreparedBranch:
                 self.layers.append((coef, base, scale, W.reshape(W.shape[:-3] + (n_in * M, n_out))))
             views = _kan_layers
         else:
-            # Biases broadcast over the rows of each seed.
-            self.layers = [(W, b[..., None, :]) for W, b in _mlp_layers(self.arch, self.params)]
+            self.layers = _mlp_layers(self.arch, self.params)
             views = _mlp_layers
         self.glayers = None if grads is None else views(self.arch, grads)
-        # One list of per-layer (U, Wz) operands per MLP backward call not
-        # yet added into the buffer, and the rows per seed they hold.
-        self.pending, self.pending_rows = [], 0
 
     def eval_batch(self, xn, vn):
         return forward_batch(self, xn, vn)
@@ -226,10 +218,7 @@ class PreparedBranch:
     def l1_value(self) -> float:
         return l1_penalty(self)
 
-    def finish_grads(self, grads: np.ndarray) -> None:
-        """Complete the gradient in ``grads``, the plan's buffer: add the
-        pending rows, then the l1 term."""
-        _flush_grads(self)
+    def l1_grad_into(self, grads: np.ndarray) -> None:
         add_l1_gradient(self, grads)
 
 
@@ -250,9 +239,10 @@ def init_params(arch: Arch, seed: int) -> np.ndarray:
             base[:] = 1.0 if arch.base_blend else 0.0
             scale[:] = 1.0
     else:
-        for W, b in _mlp_layers(arch, params):
+        for Wb in _mlp_layers(arch, params):
+            W = Wb[:-1]
             W[:] = rng.normal(0.0, np.sqrt(2.0 / W.shape[0]), size=W.shape)
-            b[:] = 0.0
+            Wb[-1] = 0.0
     return params
 
 
@@ -284,9 +274,11 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
     network.  A plan without a gradient buffer gets ``[]`` and runs at most
     ``FORWARD_ROWS`` rows per pass.
     """
-    U = np.empty(np.asarray(xn).shape + (2,))
+    U = np.empty(np.asarray(xn).shape + (2 + isinstance(x.arch, MlpArch),))
     U[..., 0] = xn
     U[..., 1] = vn
+    # An MLP input's ones column multiplies the bias row of [W; b].
+    U[..., 2:] = 1.0
     if x.glayers is not None:
         cache = []
         return _forward_rows(x, U, cache), cache
@@ -297,8 +289,9 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
 
 
 def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.ndarray:
-    """The branch's values on the (.., N, 2) inputs ``U``; appends each
-    layer's backward operands to ``cache`` unless it is None."""
+    """The branch's values on the (.., N, 2) inputs ``U``, (.., N, 3) with
+    the ones column for an MLP; appends each layer's backward operands to
+    ``cache`` unless it is None."""
     if isinstance(x.arch, KanArch):
         spec = x.arch.spline
         lo, hi = spec.domain
@@ -319,11 +312,16 @@ def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.nd
             U = Y
     else:
         last = len(x.layers) - 1
-        for li, (W, b) in enumerate(x.layers):
+        for li, Wb in enumerate(x.layers):
             if cache is not None:
                 cache.append({"U": U})
-            Z = U @ W + b
-            U = np.maximum(Z, 0.0) if li < last else Z
+            Z = U @ Wb
+            if li < last:
+                U = np.empty(Z.shape[:-1] + (Z.shape[-1] + 1,))
+                np.maximum(Z, 0.0, out=U[..., :-1])
+                U[..., -1] = 1.0
+            else:
+                U = Z
     return U[..., 0]
 
 
@@ -331,12 +329,9 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
     """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs),
     per seed for a block.
 
-    Returns (grads, (d/dxn, d/dvn) arrays shaped like ``upstream``), where
-    ``grads`` is the buffer ``x`` was prepared with.  A KAN adds its
-    parameter gradient into it through the layer views; an MLP records its
-    operands, which keep ``upstream`` and the cache's inputs, and adds them
-    once ``GRAD_ROWS`` rows per seed are pending or when ``x.finish_grads``
-    runs.  Do not write ``upstream`` or the cache in place before that.
+    Adds the parameter gradient into ``grads``, the buffer ``x`` was
+    prepared with, through its layer views.  Returns (grads, (d/dxn,
+    d/dvn) arrays shaped like ``upstream``).
     """
     Wy = upstream[..., None]
     if isinstance(x.arch, KanArch):
@@ -356,31 +351,15 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
                 "...nio,...no->...ni", c["dspl"], Wy)
     else:
         last = len(x.layers) - 1
-        pairs = [None] * len(x.layers)
         for li in range(last, -1, -1):
-            W, _ = x.layers[li]
-            # The next layer's input max(Z, 0) is positive exactly where Z is.
-            Wz = Wy if li == last else Wy * (cache[li + 1]["U"] > 0)
-            pairs[li] = (cache[li]["U"], Wz)
-            Wy = Wz @ W.swapaxes(-1, -2)
-        x.pending.append(pairs)
-        x.pending_rows += upstream.shape[-1]
-        if x.pending_rows >= GRAD_ROWS:
-            _flush_grads(x)
+            # The next layer's input, less its ones column, is max(Z, 0):
+            # positive exactly where Z is.
+            Wz = Wy if li == last else Wy * (cache[li + 1]["U"][..., :-1] > 0)
+            # The input's ones column turns the bias row's gradient into the
+            # row-sum of Wz.
+            x.glayers[li] += cache[li]["U"].swapaxes(-1, -2) @ Wz
+            Wy = Wz @ x.layers[li][..., :-1, :].swapaxes(-1, -2)
     return grads, (Wy[..., 0], Wy[..., 1])
-
-
-def _flush_grads(x: PreparedBranch) -> None:
-    """Add the pending MLP operands into the plan's gradient buffer: per
-    layer one GEMM ``U^T @ Wz`` and one row-sum over the rows of every
-    pending call, in call order, stacked per seed for a block."""
-    if not x.pending:
-        return
-    for (gW, gb), calls in zip(x.glayers, zip(*x.pending)):
-        U, Wz = (np.concatenate(part, axis=-2) for part in zip(*calls))
-        gW += U.swapaxes(-1, -2) @ Wz
-        gb += np.add.reduce(Wz, axis=-2)
-    x.pending, x.pending_rows = [], 0
 
 
 def l1_penalty(branch: ResidualBranch | PreparedBranch):

@@ -39,9 +39,7 @@ BPTT = "bptt"
 # Memory bounds the block, not speed (config A BPTT still costs less per seed
 # at 64): a BPTT loss keeps every step's and RK4 stage's KAN cache, 582 bytes
 # per row and stage for config A, 1302 for G and 2162 for kan-deep.  An MLP
-# plan also holds up to netcore.GRAD_ROWS pending rows of its layers' Wz,
-# 8 bytes per unit per row: 135 KB per seed for mlp-small, and a flush
-# briefly copies them with the layer inputs, 274 KB more.
+# caches each layer's input with its ones column: 296 bytes for mlp-small.
 BLOCK_SEEDS = 16
 
 CONVERGED = "Converged"

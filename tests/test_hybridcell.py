@@ -248,7 +248,7 @@ def local_only_bptt_grads(h, starts, targets):
         X, V, cache = step_batch(h, X, V, np.ones((), dtype=bool))
         step_vjp(h, cache, (2.0 / norm) * (X - targets[:, t, 0]),
                  (2.0 / norm) * (V - targets[:, t, 1]))
-    h.branch.finish_grads(grads)
+    h.branch.l1_grad_into(grads)
     return grads
 
 

@@ -9,7 +9,6 @@ from residual_lab.netcore import (
     KanArch,
     MlpArch,
     ResidualBranch,
-    _flush_grads,
     add_l1_gradient,
     backward_batch,
     forward_batch,
@@ -47,14 +46,11 @@ def values(branch, xs, vs):
 
 def forward_backward(branch, xs, vs, ws):
     """Forward then backward through one prepared branch: (param gradient
-    of sum(ws * R(xs, vs)), (dR/dxn, dR/dvn) weighted by ws).  The plan's
-    pending rows are flushed, with no l1 term."""
+    of sum(ws * R(xs, vs)), (dR/dxn, dR/dvn) weighted by ws)."""
     grads = np.zeros_like(branch.params)
     x = branch.prepare(grads)
     _, cache = forward_batch(x, xs, vs)
-    grads, adjoints = backward_batch(x, cache, ws, grads)
-    _flush_grads(x)
-    return grads, adjoints
+    return backward_batch(x, cache, ws, grads)
 
 
 def param_grads(branch, xs, vs, ws):
@@ -224,6 +220,47 @@ class TestGradients:
             fd = fd_param_gradient(b, xs[:n], vs[:n], ws[:n])
             assert max_rel_error(g, fd) < 1e-4
 
+    @pytest.mark.parametrize("widths", [(2, 26, 1), (2, 16, 16, 1), (2, 8, 8, 8, 1)])
+    @pytest.mark.parametrize("seeds", [None, 3])
+    @pytest.mark.parametrize("n", [1, 16, 256])
+    def test_mlp_bias_fold_matches_separate_bias(self, widths, seeds, n):
+        # An MLP layer adds its bias inside the [W; b] GEMM and takes the
+        # bias gradient from the same GEMM; the separate-bias arithmetic it
+        # replaced sums in another order, so the two agree to rounding.
+        arch = MlpArch(widths)
+        lead = () if seeds is None else (seeds,)
+        rng = stream(n, "bias-fold")
+        params = rng.normal(0.0, 0.5, lead + (param_count(arch),))
+        xs, vs, ws = (rng.uniform(-1.0, 1.0, lead + (n,)) for _ in range(3))
+        b = ResidualBranch(arch, params)
+        got, cache = forward_batch(b.prepare(np.zeros_like(params)), xs, vs)
+        got_grads, (got_dx, got_dv) = forward_backward(b, xs, vs, ws)
+
+        U, inputs, layers, off = np.stack([xs, vs], axis=-1), [], [], 0
+        for li, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+            W = params[..., off : off + n_in * n_out].reshape(lead + (n_in, n_out))
+            bias = params[..., off + n_in * n_out : off + (n_in + 1) * n_out]
+            off += (n_in + 1) * n_out
+            layers.append((W, bias))
+            inputs.append(U)
+            Z = U @ W + bias[..., None, :]
+            U = np.maximum(Z, 0.0) if li < len(widths) - 2 else Z
+        want = U[..., 0]
+        want_grads, Wy = [], ws[..., None]
+        for li in range(len(layers) - 1, -1, -1):
+            W, _ = layers[li]
+            Wz = Wy if li == len(layers) - 1 else Wy * (inputs[li + 1] > 0)
+            want_grads[:0] = [(inputs[li].swapaxes(-1, -2) @ Wz).reshape(lead + (-1,)),
+                              Wz.sum(axis=-2)]
+            Wy = Wz @ W.swapaxes(-1, -2)
+        want_grads = np.concatenate(want_grads, axis=-1)
+
+        for a, w in ((got, want), (got_grads, want_grads),
+                     (got_dx, Wy[..., 0]), (got_dv, Wy[..., 1])):
+            assert a.shape == w.shape
+            assert np.abs(a - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+        assert np.abs(want_grads).max() > 0
+
     def test_gradient_is_linear_in_upstream(self):
         b = new_branch(KanArch((2, 8, 1), KAN53), seed=2)
         xs, vs = np.array([0.3, -0.7]), np.array([-0.2, 0.5])
@@ -259,8 +296,7 @@ class TestInputJacobian:
         # Hidden pre-activations, from each layer's cached input.
         _, cache = forward_batch(b.prepare(np.zeros_like(b.params)), xs, vs)
         hidden = zip(cache[:-1], _mlp_layers(b.arch, b.params))
-        smooth = np.min([np.abs(c["U"] @ W + bias).min(axis=1) for c, (W, bias) in hidden],
-                        axis=0) >= 1e-3
+        smooth = np.min([np.abs(c["U"] @ Wb).min(axis=1) for c, Wb in hidden], axis=0) >= 1e-3
         assert smooth.sum() > 10
         eps = 1e-6
         fdx = (values(b, xs + eps, vs) - values(b, xs - eps, vs)) / (2 * eps)
@@ -296,8 +332,8 @@ class TestInit:
         from residual_lab.netcore import _mlp_layers
 
         params = init_params(arch, 3)
-        for _, bias in _mlp_layers(arch, params):
-            assert np.array_equal(bias, np.zeros_like(bias))
+        for Wb in _mlp_layers(arch, params):
+            assert np.array_equal(Wb[-1], np.zeros(Wb.shape[1]))
 
     def test_mlp_weight_mean_unbiased(self):
         # First-layer weight over 1000 seeds: mean within 3 standard errors of 0.

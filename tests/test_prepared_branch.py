@@ -6,13 +6,8 @@ and its backward pass adds straight into the loss's gradient buffer.  The
 reference below is the per-call path: every forward and backward rebuilds
 the views and the weight matrix from the flat vectors, every backward
 returns a fresh zero-initialized gradient, and ``step_vjp`` adds that into
-the loss's buffer.  Like the plan, it records each MLP backward's operands
-and adds them ``netcore.GRAD_ROWS`` rows per seed at a time, and once more
-when the loss finishes.  Both do the same arithmetic in the same order, so
-losses and gradients must agree bit for bit.
-
-The MLP's old per-stage accumulation, one GEMM per layer and backward call,
-stays here as a second reference, within 1e-12 relative.
+the loss's buffer.  Both do the same arithmetic in the same order, so losses
+and gradients must agree bit for bit.
 """
 
 import numpy as np
@@ -34,7 +29,6 @@ from residual_lab.hybridcell import (
     windows_of,
 )
 from residual_lab.netcore import (
-    GRAD_ROWS,
     KanArch,
     _kan_layers,
     _mlp_layers,
@@ -72,18 +66,16 @@ def reference_forward(branch, xn, vn):
             U = silu @ base + dense.reshape(len(U), -1) @ scaled_weights(coef, scale)
     else:
         mlp = _mlp_layers(branch.arch, branch.params)
-        for li, (W, b) in enumerate(mlp):
-            Z = U @ W + b
+        for li, Wb in enumerate(mlp):
+            U = np.concatenate([U, np.ones((len(U), 1))], axis=1)
+            Z = U @ Wb
             layers.append({"U": U, "Z": Z})
             U = np.maximum(Z, 0.0) if li < len(mlp) - 1 else Z
     return U[:, 0], layers
 
 
-def reference_backward(branch, cache, upstream, pending=None):
-    """Per-call backward: a fresh zero gradient and a second view build.
-    Given a ``pending`` list, an MLP's per-layer (U, Wz) operands are
-    appended to it for ``reference_flush``; without one they are added on
-    the spot, the per-stage accumulation."""
+def reference_backward(branch, cache, upstream):
+    """Per-call backward: a fresh zero gradient and a second view build."""
     Wy = np.asarray(upstream, dtype=float)[:, None]
     grads = np.zeros_like(branch.params)
     if isinstance(branch.arch, KanArch):
@@ -105,68 +97,31 @@ def reference_backward(branch, cache, upstream, pending=None):
     else:
         views = _mlp_layers(branch.arch, branch.params)
         gviews = _mlp_layers(branch.arch, grads)
-        operands = {}
         for li in range(len(views) - 1, -1, -1):
-            (W, _), (gW, gb), c = views[li], gviews[li], cache[li]
+            Wb, gWb, c = views[li], gviews[li], cache[li]
             Wz = Wy if li == len(views) - 1 else Wy * (c["Z"] > 0)
-            if pending is None:
-                gW += c["U"].T @ Wz
-                gb += Wz.sum(axis=0)
-            else:
-                operands[li] = (c["U"], Wz)
-            Wy = Wz @ W.T
-        if pending is not None:
-            pending.append(operands)
+            gWb += c["U"].T @ Wz
+            Wy = Wz @ Wb[:-1].T
     return grads, (Wy[:, 0].copy(), Wy[:, 1].copy())
 
 
-def reference_flush(branch, pending):
-    """A fresh gradient holding the pending MLP operands: per layer one
-    GEMM and one row-sum over every pending call's rows, in call order."""
-    grads = np.zeros_like(branch.params)
-    if pending:
-        for li, (gW, gb) in enumerate(_mlp_layers(branch.arch, grads)):
-            U = np.concatenate([call[li][0] for call in pending])
-            Wz = np.concatenate([call[li][1] for call in pending])
-            gW += U.T @ Wz
-            gb += Wz.sum(axis=0)
-        pending.clear()
-    return grads
-
-
 class PerCallBranch:
-    """A ``ResidualBranch`` wearing the cell's branch interface directly,
-    with the plan's budgeted MLP accumulation."""
+    """A ``ResidualBranch`` wearing the cell's branch interface directly."""
 
     def __init__(self, branch):
         self.branch, self.params = branch, branch.params
-        self.pending, self.rows = [], 0
 
     def eval_batch(self, xn, vn):
         return reference_forward(self.branch, xn, vn)
 
     def combined_vjp(self, cache, upstream):
-        grads, adjoints = reference_backward(self.branch, cache, upstream, self.pending)
-        self.rows += len(upstream)
-        if self.rows >= GRAD_ROWS:
-            grads += reference_flush(self.branch, self.pending)
-            self.rows = 0
-        return grads, adjoints
+        return reference_backward(self.branch, cache, upstream)
 
     def l1_value(self):
         return l1_penalty(self.branch)
 
-    def finish_grads(self, grads):
-        grads += reference_flush(self.branch, self.pending)
-        self.rows = 0
+    def l1_grad_into(self, grads):
         add_l1_gradient(self.branch, grads)
-
-
-class PerStageBranch(PerCallBranch):
-    """The per-call path with the MLP's old per-stage accumulation."""
-
-    def combined_vjp(self, cache, upstream):
-        return reference_backward(self.branch, cache, upstream)
 
 
 def reference_step_vjp(h, cache, lx, lv, grads):
@@ -207,7 +162,7 @@ def reference_tf_loss_grads(h, s0, s1):
     loss = float((dx ** 2 + dv ** 2).mean()) + h.branch.l1_value()
     grads = np.zeros_like(h.branch.params)
     reference_step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv, grads)
-    h.branch.finish_grads(grads)
+    h.branch.l1_grad_into(grads)
     return loss, grads
 
 
@@ -229,7 +184,7 @@ def reference_bptt_grads(h, starts, targets):
         lx = lx + (2.0 / norm) * diffs[t][0]
         lv = lv + (2.0 / norm) * diffs[t][1]
         lx, lv = reference_step_vjp(h, caches[t], lx, lv, grads)
-    h.branch.finish_grads(grads)
+    h.branch.l1_grad_into(grads)
     return loss, grads
 
 
@@ -239,7 +194,7 @@ def datasets():
             for spec in (duffing(), vanderpol())}
 
 
-def systems(config, spec, integrator=RK4, reference=PerCallBranch):
+def systems(config, spec, integrator=RK4):
     """(system under test, per-call reference system) for one config."""
     if config == "oracle":
         branch = OracleResidual(spec, 2.5)
@@ -248,7 +203,7 @@ def systems(config, spec, integrator=RK4, reference=PerCallBranch):
     arch, _ = resolve_arch(ExperimentConfig(config=config))
     branch = new_branch(arch, seed=1)
     return (HybridSystem(spec, branch, 0.01, integrator),
-            HybridSystem(spec, reference(branch), 0.01, integrator))
+            HybridSystem(spec, PerCallBranch(branch), 0.01, integrator))
 
 
 def batch(pair, n):
@@ -256,8 +211,7 @@ def batch(pair, n):
     return pair[0][idx], pair[1][idx]
 
 
-# 256 rows x 4 RK4 stages cross GRAD_ROWS mid-loss.
-@pytest.mark.parametrize("n", [1, 16, 256])
+@pytest.mark.parametrize("n", [1, 16])
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("system", ["duffing", "vanderpol"])
 def test_tf_loss_and_gradient_match_per_call_path(datasets, system, config, n):
@@ -285,50 +239,6 @@ def test_bptt_loss_and_gradient_match_per_call_path(datasets, system, config, n)
     assert np.array_equal(grads, ref_grads)
     if config != "oracle":
         assert np.abs(grads).max() > 0
-
-
-@pytest.mark.parametrize("loss,n", [("tf", 256), ("bptt", 16)])
-@pytest.mark.parametrize("system", ["duffing", "vanderpol"])
-def test_mlp_gradient_matches_per_stage_accumulation(datasets, system, loss, n):
-    # Both losses cross GRAD_ROWS mid-loss; only the order of the gradient's
-    # additions differs, so the gradients agree to rounding.
-    ds, spec = datasets[system], duffing() if system == "duffing" else vanderpol()
-    h, ref = systems("mlp-small", spec, reference=PerStageBranch)
-    if loss == "tf":
-        s0, s1 = batch(transitions_of(ds.train), n)
-        (got_loss, got, _), (want_loss, want) = (tf_loss_grads(h, s0, s1),
-                                                 reference_tf_loss_grads(ref, s0, s1))
-    else:
-        starts, targets = batch(windows_of(ds.train, HORIZON), n)
-        (got_loss, got, _), (want_loss, want) = (bptt_grads_arrays(h, starts, targets),
-                                                 reference_bptt_grads(ref, starts, targets))
-    assert got_loss == want_loss
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    assert np.abs(want).max() > 0
-
-
-@pytest.mark.parametrize("config", ["A", "mlp-small"])
-def test_finished_plan_holds_no_pending_operands(monkeypatch, datasets, config):
-    finished = []
-    original = netcore.PreparedBranch.finish_grads
-
-    def finish(plan, grads):
-        before = plan.pending_rows
-        original(plan, grads)
-        finished.append((before, plan))
-
-    monkeypatch.setattr(netcore.PreparedBranch, "finish_grads", finish)
-    h, _ = systems(config, duffing())
-    train = datasets["duffing"].train
-    bptt_grads_arrays(h, *batch(windows_of(train, HORIZON), 16))
-    tf_loss_grads(h, *batch(transitions_of(train), 256))
-    assert len(finished) == 2
-    for before, plan in finished:
-        assert before < GRAD_ROWS
-        assert plan.pending == [] and plan.pending_rows == 0
-    if config == "mlp-small":
-        # 640 BPTT rows per seed leave a remainder for the finish to add.
-        assert finished[0][0] > 0
 
 
 def reference_rollout(h, starts, n):

@@ -6,9 +6,7 @@ to ``trainer.BLOCK_SEEDS``.  Each seed's metrics row, status, failing step,
 loss history and final parameters must come out byte for byte as when the
 seed trains alone: in a block of 16, beside seeds that go ``Unstable``,
 under two workers, after a resume from a metrics file holding a scattered
-set of seeds, and with per-seed datasets.  The two MLP cases each add the
-parameter gradient in ``netcore.GRAD_ROWS`` batches during a loss, so the
-flush points are covered too.
+set of seeds, and with per-seed datasets.
 """
 
 import os
@@ -27,10 +25,10 @@ from residual_lab.harness import (
     resolve_arch,
     run_sweep,
 )
-from residual_lab.hybridcell import HybridSystem, windows_of
-from residual_lab.dynamics import SCHEMES, oscillator
-from residual_lab.netcore import GRAD_ROWS, ResidualBranch, init_params
-from residual_lab.trainer import BLOCK_SEEDS, TEACHER_FORCING, TrainConfig, adam_step, init_moments
+from residual_lab.hybridcell import HybridSystem
+from residual_lab.dynamics import oscillator
+from residual_lab.netcore import ResidualBranch, init_params
+from residual_lab.trainer import BLOCK_SEEDS, TrainConfig, adam_step, init_moments
 
 SMALL_DATA = dict(n_train_ics=3, n_test_ics=1, data_steps=120)
 CASES = {
@@ -152,20 +150,6 @@ def test_block_of_16_under_workers_and_resume(case, reports, tmp_path):
     assert sorted(got) == list(range(SEEDS))
     for seed, report in got.items():
         assert_same_report(report, want_reports[seed])
-
-
-@pytest.mark.parametrize("case", ["mlp-small-bptt", "mlp-small-teacher-forcing"])
-def test_mlp_cases_cross_the_gradient_budget(case, tmp_path):
-    # Rows per seed of one loss: 10 steps x 4 stages x 16 windows for BPTT,
-    # 4 stages x 256 transitions for teacher forcing.  Both pass GRAD_ROWS,
-    # so a flush happens in the middle of a loss.
-    cfg = config(case, tmp_path)
-    train = make_train_config(cfg, resolve_arch(cfg)[0], 0)
-    horizon = 1 if train.paradigm == TEACHER_FORCING else train.horizon
-    pool = len(windows_of(_dataset_for(cfg, 0).train, horizon)[0])
-    rows = horizon * len(SCHEMES[cfg.integrator][1]) * min(train.batch_size, pool)
-    assert rows == {"mlp-small-bptt": 640, "mlp-small-teacher-forcing": 1024}[case]
-    assert rows > GRAD_ROWS
 
 
 def test_per_seed_data_blocks(case, reports, tmp_path):
