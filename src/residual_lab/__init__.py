@@ -36,6 +36,7 @@ from .harness import (
     config_fingerprint,
     load_config_file,
     run_sweep,
+    run_sweeps,
 )
 from .hybridcell import (
     HybridSystem,

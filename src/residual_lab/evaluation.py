@@ -10,6 +10,7 @@ in the statistics).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +314,15 @@ def format_fit_terms(fit: SymbolicFit) -> str:
     return ";".join(f"{n}:{_FLOAT_FMT % c}" for n, c in fit.active.items())
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
+    so a reader, or a run killed mid-write, never sees a torn file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_metrics(path, rows, fingerprint: str | None = None) -> None:
     lines = []
     if fingerprint is not None:
@@ -324,8 +334,7 @@ def write_metrics(path, rows, fingerprint: str | None = None) -> None:
             _FLOAT_FMT % r.discovery_r2, _FLOAT_FMT % r.test_mse,
             _FLOAT_FMT % r.fit_r2, r.fit_terms, r.status,
         ]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_metrics(path) -> tuple[list[MetricRow], str | None]:

@@ -10,19 +10,27 @@ every report caveats them.
 Sweeps are resumable and deterministic: each (config minus output/seed-count)
 hashes to a fingerprint, per-seed rows live in a metrics CSV keyed by that
 fingerprint, and reruns, different worker counts and different blocks of
-seeds trained together reproduce the output byte for byte.
+seeds trained together reproduce the output byte for byte.  One scheduler,
+``run_sweeps``, trains the seed blocks of any number of sweeps, in-process
+or in one worker pool; ``run_sweep`` is its one-sweep call.  A sweep's rows
+are saved after each block, and every file is replaced whole, so a killed
+run keeps its finished blocks and never leaves a torn file.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import types
 import typing
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -41,6 +49,7 @@ from .evaluation import (
     sample_surface,
     stlsq_fit,
     test_mse,
+    write_atomic,
     write_metrics,
 )
 from .hybridcell import HybridSystem, OracleResidual
@@ -287,8 +296,7 @@ def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | No
 
 
 def _run_block(task: tuple[ExperimentConfig, list[int]]) -> list[MetricRow]:
-    """Train a block of seeds together, then evaluate each into its row;
-    top-level so worker processes can receive it."""
+    """Train a block of seeds together, then evaluate each into its row."""
     cfg, seeds = task
     datasets = [_dataset_for(cfg, s) for s in seeds]
     if cfg.oracle:
@@ -333,8 +341,8 @@ def _top_term(row: MetricRow) -> str:
     return best
 
 
-def _summarize(cfg: ExperimentConfig, fingerprint: str, rows: list[MetricRow],
-               preset: PresetConfig, arch: Arch) -> dict:
+def _summarize(cfg: ExperimentConfig, fingerprint: str, rows: list[MetricRow]) -> dict:
+    arch, preset = resolve_arch(cfg)
     r2s = [r.discovery_r2 for r in rows]
     mses = [r.test_mse for r in rows]
     mean, lo, hi = bootstrap_ci(r2s, seed=0)
@@ -368,63 +376,109 @@ def _summarize(cfg: ExperimentConfig, fingerprint: str, rows: list[MetricRow],
     return summary
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Train and evaluate n_seeds seeds, resuming any rows already on disk.
-
-    The missing seeds train in lockstep blocks of up to ``BLOCK_SEEDS``
-    (smaller with several workers, so each worker gets a block), and each
-    seed is then evaluated into its own row.  A seed's row does not depend
-    on its block, and the metrics file is rewritten sorted by seed, so
-    output bytes depend only on the config, never on scheduling.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    fingerprint = config_fingerprint(cfg)
-    arch, preset = resolve_arch(cfg)
-    directory = sweep_directory(cfg)
+def _resume(cfg: ExperimentConfig) -> dict[int, MetricRow]:
+    """Create the sweep directory of ``cfg`` and return the rows it holds,
+    checking that they belong to its fingerprint."""
+    resolve_arch(cfg)  # an unknown config fails before its directory exists
+    fingerprint, directory = config_fingerprint(cfg), sweep_directory(cfg)
     os.makedirs(directory, exist_ok=True)
-    metrics_path = os.path.join(directory, "metrics.csv")
+    path = os.path.join(directory, "metrics.csv")
+    if not os.path.exists(path):
+        return {}
+    rows, stored = read_metrics(path)
+    if stored is not None and stored != fingerprint:
+        raise ValueError(f"{path} belongs to fingerprint {stored}, not {fingerprint}")
+    return {r.seed: r for r in rows}
 
-    existing: dict[int, MetricRow] = {}
-    if os.path.exists(metrics_path):
-        rows, stored = read_metrics(metrics_path)
-        if stored is not None and stored != fingerprint:
-            raise ValueError(
-                f"{metrics_path} belongs to fingerprint {stored}, not {fingerprint}"
-            )
-        existing = {r.seed: r for r in rows}
 
-    missing = [s for s in range(cfg.n_seeds) if s not in existing]
-    if missing:
-        # Blocks shrink below BLOCK_SEEDS when that leaves a worker idle.
-        size = min(BLOCK_SEEDS, -(-len(missing) // workers))
-        tasks = [(cfg, missing[i : i + size]) for i in range(0, len(missing), size)]
-        if workers > 1:
-            with get_context("fork").Pool(workers) as pool:
-                blocks = pool.map(_run_block, tasks)
-        else:
-            blocks = [_run_block(t) for t in tasks]
-        existing.update({r.seed: r for rows in blocks for r in rows})
-
-    all_rows = [existing[s] for s in sorted(existing)]
-    write_metrics(metrics_path, all_rows, fingerprint=fingerprint)
+def _finish(cfg: ExperimentConfig, rows: dict[int, MetricRow]) -> SweepResult:
+    """Write the config echo and the summary of a sweep whose seeds are all in ``rows``."""
+    directory, fingerprint = sweep_directory(cfg), config_fingerprint(cfg)
     save_config_file(cfg, os.path.join(directory, "config.txt"))
-
-    result_rows = [existing[s] for s in range(cfg.n_seeds)]
-    summary = _summarize(cfg, fingerprint, result_rows, preset, arch)
-    with open(os.path.join(directory, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    result_rows = [rows[s] for s in range(cfg.n_seeds)]
+    summary = _summarize(cfg, fingerprint, result_rows)
+    write_atomic(os.path.join(directory, "summary.json"),
+                 json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return SweepResult(cfg, fingerprint, result_rows, summary, directory)
 
 
+def _run_task(task: tuple[int, ExperimentConfig, list[int]]) -> tuple[int, list[MetricRow]]:
+    """``_run_block`` of a block of sweep ``index``, tagged with the index;
+    top-level so worker processes can receive it."""
+    index, cfg, seeds = task
+    return index, _run_block((cfg, seeds))
+
+
+def run_sweeps(cfgs, workers: int = 1) -> Iterator[SweepResult]:
+    """Train and evaluate the ``n_seeds`` seeds of every config, resuming the
+    rows already on disk, and yield each sweep's result as it completes.
+
+    Every sweep is opened, and its fingerprint checked, before any training.
+    The missing seeds of all sweeps are cut into blocks of one sweep each by
+    one rule, ``min(BLOCK_SEEDS, ceil(total missing / workers))``, so every
+    worker gets a block.  The blocks train in-process with one worker, else
+    in one fork pool, in any order.  After each block its sweep's
+    ``metrics.csv`` is rewritten sorted by seed, so a killed run keeps every
+    finished block; ``config.txt`` and ``summary.json`` follow the sweep's
+    last block.  A seed's row does not depend on its block, so output bytes
+    depend only on the configs, never on scheduling.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    cfgs = list(cfgs)
+    if len({sweep_directory(cfg) for cfg in cfgs}) < len(cfgs):
+        raise ValueError("two configs share one sweep directory")
+    done = [_resume(cfg) for cfg in cfgs]
+    missing = [[s for s in range(cfg.n_seeds) if s not in rows] for cfg, rows in zip(cfgs, done)]
+    size = max(1, min(BLOCK_SEEDS, -(-sum(map(len, missing)) // workers)))
+    tasks = [(i, cfgs[i], seeds[j : j + size])
+             for i, seeds in enumerate(missing) for j in range(0, len(seeds), size)]
+    pending = Counter(i for i, _, _ in tasks)
+    # A sweep with no seed missing is finished by one empty block, before any training.
+    idle = [(i, []) for i in range(len(cfgs)) if not pending[i]]
+    pending.update(i for i, _ in idle)
+
+    def collect(blocks):
+        for i, rows in blocks:
+            done[i].update((r.seed, r) for r in rows)
+            write_metrics(os.path.join(sweep_directory(cfgs[i]), "metrics.csv"),
+                          [done[i][s] for s in sorted(done[i])],
+                          fingerprint=config_fingerprint(cfgs[i]))
+            pending[i] -= 1
+            if not pending[i]:
+                yield _finish(cfgs[i], done[i])
+
+    yield from collect(idle)
+    if workers > 1 and tasks:
+        with get_context("fork").Pool(workers) as pool:
+            yield from collect(pool.imap_unordered(_run_task, tasks))
+    else:
+        yield from collect(map(_run_task, tasks))
+
+
+def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
+    """One sweep through ``run_sweeps``: in-process with one worker, else
+    in a fork pool of ``workers``."""
+    [result] = run_sweeps([cfg], workers)
+    return result
+
+
 def load_sweep(directory: str) -> SweepResult:
+    """The result of a completed sweep; ``ValueError`` naming the directory
+    unless its rows cover seeds ``0..n_seeds-1`` and its summary counts as
+    many, as a sweep killed before its last block leaves them."""
     cfg = load_config_file(os.path.join(directory, "config.txt"))
     rows, fingerprint = read_metrics(os.path.join(directory, "metrics.csv"))
     with open(os.path.join(directory, "summary.json")) as fh:
         summary = json.load(fh)
+    by_seed = {r.seed: r for r in rows}
+    lost = [s for s in range(cfg.n_seeds) if s not in by_seed]
+    if lost or summary.get("n_seeds") != cfg.n_seeds:
+        raise ValueError(f"{directory}: incomplete sweep: {cfg.n_seeds} seeds in config.txt, "
+                         f"{summary.get('n_seeds')} in summary.json, seeds {lost} missing "
+                         f"from metrics.csv")
     return SweepResult(cfg, fingerprint or config_fingerprint(cfg),
-                       rows[: cfg.n_seeds], summary, directory)
+                       [by_seed[s] for s in range(cfg.n_seeds)], summary, directory)
 
 
 _PARADIGM_HEADS = {TEACHER_FORCING: "TF", BPTT: "BPTT"}
@@ -453,8 +507,7 @@ def aggregate_tables(results: list[SweepResult], out_prefix: str):
     col_order = [(s, p) for s in (DUFFING, VANDERPOL)
                  for p in (TEACHER_FORCING, BPTT)]
     cols: list[tuple[str, str]] = []
-    cells: dict[tuple, dict[tuple, SweepResult]] = {}
-    row_keys: list[tuple] = []
+    cells: dict[tuple, dict[tuple, SweepResult]] = {}  # row key -> column key -> sweep
     for res in results:
         preset = presets[res.config.config]
         arch, _ = resolve_arch(res.config)
@@ -470,37 +523,26 @@ def aggregate_tables(results: list[SweepResult], out_prefix: str):
                 f"{cell_map[col_key].fingerprint} vs {res.fingerprint}"
             )
         cell_map[col_key] = res
-        if row_key not in row_keys:
-            row_keys.append(row_key)
     cols.sort(key=col_order.index)
 
     headers = (["arch", "config", "params"]
                + [f"{s} {_PARADIGM_HEADS[p]} R2" for s, p in cols])
-    table = []
-    for row_key in row_keys:
-        row = [row_key[0], row_key[1], str(row_key[2])]
-        for col in cols:
-            res = cells[row_key].get(col)
-            row.append(_cell_text(res) if res is not None else "")
-        table.append(row)
+    table = [[label, config, str(params)]
+             + [_cell_text(row[col]) if col in row else "" for col in cols]
+             for (label, config, params), row in cells.items()]
 
     csv_path, txt_path = out_prefix + ".csv", out_prefix + ".txt"
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in table:
-            fh.write(",".join(row) + "\n")
-    widths = [max(len(h), *(len(r[i]) for r in table)) if table else len(h)
-              for i, h in enumerate(headers)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([headers, *table])
+    write_atomic(csv_path, buf.getvalue())
+    widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
     for row in table:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    if any(p.reconstructed for p in presets.values()
-           if any(r.config.config == p.name for r in results)):
-        lines.append("")
-        lines.append("* reconstructed configuration (hyperparameters not published)")
-    with open(txt_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if any(presets[r.config.config].reconstructed for r in results):
+        lines += ["", "* reconstructed configuration (hyperparameters not published)"]
+    write_atomic(txt_path, "\n".join(lines) + "\n")
     return csv_path, txt_path
 
 
@@ -570,5 +612,4 @@ def save_config_file(cfg: ExperimentConfig, path) -> None:
         else:
             text = str(val)
         lines.append(f"{f.name} = {text}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -418,6 +418,23 @@ class TestSweepAggregate:
         assert os.path.exists(tmp_path / "report.csv")
         assert os.path.exists(tmp_path / "report.txt")
 
+    def test_aggregate_rejects_an_incomplete_sweep(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("config = A\noracle = true\nn_train_ics = 2\n"
+                       "n_test_ics = 1\ndata_steps = 50\n")
+        code, out, _ = run(capsys, "sweep", "--config-file", str(cfg),
+                           "--seeds", "3", "--out", str(tmp_path))
+        assert code == 0
+        directory = out.split(":")[0]
+        metrics = Path(directory) / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        metrics.write_text("\n".join(lines[:3] + lines[4:]) + "\n")  # seed 1 lost
+        code, out, err = run(capsys, "aggregate", directory,
+                             "--out", str(tmp_path / "report"))
+        assert code == 1 and out == ""
+        assert f"{directory}: incomplete sweep" in err
+        assert not (tmp_path / "report.csv").exists()
+
     @pytest.mark.parametrize("argv,path", [
         (("eval", "--system", "duffing", "--checkpoint", "{missing}"), "missing"),
         (("eval", "--oracle", "--system", "duffing", "--data", "{missing}"), "missing"),

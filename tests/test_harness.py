@@ -1,9 +1,14 @@
+import csv
 import dataclasses
 import json
+import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+from residual_lab import harness
 from residual_lab.evaluation import MetricRow, R2_SENTINEL, read_metrics, write_metrics
 from residual_lab.harness import (
     ARCH_REGISTRY,
@@ -20,6 +25,7 @@ from residual_lab.harness import (
     output_root,
     resolve_arch,
     run_sweep,
+    run_sweeps,
     save_config_file,
     sweep_directory,
 )
@@ -33,6 +39,15 @@ def oracle_config(tmp_path, **kw):
                 data_steps=100)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def files_of(directory) -> dict[str, bytes]:
+    """Every file of a sweep directory, by name."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
 
 
 class TestRegistry:
@@ -303,12 +318,97 @@ class TestRunSweep:
         assert back.rows == result.rows
         assert back.fingerprint == result.fingerprint
 
+    def test_killed_sweep_keeps_finished_blocks(self, tmp_path, monkeypatch):
+        cfg = oracle_config(tmp_path, n_seeds=20)
+        whole = files_of(run_sweep(cfg).directory)
+        directory = sweep_directory(cfg)
+        shutil.rmtree(directory)
+
+        real, blocks = harness._run_block, []
+
+        def run_block(task, kill_at):
+            blocks.append(task[1])
+            if len(blocks) == kill_at:
+                raise RuntimeError("killed")
+            return real(task)
+
+        monkeypatch.setattr(harness, "_run_block", lambda task: run_block(task, kill_at=2))
+        with pytest.raises(RuntimeError, match="killed"):
+            run_sweep(cfg)
+        assert blocks == [list(range(16)), list(range(16, 20))]
+        # The first block's rows are saved; nothing else is written yet.
+        assert os.listdir(directory) == ["metrics.csv"]
+        rows, _ = read_metrics(os.path.join(directory, "metrics.csv"))
+        assert [r.seed for r in rows] == list(range(16))
+
+        blocks.clear()
+        monkeypatch.setattr(harness, "_run_block", lambda task: run_block(task, kill_at=None))
+        run_sweep(cfg)
+        assert blocks == [list(range(16, 20))]
+        assert files_of(directory) == whole
+
+    def test_load_sweep_of_a_shrunk_sweep(self, tmp_path):
+        run_sweep(oracle_config(tmp_path, n_seeds=4))
+        result = run_sweep(oracle_config(tmp_path, n_seeds=2))
+        back = load_sweep(result.directory)
+        assert [r.seed for r in back.rows] == [0, 1]
+        assert back.rows == result.rows
+
+    @pytest.mark.parametrize("damage", ["lost-row", "summary-count"])
+    def test_load_sweep_rejects_incomplete(self, tmp_path, damage):
+        result = run_sweep(oracle_config(tmp_path))
+        if damage == "lost-row":
+            metrics = os.path.join(result.directory, "metrics.csv")
+            rows, fingerprint = read_metrics(metrics)
+            write_metrics(metrics, [rows[0], rows[2]], fingerprint=fingerprint)
+        else:
+            path = os.path.join(result.directory, "summary.json")
+            with open(path) as fh:
+                summary = json.load(fh)
+            summary["n_seeds"] = 2
+            with open(path, "w") as fh:
+                json.dump(summary, fh)
+        with pytest.raises(ValueError, match=re.escape(f"{result.directory}: incomplete")):
+            load_sweep(result.directory)
+
     def test_summary_records_capture_fraction(self, tmp_path):
         result = run_sweep(oracle_config(tmp_path))
         # Oracle Duffing surfaces always fit -0.3 x^3 as the top term.
         assert result.summary["captured_cubic_fraction"] == 1.0
         assert result.summary["no_finite_checkpoint_fraction"] == 0.0
         assert result.summary["statuses"] == {"Oracle": 3}
+
+
+class TestRunSweeps:
+    @staticmethod
+    def cells(out):
+        trained = ExperimentConfig(system="duffing", config="A", n_seeds=3, steps=2,
+                                   out=out, n_train_ics=2, n_test_ics=1, data_steps=50)
+        return [trained, oracle_config(out, system="vanderpol", n_seeds=2)]
+
+    def test_one_pool_matches_one_sweep_at_a_time(self, tmp_path):
+        out = str(tmp_path / "out")
+        want = [files_of(run_sweep(cfg, workers=1).directory) for cfg in self.cells(out)]
+        shutil.rmtree(out)
+        # 5 missing seeds over 2 workers: blocks of up to 3, one per cell, one per child.
+        results = list(run_sweeps(self.cells(out), workers=2))
+        directories = [sweep_directory(cfg) for cfg in self.cells(out)]
+        assert sorted(r.directory for r in results) == sorted(directories)
+        assert [files_of(d) for d in directories] == want
+
+    def test_every_fingerprint_checked_before_training(self, tmp_path):
+        first, second = self.cells(str(tmp_path))
+        os.makedirs(sweep_directory(second))
+        write_metrics(os.path.join(sweep_directory(second), "metrics.csv"), [],
+                      fingerprint="deadbeef")
+        with pytest.raises(ValueError, match="fingerprint"):
+            list(run_sweeps([first, second]))
+        assert os.listdir(sweep_directory(first)) == []
+
+    def test_one_directory_twice_rejected(self, tmp_path):
+        cfg = oracle_config(tmp_path)
+        with pytest.raises(ValueError, match="share one sweep directory"):
+            list(run_sweeps([cfg, dataclasses.replace(cfg, n_seeds=5)]))
 
 
 def fake_result(tmp_path, mean, lo, hi, *, config="A", system="duffing",
@@ -374,6 +474,16 @@ class TestAggregateTables:
         b = fake_result(tmp_path, 0.7, 0.6, 0.8, fingerprint="b" * 16)
         with pytest.raises(ValueError, match="conflicting"):
             aggregate_tables([a, b], str(tmp_path / "table"))
+
+    def test_csv_rows_read_back_one_field_per_column(self, tmp_path):
+        # Config A's and F's labels hold commas.
+        results = [fake_result(tmp_path, 0.5, 0.4, 0.6, config=c, fingerprint=c * 16)
+                   for c in "AF"]
+        csv_path, _ = aggregate_tables(results, str(tmp_path / "table"))
+        with open(csv_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [row[0] for row in rows] == ["Config A (G=5, k=3)", "Config F (G=3, k=3)"]
+        assert all(len(row) == len(header) for row in rows)
 
     def test_txt_table_aligned(self, tmp_path):
         res = fake_result(tmp_path, 0.5, 0.4, 0.6)
