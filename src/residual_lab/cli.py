@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -292,7 +293,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The one parser of this process; parsing leaves it as it was."""
     # No prefix matching: a removed flag must not resolve to a longer one.
     parser = _Parser(prog="residual-lab", allow_abbrev=False,
                      description="KAN vs MLP residual branches in a "

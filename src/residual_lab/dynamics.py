@@ -102,20 +102,23 @@ def oscillator(kind: str) -> OscillatorSpec:
     return OscillatorSpec(kind)
 
 
-def rk_step(accel, X, V, dt: float, scheme: str):
-    """One ``SCHEMES[scheme]`` step of x' = v, v' = a, with ``accel(X, V)``
-    returning (a, aux).  Returns (X', V', stages): per stage its state, whose
-    V_i is also its x-slope, and its aux, as (X_i, V_i, aux_i)."""
+def rk_step(accel, Z, dt: float, scheme: str):
+    """One ``SCHEMES[scheme]`` step of x' = v, v' = a on (..., 2) [x, v] states
+    ``Z``, with ``accel(Z)`` returning (a, aux).  Returns (Z', stages): per
+    stage its state Z_i, whose v column is also its x-slope, and its aux."""
     feeds, weights, div = SCHEMES[scheme]
-    Xi, Vi, stages = X, V, []
+    Zi, stages = Z, []
     for i, w in enumerate(weights):
-        a, aux = accel(Xi, Vi)
-        stages.append((Xi, Vi, aux))
-        # The sums start from their first term, not 0.0, to keep a -0.0's sign.
-        sx, sv = (sx + w * Vi, sv + w * a) if i else (w * Vi, w * a)
+        a, aux = accel(Zi)
+        stages.append((Zi, aux))
+        K = np.empty(Zi.shape)
+        K[..., 0] = Zi[..., 1]
+        K[..., 1] = a
+        # The sum starts from its first term, not 0.0, to keep a -0.0's sign.
+        s = s + w * K if i else w * K
         if i < len(feeds):
-            Xi, Vi = X + feeds[i] * dt * Vi, V + feeds[i] * dt * a
-    return X + dt / div * sx, V + dt / div * sv, stages
+            Zi = Z + feeds[i] * dt * K
+    return Z + dt / div * s, stages
 
 
 def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
@@ -123,20 +126,18 @@ def integrate_batch(spec: OscillatorSpec, ics: np.ndarray, dt: float, n_steps: i
 
     Raises ``DivergenceError`` whose ``step`` is the index of the first
     non-finite state, as ``hybridcell.rollout`` reports it."""
-    n = ics.shape[0]
-    out = np.empty((n, n_steps + 1, 2))
-    out[:, 0] = ics
-    X, V = ics[:, 0].copy(), ics[:, 1].copy()
+    out = np.empty((ics.shape[0], n_steps + 1, 2))
+    out[:, 0] = Z = ics
 
-    def accel(X, V):
-        return spec.known_vdot(X, V) + spec.true_residual(X, V), None
+    def accel(Z):
+        x, v = Z[..., 0], Z[..., 1]
+        return spec.known_vdot(x, v) + spec.true_residual(x, v), None
 
     for t in range(n_steps):
-        X, V, _ = rk_step(accel, X, V, dt, RK4)
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        Z, _ = rk_step(accel, Z, dt, RK4)
+        if not np.all(np.isfinite(Z)):
             raise DivergenceError("batch integration diverged", step=t + 1)
-        out[:, t + 1, 0] = X
-        out[:, t + 1, 1] = V
+        out[:, t + 1] = Z
     return out
 
 

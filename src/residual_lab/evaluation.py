@@ -72,7 +72,7 @@ class SurfaceSample:
 def sample_surface(branch, spec: OscillatorSpec, grid: GridSpec = GridSpec(),
                    scale: float = DEFAULT_SCALE) -> SurfaceSample:
     X, V = grid.mesh()
-    vals, _ = branch.prepare().eval_batch((X / scale).ravel(), (V / scale).ravel())
+    vals, _ = branch.prepare().eval_batch(np.stack((X, V), -1).reshape(-1, 2) / scale)
     return SurfaceSample(grid, vals.reshape(X.shape), spec.true_residual(X, V))
 
 
@@ -94,10 +94,10 @@ def test_mse(system: HybridSystem, test: np.ndarray) -> float:
     (n, T, 2) held-out array; +inf if any transition diverges."""
     s0, s1 = transitions_of(test)
     ok = np.ones((), dtype=bool)
-    XP, VP, _ = step_batch(system.prepare(), s0[:, 0], s0[:, 1], ok)
+    ZP, _ = step_batch(system.prepare(), s0, ok)
     if not ok:
         return float("inf")
-    sq = (XP - s1[:, 0]) ** 2 + (VP - s1[:, 1]) ** 2
+    sq = (ZP[:, 0] - s1[:, 0]) ** 2 + (ZP[:, 1] - s1[:, 1]) ** 2
     mse = float(sq.mean())
     return mse if np.isfinite(mse) else float("inf")
 

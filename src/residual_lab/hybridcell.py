@@ -1,19 +1,21 @@
 """Hard-constrained recurrent cell: known physics plus a learned residual.
 
-The cell advances (x, v) by integrating
+The cell advances the state z = [x, v] by integrating
 
     dx/dt = v                                  (hard constraint, exact)
     dv/dt = known_vdot(x, v) + R(x/scale, v/scale)
 
-so the branch can only ever model the missing v-dot term.  A branch is any
-object with a flat ``params`` array and a ``prepare(grads=None)`` method;
-``netcore.ResidualBranch`` and ``OracleResidual`` are the two.  Every loss,
+so the branch can only ever model the missing v-dot term.  A state batch
+is one (N, 2) array of [x, v] rows, the layout of the datasets.  A branch is
+any object with a flat ``params`` array and a ``prepare(grads=None)``
+method; ``netcore.ResidualBranch`` and ``OracleResidual`` are the two.  Every loss,
 rollout and ``HybridSystem.prepare`` call prepares the branch once, and
 ``step_batch`` and ``step_vjp`` use what that returns through four methods:
-``eval_batch(xn, vn) -> (values, cache)``, ``combined_vjp(cache, upstream)
--> (grads, (d/dxn, d/dvn))``, which adds the stage's parameter gradient
-into the ``grads`` buffer given to ``prepare`` before it returns,
-``l1_value()`` and ``l1_grad_into(grads)``.  The oracle has no parameters
+``eval_batch(U) -> (values, cache)`` on normalized (..., 2) states U, values
+shaped ``U.shape[:-1]``; ``combined_vjp(cache, upstream) -> (grads, dU)``,
+dU the (..., 2) adjoint on U, which adds the stage's parameter gradient
+into the ``grads`` buffer given to ``prepare`` before it returns;
+``l1_value()``; and ``l1_grad_into(grads)``.  The oracle has no parameters
 and prepares to itself.
 
 The cell steps with ``dynamics.rk_step`` and its adjoint reads the same
@@ -24,7 +26,7 @@ jacobian, the state path; teacher forcing is its one-step window.
 
 Everything here is batched over a sample axis; batch size 1 is a batch of
 one row, not a separate scalar API.  A branch whose ``params`` is an (S, P)
-block of S seeds adds a leading seed axis: states are (S, N), loss inputs
+block of S seeds adds a leading seed axis: states are (S, N, 2), loss inputs
 (S, N, ...), and the losses return per-seed losses (S,), gradients (S, P)
 and an (S,) ok-mask.  Seed s does exactly the float operations it would do
 in a block of its own.  A one-seed (P,) branch drops the axis, and its mask
@@ -66,15 +68,13 @@ class OracleResidual:
     def prepare(self, grads=None) -> OracleResidual:
         return self
 
-    def eval_batch(self, xn, vn):
-        x = np.asarray(xn, dtype=float) * self.scale
-        v = np.asarray(vn, dtype=float) * self.scale
-        return self.spec.true_residual(x, v), (x, v)
+    def eval_batch(self, U):
+        Z = np.asarray(U, dtype=float) * self.scale
+        return self.spec.true_residual(Z[..., 0], Z[..., 1]), Z
 
     def combined_vjp(self, cache, upstream):
-        x, v = cache
-        px, pv = self.spec.true_residual_partials(x, v)
-        return self.params, (upstream * px * self.scale, upstream * pv * self.scale)
+        px, pv = self.spec.true_residual_partials(cache[..., 0], cache[..., 1])
+        return self.params, np.stack((upstream * px, upstream * pv), -1) * self.scale
 
     def l1_value(self) -> float:
         return 0.0
@@ -111,56 +111,52 @@ def oracle_system(spec: OscillatorSpec, dt: float, integrator: str = RK4,
     return HybridSystem(spec, OracleResidual(spec, scale), dt, integrator, scale)
 
 
-def _vdot_batch(h: HybridSystem, X, V):
-    """Known v-dot plus residual, with the branch cache for the backward pass."""
-    vals, cache = h.branch.eval_batch(X / h.scale, V / h.scale)
-    return h.spec.known_vdot(X, V) + vals, cache
+def step_batch(h: HybridSystem, Z, ok):
+    """One integrator step over a batch of ``[x, v]`` states; returns (Z', cache).
 
-
-def step_batch(h: HybridSystem, X, V, ok):
-    """One integrator step over a batch; returns (X', V', cache).
-
-    ``X`` and ``V`` are (N,) rows, or (S, N) for a system prepared from an
-    (S, P) block, row s by seed s.  ``ok`` is the per-seed bool mask, shape
-    ``X.shape[:-1]`` (0-d for one seed): the step clears, in place, the
+    ``Z`` is (N, 2), or (S, N, 2) for a system prepared from an (S, P)
+    block, row s by seed s.  ``ok`` is the per-seed bool mask, shape
+    ``Z.shape[:-2]`` (0-d for one seed): the step clears, in place, the
     entry of each seed with a row past ``DIVERGE_BOUND`` or non-finite, and
     raises nothing.  The cache is ``rk_step``'s stages, each stage's input
-    states and branch cache, which is exactly what ``step_vjp`` consumes.
+    state and branch cache, which is exactly what ``step_vjp`` consumes.
     """
-    XP, VP, cache = rk_step(lambda X, V: _vdot_batch(h, X, V), X, V, h.dt, h.integrator)
+    def vdot(Z):
+        vals, cache = h.branch.eval_batch(Z / h.scale)
+        return h.spec.known_vdot(Z[..., 0], Z[..., 1]) + vals, cache
+
+    ZP, cache = rk_step(vdot, Z, h.dt, h.integrator)
     # NaN and inf fail the comparison, so this also clears non-finite rows.
-    ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
-    return XP, VP, cache
+    ok &= (np.abs(ZP) <= DIVERGE_BOUND).all((-2, -1))
+    return ZP, cache
 
 
-def step_vjp(h: HybridSystem, cache, lx, lv):
-    """Reverse one step: given adjoints on (X', V'), add the branch parameter
-    gradients into the buffer ``h.branch`` was prepared with and return the
-    adjoints on (X, V).
+def step_vjp(h: HybridSystem, cache, L):
+    """Reverse one step: given the adjoint ``L`` on Z', shaped like it, add
+    the branch parameter gradients into the buffer ``h.branch`` was
+    prepared with and return the adjoint on Z.
 
-    Stages run last to first.  Each stage's F = known_vdot + R takes the
-    adjoint wv and its kinematic slope (the stage V) takes wx; both are the
-    step's adjoint times the stage's weight plus the adjoint that flowed
-    into the next stage's state times its feed, both from ``SCHEMES``.
+    Stages run last to first.  Each stage's slope [v, F], F = known_vdot +
+    R, takes the adjoint W: the step's adjoint times the stage's weight plus
+    the adjoint that flowed into the next stage's state times its feed, both
+    from ``SCHEMES``.  Its v column feeds F, and its x column the slope's x
+    entry, the stage's v.
     """
     dt, branch, spec, scale = h.dt, h.branch, h.spec, h.scale
     feeds, weights, div = SCHEMES[h.integrator]
-    weights = [w * (dt / div) for w in weights]
-    feeds = [f * dt for f in feeds]
-    ax, av = lx, lv
-    sx = sv = None
+    weights, feeds = [w * (dt / div) for w in weights], [f * dt for f in feeds]
+    A, S = L, None
     for i in range(len(cache) - 1, -1, -1):
-        X, V, bc = cache[i]
-        if sx is None:
-            wx, wv = lx * weights[i], lv * weights[i]
-        else:
-            wx, wv = lx * weights[i] + feeds[i] * sx, lv * weights[i] + feeds[i] * sv
-        _, (dxn, dvn) = branch.combined_vjp(bc, wv)
-        kx, kv = spec.known_vdot_partials(X, V)
-        sx = wv * kx + dxn / scale
-        sv = wx + wv * kv + dvn / scale
-        ax, av = ax + sx, av + sv
-    return ax, av
+        Z, bc = cache[i]
+        W = L * weights[i] if S is None else L * weights[i] + feeds[i] * S
+        wx, wv = W[..., 0], W[..., 1]
+        dU = branch.combined_vjp(bc, wv)[1] / scale
+        kx, kv = spec.known_vdot_partials(Z[..., 0], Z[..., 1])
+        S = np.empty(W.shape)
+        S[..., 0] = wv * kx + dU[..., 0]
+        S[..., 1] = wx + wv * kv + dU[..., 1]
+        A = A + S
+    return A
 
 
 def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
@@ -169,17 +165,16 @@ def rollout(h: HybridSystem, starts, n: int) -> np.ndarray:
     Raises ``DivergenceError`` with the number of the step that diverged."""
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or n < 1:
-        raise ValueError("rollout needs (S, 2) start states and n >= 1 steps")
+        raise ValueError("rollout needs (W, 2) start states and n >= 1 steps")
     h = h.prepare()
     ok = np.ones((), dtype=bool)
     out = np.empty((len(starts), n + 1, 2))
-    out[:, 0] = starts
-    X, V = starts[:, 0], starts[:, 1]
+    out[:, 0] = Z = starts
     for step in range(1, n + 1):
-        X, V, _ = step_batch(h, X, V, ok)
+        Z, _ = step_batch(h, Z, ok)
         if not ok:
             raise DivergenceError(f"state diverged at step {step}", step=step)
-        out[:, step, 0], out[:, step, 1] = X, V
+        out[:, step] = Z
     return out
 
 
@@ -225,26 +220,21 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
     grads = np.zeros_like(h.branch.params)
     ok = np.ones(starts.shape[:-2], dtype=bool)
     h = h.prepare(grads)
-    X, V = starts[..., 0], starts[..., 1]
-    caches, diffs = [], []
+    Z, caches, diffs = starts, [], []
     total = np.zeros(ok.shape)
     with np.errstate(all="ignore"):
         for t in range(horizon):
-            X, V, cache = step_batch(h, X, V, ok)
-            dx, dv = X - targets[..., t, 0], V - targets[..., t, 1]
-            total += (dx ** 2 + dv ** 2).sum(-1)
+            Z, cache = step_batch(h, Z, ok)
+            D = Z - targets[..., t, :]
+            total += (D[..., 0] ** 2 + D[..., 1] ** 2).sum(-1)
             caches.append(cache)
-            diffs.append((dx, dv))
+            diffs.append(D)
         norm = n * horizon
         loss = total / norm + h.branch.l1_value()
 
-        lx = np.zeros(X.shape)
-        lv = np.zeros(X.shape)
+        L = np.zeros(Z.shape)
         for t in range(horizon - 1, -1, -1):
-            dx, dv = diffs[t]
-            lx = lx + (2.0 / norm) * dx
-            lv = lv + (2.0 / norm) * dv
-            lx, lv = step_vjp(h, caches[t], lx, lv)
+            L = step_vjp(h, caches[t], L + (2.0 / norm) * diffs[t])
         return _loss_result(h, loss, grads, ok)
 
 

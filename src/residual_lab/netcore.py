@@ -1,4 +1,4 @@
-"""Residual branch families over the normalized state (xn, vn) -> scalar.
+"""Residual branch families over the normalized state [xn, vn] -> scalar.
 
 Two families share one flat-parameter interface:
 
@@ -46,27 +46,27 @@ place between calls.
 
 A branch's ``params`` may also be an (S, P) block: S seeds of one
 architecture, evaluated together.  Every layer view then keeps a leading S
-axis, the inputs are (S, N), and each contraction is a stack of per-seed
+axis, the inputs are (S, N, 2), and each contraction is a stack of per-seed
 ones (stacked ``matmul``, ``einsum`` over the leading axes), so seed s gets
 the same float operations as in a block of its own.  A (P,) vector is the
 one-seed case with no seed axis at all.
 
-``forward_batch(x, xn, vn)`` takes a prepared branch and returns the values
-and one cache dict per layer, which ``backward_batch(x, cache, upstream,
-grads)`` consumes without re-evaluating anything.  Backward adds the
-parameter gradient into ``grads``, the buffer ``x`` was prepared with, and
-returns that buffer with the input adjoints, so the stages of one loss
-accumulate into one array, stage by stage, with no per-call zero buffer.  A
-forward-only plan (``grads=None``) cannot run backward, so its cache is
-``[]``, and it runs at most ``FORWARD_ROWS`` rows per pass, so a large
-surface grid never holds its whole dense basis.  A KAN layer caches
-backward's operands and nothing else, so forward also computes the two input
-slopes: ``dense`` (N, n_in, M) dense basis, ``dspl`` (N, n_in, n_out) scaled
-edge spline u-slopes, ``silu``/``dsilu`` (N, n_in) base term and its
-u-slope, ``mask`` (N, n_in) inputs inside the domain.  MLP layer cache: the
-layer input ``U`` (N, n_in + 1) with its ones column; backward reads a
-hidden layer's ReLU mask off the next layer's input.  With a seed axis,
-every cache array has a leading S.
+``forward_batch(x, U)`` takes a prepared branch and (N, 2) normalized [xn,
+vn] rows U and returns the values and one cache dict per layer, which
+``backward_batch(x, cache, upstream, grads)`` consumes without re-evaluating
+anything.  Backward adds the parameter gradient into ``grads``, the buffer
+``x`` was prepared with, and returns that buffer with the (N, 2) input
+adjoint, so the stages of one loss accumulate into one array, stage by
+stage, with no per-call zero buffer.  A forward-only plan (``grads=None``)
+cannot run backward: its cache is ``[]``, it computes no basis derivative,
+and it runs at most ``FORWARD_ROWS`` rows per pass, so a large surface grid
+never holds its whole dense basis.  A KAN layer in a loss caches backward's
+operands and nothing else, so forward also computes the two input slopes: ``dense`` (N, n_in, M) dense basis,
+``dspl`` (N, n_in, n_out) scaled edge spline u-slopes, ``silu``/``dsilu``
+(N, n_in) base term and its u-slope, ``mask`` (N, n_in) inputs inside the
+domain.  MLP layer cache: the layer input ``U`` (N, n_in + 1) with its
+ones column; backward reads a hidden layer's ReLU mask off the next layer's
+input.  With a seed axis, every cache array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -209,8 +209,8 @@ class PreparedBranch:
             views = _mlp_layers
         self.glayers = None if grads is None else views(self.arch, grads)
 
-    def eval_batch(self, xn, vn):
-        return forward_batch(self, xn, vn)
+    def eval_batch(self, U):
+        return forward_batch(self, U)
 
     def combined_vjp(self, cache, upstream):
         return backward_batch(self, cache, upstream, self.grads)
@@ -260,28 +260,30 @@ def trainable_mask(arch: Arch) -> np.ndarray:
 
 
 def _silu(u):
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-u))
+    sig = 1.0 / (1.0 + np.exp(-u))
     return sig, u * sig
 
 
-def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
-    """Evaluate the prepared branch on (N,) arrays of normalized coordinates,
-    or on (S, N) arrays for a plan of an (S, P) block, row s by seed s.
+def forward_batch(x: PreparedBranch, U: np.ndarray):
+    """Evaluate the prepared branch on (N, 2) normalized ``[xn, vn]`` rows,
+    or on (S, N, 2) rows for a plan of an (S, P) block, row s by seed s.
 
-    Returns (values, cache), values shaped like ``xn``; the cache holds
+    Returns (values, cache), values shaped ``U.shape[:-1]``; the cache holds
     everything ``backward_batch`` needs, so gradients never re-evaluate the
     network.  A plan without a gradient buffer gets ``[]`` and runs at most
     ``FORWARD_ROWS`` rows per pass.
     """
-    U = np.empty(np.asarray(xn).shape + (2 + isinstance(x.arch, MlpArch),))
-    U[..., 0] = xn
-    U[..., 1] = vn
-    # An MLP input's ones column multiplies the bias row of [W; b].
-    U[..., 2:] = 1.0
+    if isinstance(x.arch, MlpArch):
+        # An MLP input's ones column multiplies the bias row of [W; b].
+        Ub = np.empty(U.shape[:-1] + (3,))
+        Ub[..., :2] = U
+        Ub[..., 2] = 1.0
+        U = Ub
     if x.glayers is not None:
         cache = []
         return _forward_rows(x, U, cache), cache
+    if U.shape[-2] <= FORWARD_ROWS:
+        return _forward_rows(x, U, None), []
     values = np.empty(U.shape[:-1])
     for a in range(0, values.shape[-1], FORWARD_ROWS):
         values[..., a : a + FORWARD_ROWS] = _forward_rows(x, U[..., a : a + FORWARD_ROWS, :], None)
@@ -291,25 +293,27 @@ def forward_batch(x: PreparedBranch, xn: np.ndarray, vn: np.ndarray):
 def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.ndarray:
     """The branch's values on the (.., N, 2) inputs ``U``, (.., N, 3) with
     the ones column for an MLP; appends each layer's backward operands to
-    ``cache`` unless it is None."""
+    ``cache`` unless it is None, and only then computes the basis slopes."""
     if isinstance(x.arch, KanArch):
         spec = x.arch.spline
         lo, hi = spec.domain
         M = spec.n_basis
-        for _, base, _, W in x.layers:
-            B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
-            dense = scatter_to_dense(B, first, M)
-            sig, silu = _silu(U)
-            Y = silu @ base + dense.reshape(U.shape[:-1] + (-1,)) @ W
-            if cache is not None:
-                # The scaled edge splines' u-slopes, one GEMM per input.
+        with np.errstate(over="ignore"):
+            for _, base, _, W in x.layers:
                 n_in, n_out = base.shape[-2:]
-                dspl = (scatter_to_dense(dB, first, M).swapaxes(-2, -3)
-                        @ W.reshape(W.shape[:-2] + (n_in, M, n_out))).swapaxes(-2, -3)
-                cache.append({"dense": dense, "dspl": dspl, "silu": silu,
-                              "dsilu": sig * (1.0 + U * (1.0 - sig)),
-                              "mask": (U >= lo) & (U <= hi)})
-            U = Y
+                B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi),
+                                                    cache is not None)
+                dense = scatter_to_dense(B, first, M)
+                sig, silu = _silu(U)
+                Y = silu @ base + dense.reshape(U.shape[:-1] + (n_in * M,)) @ W
+                if cache is not None:
+                    # The scaled edge splines' u-slopes, one GEMM per input.
+                    dspl = (scatter_to_dense(dB, first, M).swapaxes(-2, -3)
+                            @ W.reshape(W.shape[:-2] + (n_in, M, n_out))).swapaxes(-2, -3)
+                    cache.append({"dense": dense, "dspl": dspl, "silu": silu,
+                                  "dsilu": sig * (1.0 + U * (1.0 - sig)),
+                                  "mask": (U >= lo) & (U <= hi)})
+                U = Y
     else:
         last = len(x.layers) - 1
         for li, Wb in enumerate(x.layers):
@@ -330,8 +334,8 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
     per seed for a block.
 
     Adds the parameter gradient into ``grads``, the buffer ``x`` was
-    prepared with, through its layer views.  Returns (grads, (d/dxn,
-    d/dvn) arrays shaped like ``upstream``).
+    prepared with, through its layer views.  Returns (grads, dU), dU the
+    input adjoint shaped ``upstream.shape + (2,)``: [d/dxn, d/dvn] per row.
     """
     Wy = upstream[..., None]
     if isinstance(x.arch, KanArch):
@@ -359,7 +363,7 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
             # row-sum of Wz.
             x.glayers[li] += cache[li]["U"].swapaxes(-1, -2) @ Wz
             Wy = Wz @ x.layers[li][..., :-1, :].swapaxes(-1, -2)
-    return grads, (Wy[..., 0], Wy[..., 1])
+    return grads, Wy
 
 
 def l1_penalty(branch: ResidualBranch | PreparedBranch):

@@ -122,21 +122,22 @@ def _tables(spec: SplineSpec) -> tuple[np.ndarray, np.ndarray, float, np.ndarray
     return T[spec.order + 1 : spec.n_basis], T[spec.order : spec.n_basis], h, M
 
 
-def basis_and_derivative(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def basis_and_derivative(spec: SplineSpec, u: np.ndarray, derivative: bool = True
+                         ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Evaluate the nonzero basis functions and their u-derivatives.
 
     ``u`` may have any shape but must already lie inside the domain (callers
     clamp first).  Returns ``(B, dB, first)``: ``B`` and ``dB`` have shape
     ``u.shape + (order + 1,)`` and hold basis columns ``first .. first +
     order`` of the full ``n_basis``-column basis; ``first`` has shape
-    ``u.shape``.
+    ``u.shape``; ``dB`` is None, and not computed, if ``derivative`` is false.
     """
     k = spec.order
     interior, left, h, M = _tables(spec)
     u = np.asarray(u, dtype=float)
     # Interval containing u: the count of interior knots <= u, so the right
     # boundary (and NaN) fall in the last interval and the domain is closed.
-    first = np.searchsorted(interior, u, side="right")
+    first = interior.searchsorted(u, side="right")
     # Powers of the local coordinate t in [0, 1] and of s = 1 - t; the
     # minimum only removes rounding at the right end of the interval.
     V = np.empty((u.size, 2, k + 1))
@@ -146,9 +147,10 @@ def basis_and_derivative(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, n
         np.subtract(1.0, V[:, 0, 1], out=V[:, 1, 1])
         for p in range(2, k + 1):
             np.multiply(V[..., p - 1], V[..., 1], out=V[..., p])
-    P = V.reshape(u.size, -1) @ M
+    P = V.reshape(u.size, 2 * k + 2) @ (M if derivative else M[:, : k + 1])
     shape = u.shape + (k + 1,)
-    return P[:, : k + 1].reshape(shape), P[:, k + 1 :].reshape(shape), first
+    dB = P[:, k + 1 :].reshape(shape) if derivative else None
+    return P[:, : k + 1].reshape(shape), dB, first
 
 
 def scatter_to_dense(local: np.ndarray, first: np.ndarray, n_basis: int) -> np.ndarray:

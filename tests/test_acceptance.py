@@ -143,7 +143,7 @@ def test_criterion_05_product_construction():
     branch = product_construction(SplineSpec(5, 3))
     xs = np.linspace(-1.0, 1.0, 50)
     X, V = np.meshgrid(xs, xs, indexing="ij")
-    vals, _ = branch.prepare().eval_batch(X.ravel(), V.ravel())
+    vals, _ = branch.prepare().eval_batch(np.stack([X.ravel(), V.ravel()], -1))
     err = float(np.abs(vals - (X * V).ravel()).max())
     check(5, "hand-set two-layer KAN computes x*v", err < 1e-6,
           f"max error {err:.2e} on 50x50 grid (<1e-6)", t0)

@@ -2,6 +2,8 @@ import argparse
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from residual_lab.evaluation import METRIC_COLUMNS, read_metrics
 from residual_lab.netcore import KanArch, new_branch, save_branch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The flags each subcommand parses, 54 (subcommand, flag) slots in all.
 FLAGS = {
@@ -56,6 +59,22 @@ class TestParsing:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "gen-data" in out and "verify-grads" in out
+
+    def test_one_parser_per_process(self, capsys):
+        # main builds its parser once per process: a rejected argv and then a
+        # valid one exit and print as they do each in a process of its own.
+        argvs = (["list-configs", "--nope"], ["list-configs"])
+        here = [run(capsys, *argv)[:2] for argv in argvs]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        apart = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "residual_lab.cli", *argv],
+                                  capture_output=True, text=True, env=env, check=False)
+            apart.append((proc.returncode, proc.stdout))
+        assert here == apart
+        assert [code for code, _ in here] == [1, 0] and here[1][1]
+        assert build_parser() is build_parser()
 
     def test_unknown_subcommand_is_validation_error(self, capsys):
         code, _, err = run(capsys, "frobnicate")

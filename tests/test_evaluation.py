@@ -206,12 +206,12 @@ def reference_rollout_mse(system, trajectories):
     total, count = 0.0, 0
     system = system.prepare()
     for states in trajectories:
-        X, V, ok = states[:1, 0], states[:1, 1], np.ones((), dtype=bool)
+        Z, ok = states[:1], np.ones((), dtype=bool)
         for t in range(1, len(states)):
-            X, V, _ = step_batch(system, X, V, ok)
+            Z, _ = step_batch(system, Z, ok)
             if not ok:
                 return float("inf")
-            total += float((X[0] - states[t, 0]) ** 2 + (V[0] - states[t, 1]) ** 2)
+            total += float((Z[0, 0] - states[t, 0]) ** 2 + (Z[0, 1] - states[t, 1]) ** 2)
             count += 1
     return total / count if np.isfinite(total) else float("inf")
 
@@ -226,8 +226,8 @@ class Softening:
     def prepare(self, grads=None):
         return self
 
-    def eval_batch(self, xn, vn):
-        return 0.3 * (2.5 * np.asarray(xn)) ** 3, None
+    def eval_batch(self, U):
+        return 0.3 * (2.5 * np.asarray(U)[..., 0]) ** 3, None
 
 
 def softening_system():

@@ -5,12 +5,14 @@ from conftest import with_params, zero_branch
 from residual_lab.dynamics import (
     EULER,
     RK4,
+    SCHEMES,
     DivergenceError,
     duffing,
     generate_dataset,
     integrate_batch,
     vanderpol,
 )
+from residual_lab.harness import ExperimentConfig, resolve_arch
 from residual_lab.hybridcell import (
     DIVERGE_BOUND,
     HybridSystem,
@@ -70,14 +72,22 @@ def max_rel_error(a, b, floor=1e-6):
 def step_rows(h, states):
     """One step of every (x, v) row in a single batched call, as an (S, 2) array."""
     states = np.asarray(states, dtype=float)
-    XP, VP, _ = step_batch(h.prepare(), states[:, 0], states[:, 1], np.ones((), dtype=bool))
-    return np.stack([XP, VP], axis=1)
+    return step_batch(h.prepare(), states, np.ones((), dtype=bool))[0]
+
+
+def split_eval(h, X, V):
+    """The branch on split (X, V) states, its normalized input assembled
+    column by column."""
+    U = np.empty(np.shape(X) + (2,))
+    U[..., 0] = X / h.scale
+    U[..., 1] = V / h.scale
+    return h.branch.eval_batch(U)
 
 
 def reference_step_batch(h, X, V, ok):
     """The cell's step written out by hand for each integrator."""
     def vdot(X, V):
-        vals, cache = h.branch.eval_batch(X / h.scale, V / h.scale)
+        vals, cache = split_eval(h, X, V)
         return h.spec.known_vdot(X, V) + vals, cache
 
     dt = h.dt
@@ -101,6 +111,135 @@ def reference_step_batch(h, X, V, ok):
     return XP, VP, cache
 
 
+def split_rk_step(accel, X, V, dt, scheme):
+    """``dynamics.rk_step`` on split (X, V) states, as the cell stepped before
+    it carried one packed [x, v] array: returns (X', V', stages), each stage
+    (X_i, V_i, aux_i)."""
+    feeds, weights, div = SCHEMES[scheme]
+    Xi, Vi, stages = X, V, []
+    for i, w in enumerate(weights):
+        a, aux = accel(Xi, Vi)
+        stages.append((Xi, Vi, aux))
+        sx, sv = (sx + w * Vi, sv + w * a) if i else (w * Vi, w * a)
+        if i < len(feeds):
+            Xi, Vi = X + feeds[i] * dt * Vi, V + feeds[i] * dt * a
+    return X + dt / div * sx, V + dt / div * sv, stages
+
+
+def split_step_batch(h, X, V, ok):
+    """``step_batch`` on split states: (X', V', cache)."""
+    def vdot(X, V):
+        vals, cache = split_eval(h, X, V)
+        return h.spec.known_vdot(X, V) + vals, cache
+
+    XP, VP, cache = split_rk_step(vdot, X, V, h.dt, h.integrator)
+    ok &= (np.abs(XP) <= DIVERGE_BOUND).all(-1) & (np.abs(VP) <= DIVERGE_BOUND).all(-1)
+    return XP, VP, cache
+
+
+def split_step_vjp(h, cache, lx, lv):
+    """``step_vjp`` on split adjoints (lx, lv): returns the adjoints on (X, V)."""
+    dt, branch, spec, scale = h.dt, h.branch, h.spec, h.scale
+    feeds, weights, div = SCHEMES[h.integrator]
+    weights = [w * (dt / div) for w in weights]
+    feeds = [f * dt for f in feeds]
+    ax, av = lx, lv
+    sx = sv = None
+    for i in range(len(cache) - 1, -1, -1):
+        X, V, bc = cache[i]
+        if sx is None:
+            wx, wv = lx * weights[i], lv * weights[i]
+        else:
+            wx, wv = lx * weights[i] + feeds[i] * sx, lv * weights[i] + feeds[i] * sv
+        _, dU = branch.combined_vjp(bc, wv)
+        dxn, dvn = dU[..., 0], dU[..., 1]
+        kx, kv = spec.known_vdot_partials(X, V)
+        sx = wv * kx + dxn / scale
+        sv = wx + wv * kv + dvn / scale
+        ax, av = ax + sx, av + sv
+    return ax, av
+
+
+def split_window_loss(h, starts, targets):
+    """``bptt_grads_arrays`` on split states: (loss, grads, ok)."""
+    n, horizon = targets.shape[-3], targets.shape[-2]
+    grads = np.zeros_like(h.branch.params)
+    ok = np.ones(starts.shape[:-2], dtype=bool)
+    h = h.prepare(grads)
+    X, V = starts[..., 0], starts[..., 1]
+    caches, diffs = [], []
+    total = np.zeros(ok.shape)
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            X, V, cache = split_step_batch(h, X, V, ok)
+            dx, dv = X - targets[..., t, 0], V - targets[..., t, 1]
+            total += (dx ** 2 + dv ** 2).sum(-1)
+            caches.append(cache)
+            diffs.append((dx, dv))
+        norm = n * horizon
+        loss = total / norm + h.branch.l1_value()
+        lx = np.zeros(X.shape)
+        lv = np.zeros(X.shape)
+        for t in range(horizon - 1, -1, -1):
+            dx, dv = diffs[t]
+            lx = lx + (2.0 / norm) * dx
+            lv = lv + (2.0 / norm) * dv
+            lx, lv = split_step_vjp(h, caches[t], lx, lv)
+        h.branch.l1_grad_into(grads)
+        ok &= np.isfinite(loss) & np.isfinite(grads).all(-1)
+        return loss, grads, ok
+
+
+class TestPackedState:
+    """The cell on packed [x, v] states against the split (X, V) cell above:
+    both do the same float operations, so every state, stage state,
+    adjoint, loss and gradient agrees bit for bit."""
+
+    @pytest.mark.parametrize("seeds", [1, 3])
+    @pytest.mark.parametrize("config", ["A", "mlp-small", "oracle"])
+    @pytest.mark.parametrize("integrator", [RK4, EULER])
+    def test_packed_cell_matches_split_cell(self, integrator, config, seeds):
+        lead = () if seeds == 1 else (seeds,)
+        if config == "oracle":
+            branch = OracleResidual(vanderpol(), 2.5)
+        else:
+            arch, _ = resolve_arch(ExperimentConfig(config=config))
+            params = np.stack([init_params(arch, s) for s in range(seeds)])
+            branch = ResidualBranch(arch, params.reshape(lead + params.shape[-1:]))
+        h = HybridSystem(vanderpol(), branch, 0.01, integrator)
+        rng = np.random.default_rng(seeds)
+        Z = rng.uniform(-2.0, 2.0, lead + (8, 2))
+        L = rng.normal(size=Z.shape)
+
+        grads, ref_grads = np.zeros_like(branch.params), np.zeros_like(branch.params)
+        hp, hr = h.prepare(grads), h.prepare(ref_grads)
+        ok, ref_ok = np.ones(lead, dtype=bool), np.ones(lead, dtype=bool)
+        ZP, cache = step_batch(hp, Z, ok)
+        XP, VP, ref_cache = split_step_batch(hr, Z[..., 0], Z[..., 1], ref_ok)
+        assert ZP[..., 0].tobytes() == XP.tobytes() and ZP[..., 1].tobytes() == VP.tobytes()
+        assert ok.tolist() == ref_ok.tolist()
+        assert len(cache) == len(ref_cache)
+        for (sz, _), (sx, sv, _) in zip(cache, ref_cache):
+            assert sz[..., 0].tobytes() == sx.tobytes() and sz[..., 1].tobytes() == sv.tobytes()
+        A = step_vjp(hp, cache, L)
+        ax, av = split_step_vjp(hr, ref_cache, L[..., 0], L[..., 1])
+        assert A[..., 0].tobytes() == ax.tobytes() and A[..., 1].tobytes() == av.tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
+
+        ds = generate_dataset(vanderpol(), 2, 0, 0.01, 40, seed=seeds)
+        for horizon in (1, 10):
+            starts, targets = windows_of(ds.train, horizon)
+            starts = np.broadcast_to(starts, lead + starts.shape)
+            targets = np.broadcast_to(targets, lead + targets.shape)
+            got = bptt_grads_arrays(h, starts, targets)
+            want = split_window_loss(h, starts, targets)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        if config != "oracle":
+            assert np.abs(got[1]).max() > 0
+
+
 class TestHybridStep:
     @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.037, 0.3])
     @pytest.mark.parametrize("integrator", [RK4, EULER])
@@ -116,12 +255,14 @@ class TestHybridStep:
         for branch, x, v in cases:
             h = HybridSystem(vanderpol(), branch, dt, integrator).prepare()
             ok, ref_ok = np.ones(x.shape[:-1], bool), np.ones(x.shape[:-1], bool)
-            XP, VP, cache = step_batch(h, x, v, ok)
+            ZP, cache = step_batch(h, np.stack([x, v], axis=-1), ok)
+            XP, VP = ZP[..., 0], ZP[..., 1]
             RX, RV, ref_cache = reference_step_batch(h, x, v, ref_ok)
             assert XP.tobytes() == RX.tobytes() and VP.tobytes() == RV.tobytes()
             assert ok.tolist() == ref_ok.tolist()
             assert len(cache) == len(ref_cache)
-            for (sx, sv, _), (rx, rv, _) in zip(cache, ref_cache):
+            for (sz, _), (rx, rv, _) in zip(cache, ref_cache):
+                sx, sv = sz[..., 0], sz[..., 1]
                 assert sx.tobytes() == rx.tobytes() and sv.tobytes() == rv.tobytes()
 
 
@@ -176,18 +317,20 @@ class TestHybridStep:
         params = np.stack([init_params(arch, s) for s in range(3)])
         params[1] = 1e9
         rng = np.random.default_rng(0)
-        X, V = rng.uniform(-1.5, 1.5, size=(2, 3, 4))
+        Z = rng.uniform(-1.5, 1.5, size=(2, 3, 4)).transpose(1, 2, 0)
         for integrator in (RK4, EULER):
             h = HybridSystem(duffing(), ResidualBranch(arch, params), 0.01, integrator)
             ok = np.ones(3, dtype=bool)
             with np.errstate(all="ignore"):
-                XP, VP, _ = step_batch(h.prepare(), X, V, ok)
+                ZP, _ = step_batch(h.prepare(), Z, ok)
+            XP, VP = ZP[..., 0], ZP[..., 1]
             assert ok.tolist() == [True, False, True]
             assert not (np.abs(VP[1]) <= DIVERGE_BOUND).all()
             for s in (0, 2):
                 lone = HybridSystem(duffing(), ResidualBranch(arch, params[s]), 0.01, integrator)
                 lone_ok = np.ones((), dtype=bool)
-                lx, lv, _ = step_batch(lone.prepare(), X[s], V[s], lone_ok)
+                LZ, _ = step_batch(lone.prepare(), Z[s], lone_ok)
+                lx, lv = LZ[..., 0], LZ[..., 1]
                 assert lone_ok
                 assert XP[s].tobytes() == lx.tobytes() and VP[s].tobytes() == lv.tobytes()
 
@@ -241,13 +384,12 @@ def local_only_bptt_grads(h, starts, targets):
     its own local parameter gradient, built from step_batch + step_vjp."""
     n, horizon = targets.shape[:2]
     norm = n * horizon
-    X, V = starts[:, 0], starts[:, 1]
+    Z = starts
     grads = np.zeros_like(h.branch.params)
     h = h.prepare(grads)
     for t in range(horizon):
-        X, V, cache = step_batch(h, X, V, np.ones((), dtype=bool))
-        step_vjp(h, cache, (2.0 / norm) * (X - targets[:, t, 0]),
-                 (2.0 / norm) * (V - targets[:, t, 1]))
+        Z, cache = step_batch(h, Z, np.ones((), dtype=bool))
+        step_vjp(h, cache, (2.0 / norm) * (Z - targets[:, t]))
     h.branch.l1_grad_into(grads)
     return grads
 
@@ -408,14 +550,19 @@ class TestOracleResidual:
         # Input partials of combined_vjp against central differences, at one
         # point and at three.
         orc = OracleResidual(vanderpol(), 2.5)
+
+        def ev(xn, vn):
+            return orc.eval_batch(np.stack([xn, vn], axis=-1))
+
         for xn, vn in (([0.3], [-0.5]), ([0.3, -0.8, 0.1], [-0.5, 0.2, 0.9])):
             xn, vn = np.array(xn), np.array(vn)
-            _, cache = orc.eval_batch(xn, vn)
-            g, (dx, dv) = orc.combined_vjp(cache, np.ones(len(xn)))
+            _, cache = ev(xn, vn)
+            g, dU = orc.combined_vjp(cache, np.ones(len(xn)))
+            dx, dv = dU[..., 0], dU[..., 1]
             assert g.shape == (0,)
             eps = 1e-6
-            fdx = (orc.eval_batch(xn + eps, vn)[0] - orc.eval_batch(xn - eps, vn)[0]) / (2 * eps)
-            fdv = (orc.eval_batch(xn, vn + eps)[0] - orc.eval_batch(xn, vn - eps)[0]) / (2 * eps)
+            fdx = (ev(xn + eps, vn)[0] - ev(xn - eps, vn)[0]) / (2 * eps)
+            fdv = (ev(xn, vn + eps)[0] - ev(xn, vn - eps)[0]) / (2 * eps)
             assert dx == pytest.approx(fdx, rel=1e-6)
             assert dv == pytest.approx(fdv, rel=1e-6)
 
@@ -425,10 +572,11 @@ class TestOracleResidual:
         for n in (1, 3):
             z = zero_branch().prepare(np.zeros(3))
             xn, vn = -np.arange(1.0, n + 1), -np.ones(n)
-            vals, cache = z.eval_batch(xn, vn)
+            vals, cache = z.eval_batch(np.stack([xn, vn], axis=-1))
             assert np.array_equal(vals, np.zeros(n))
             assert not np.signbit(vals).any()
-            g, (dx, dv) = z.combined_vjp(cache, np.ones(n))
+            g, dU = z.combined_vjp(cache, np.ones(n))
+            dx, dv = dU[..., 0], dU[..., 1]
             assert g is z.grads and g.shape == (3,)
             assert np.array_equal(dx, np.zeros(n)) and np.array_equal(dv, np.zeros(n))
         assert z.l1_value() == 0.0

@@ -167,11 +167,12 @@ class TestKanContraction:
 
         grads = np.zeros_like(branch.params)
         x = branch.prepare(grads)
-        vals, cache = forward_batch(x, xn, vn)
+        vals, cache = forward_batch(x, np.stack([xn, vn], axis=-1))
         ref_vals, ref_cache = reference_forward(branch, xn, vn)
         assert np.abs(vals - ref_vals).max() <= 1e-12 * max(1.0, np.abs(ref_vals).max())
 
-        grads, (dx, dv) = backward_batch(x, cache, upstream, grads)
+        grads, dU = backward_batch(x, cache, upstream, grads)
+        dx, dv = dU[..., 0], dU[..., 1]
         ref_grads, (ref_dx, ref_dv) = reference_backward(branch, ref_cache, upstream)
         assert np.abs(grads - ref_grads).max() <= 1e-12 * max(1.0, np.abs(ref_grads).max())
         for got, want in ((dx, ref_dx), (dv, ref_dv)):
@@ -250,10 +251,12 @@ class TestGatherKernel:
         upstream = rng.normal(size=lead + (n,))
 
         branch = ResidualBranch(arch, params)
-        only, _ = forward_batch(branch.prepare(), xn, vn)
+        U = np.stack([xn, vn], axis=-1)
+        only, _ = forward_batch(branch.prepare(), U)
         x = branch.prepare(np.zeros_like(params))
-        vals, cache = forward_batch(x, xn, vn)
-        grads, (dx, dv) = backward_batch(x, cache, upstream, x.grads)
+        vals, cache = forward_batch(x, U)
+        grads, dU = backward_batch(x, cache, upstream, x.grads)
+        dx, dv = dU[..., 0], dU[..., 1]
         for s in np.ndindex(lead):
             seed = ResidualBranch(arch, params[s])
             want, layers = gather_forward(seed, xn[s], vn[s])

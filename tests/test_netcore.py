@@ -35,13 +35,14 @@ def fd_param_gradient(branch, xs, vs, ws, eps=1e-5):
         for sgn in (1.0, -1.0):
             p = branch.params.copy()
             p[i] += sgn * eps
-            vals, _ = forward_batch(with_params(branch, p).prepare(), xs, vs)
+            vals, _ = forward_batch(with_params(branch, p).prepare(), np.stack([xs, vs], -1))
             out[i] += sgn * float(ws @ vals) / (2 * eps)
     return out
 
 
 def values(branch, xs, vs):
-    return forward_batch(branch.prepare(), np.atleast_1d(xs), np.atleast_1d(vs))[0]
+    U = np.stack([np.atleast_1d(xs), np.atleast_1d(vs)], -1)
+    return forward_batch(branch.prepare(), U)[0]
 
 
 def forward_backward(branch, xs, vs, ws):
@@ -49,8 +50,9 @@ def forward_backward(branch, xs, vs, ws):
     of sum(ws * R(xs, vs)), (dR/dxn, dR/dvn) weighted by ws)."""
     grads = np.zeros_like(branch.params)
     x = branch.prepare(grads)
-    _, cache = forward_batch(x, xs, vs)
-    return backward_batch(x, cache, ws, grads)
+    _, cache = forward_batch(x, np.stack([xs, vs], -1))
+    grads, dU = backward_batch(x, cache, ws, grads)
+    return grads, (dU[..., 0], dU[..., 1])
 
 
 def param_grads(branch, xs, vs, ws):
@@ -125,7 +127,7 @@ class TestForward:
         b = new_branch(KanArch((2, 8, 1), KAN53), seed=3)
         rng = stream(0, "gradcheck")
         xs, vs = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
-        vals, _ = forward_batch(b.prepare(), xs, vs)
+        vals, _ = forward_batch(b.prepare(), np.stack([xs, vs], -1))
         for i in range(10):
             assert values(b, xs[i], vs[i])[0] == pytest.approx(vals[i], abs=1e-14)
 
@@ -140,17 +142,19 @@ class TestForward:
     def test_forward_only_plan_keeps_no_cache(self, config):
         # A plan without a gradient buffer gives the bits of a plan with one
         # and an empty cache, for one seed and for a block of 3, on inputs
-        # that reach past the spline domain.
+        # that reach past the spline domain, and on no rows at all.
         arch, _ = resolve_arch(ExperimentConfig(config=config))
         block = np.stack([init_params(arch, s) for s in range(3)])
-        xs, vs = stream(5, "forward-only").uniform(-1.6, 1.6, (2, 3, 40))
-        for params, xn, vn in ((block[1], xs[1], vs[1]), (block, xs, vs)):
-            b = ResidualBranch(arch, params)
-            vals, cache = forward_batch(b.prepare(), xn, vn)
-            ref, ref_cache = forward_batch(b.prepare(np.zeros_like(params)), xn, vn)
-            assert cache == [] and len(ref_cache) == len(arch.widths) - 1
-            assert vals.shape == ref.shape == xn.shape
-            assert vals.tobytes() == ref.tobytes()
+        for n in (40, 0):
+            xs, vs = stream(5, "forward-only").uniform(-1.6, 1.6, (2, 3, n))
+            for params, xn, vn in ((block[1], xs[1], vs[1]), (block, xs, vs)):
+                b = ResidualBranch(arch, params)
+                U = np.stack([xn, vn], -1)
+                vals, cache = forward_batch(b.prepare(), U)
+                ref, ref_cache = forward_batch(b.prepare(np.zeros_like(params)), U)
+                assert cache == [] and len(ref_cache) == len(arch.widths) - 1
+                assert vals.shape == ref.shape == xn.shape
+                assert vals.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("config", ["A", "B", "G", "kan-deep"])
     def test_kan_cache_holds_backward_operands(self, config):
@@ -165,7 +169,7 @@ class TestForward:
         xs, vs = stream(6, "cache-layout").uniform(-1.6, 1.6, (2, 3, 40))
         for params, xn, vn in ((block[1], xs[1], vs[1]), (block, xs, vs)):
             b = ResidualBranch(arch, params)
-            _, cache = forward_batch(b.prepare(np.zeros_like(params)), xn, vn)
+            _, cache = forward_batch(b.prepare(np.zeros_like(params)), np.stack([xn, vn], -1))
             assert len(cache) == len(arch.widths) - 1
             for c, n_in, n_out in zip(cache, arch.widths[:-1], arch.widths[1:]):
                 row = xn.shape + (n_in,)
@@ -233,7 +237,7 @@ class TestGradients:
         params = rng.normal(0.0, 0.5, lead + (param_count(arch),))
         xs, vs, ws = (rng.uniform(-1.0, 1.0, lead + (n,)) for _ in range(3))
         b = ResidualBranch(arch, params)
-        got, cache = forward_batch(b.prepare(np.zeros_like(params)), xs, vs)
+        got, cache = forward_batch(b.prepare(np.zeros_like(params)), np.stack([xs, vs], -1))
         got_grads, (got_dx, got_dv) = forward_backward(b, xs, vs, ws)
 
         U, inputs, layers, off = np.stack([xs, vs], axis=-1), [], [], 0
@@ -294,7 +298,7 @@ class TestInputJacobian:
         from residual_lab.netcore import _mlp_layers
 
         # Hidden pre-activations, from each layer's cached input.
-        _, cache = forward_batch(b.prepare(np.zeros_like(b.params)), xs, vs)
+        _, cache = forward_batch(b.prepare(np.zeros_like(b.params)), np.stack([xs, vs], -1))
         hidden = zip(cache[:-1], _mlp_layers(b.arch, b.params))
         smooth = np.min([np.abs(c["U"] @ Wb).min(axis=1) for c, Wb in hidden], axis=0) >= 1e-3
         assert smooth.sum() > 10
@@ -399,7 +403,7 @@ class TestProductConstruction:
         b = product_construction(KAN53)
         g = np.linspace(-1, 1, 50)
         X, V = np.meshgrid(g, g, indexing="ij")
-        vals, _ = forward_batch(b.prepare(), X.ravel(), V.ravel())
+        vals, _ = forward_batch(b.prepare(), np.stack([X.ravel(), V.ravel()], -1))
         assert np.abs(vals - (X * V).ravel()).max() < 1e-6
 
     def test_requires_quadratic_order(self):

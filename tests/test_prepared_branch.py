@@ -49,9 +49,9 @@ def scaled_weights(coef, scale):
     return (scale[:, :, None] * coef).transpose(0, 2, 1).reshape(n_in * M, n_out)
 
 
-def reference_forward(branch, xn, vn):
+def reference_forward(branch, U):
     """Per-call forward: views and weight matrices rebuilt from the flat vector."""
-    U = np.stack([np.atleast_1d(xn), np.atleast_1d(vn)], axis=1).astype(float)
+    U = np.asarray(U, dtype=float)
     layers = []
     if isinstance(branch.arch, KanArch):
         spec = branch.arch.spline
@@ -102,7 +102,7 @@ def reference_backward(branch, cache, upstream):
             Wz = Wy if li == len(views) - 1 else Wy * (c["Z"] > 0)
             gWb += c["U"].T @ Wz
             Wy = Wz @ Wb[:-1].T
-    return grads, (Wy[:, 0].copy(), Wy[:, 1].copy())
+    return grads, Wy.copy()
 
 
 class PerCallBranch:
@@ -111,8 +111,8 @@ class PerCallBranch:
     def __init__(self, branch):
         self.branch, self.params = branch, branch.params
 
-    def eval_batch(self, xn, vn):
-        return reference_forward(self.branch, xn, vn)
+    def eval_batch(self, U):
+        return reference_forward(self.branch, U)
 
     def combined_vjp(self, cache, upstream):
         return reference_backward(self.branch, cache, upstream)
@@ -124,66 +124,62 @@ class PerCallBranch:
         add_l1_gradient(self.branch, grads)
 
 
-def reference_step_vjp(h, cache, lx, lv, grads):
+def reference_step_vjp(h, cache, L, grads):
     """Per-call adjoint step: a closure per stage, array partials of the
     known part, and each stage's fresh gradient added into ``grads``."""
     dt = h.dt
 
-    def stage_adjoint(stage, wx, wv):
-        X, V, bc = stage
-        g, (dxn, dvn) = h.branch.combined_vjp(bc, wv)
+    def stage_adjoint(stage, W):
+        Z, bc = stage
+        wx, wv = W[:, 0], W[:, 1]
+        g, dU = h.branch.combined_vjp(bc, wv)
         if g.size:
             grads[...] += g
-        kx, kv = -np.ones_like(X), np.zeros_like(X)
-        return wv * kx + dxn / h.scale, wx + wv * kv + dvn / h.scale
+        kx, kv = -np.ones_like(wx), np.zeros_like(wx)
+        return np.stack([wv * kx + dU[:, 0] / h.scale,
+                         wx + wv * kv + dU[:, 1] / h.scale], axis=1)
 
     if h.integrator == EULER:
-        sX, sV = stage_adjoint(cache[0], lx * dt, lv * dt)
-        return lx + sX, lv + sV
+        return L + stage_adjoint(cache[0], L * dt)
     w6, w3 = dt / 6.0, dt / 3.0
-    ax, av = lx.copy(), lv.copy()
-    l4x, l4v = stage_adjoint(cache[3], lx * w6, lv * w6)
-    ax += l4x
-    av += l4v
-    l3x, l3v = stage_adjoint(cache[2], lx * w3 + dt * l4x, lv * w3 + dt * l4v)
-    ax += l3x
-    av += l3v
-    l2x, l2v = stage_adjoint(cache[1], lx * w3 + 0.5 * dt * l3x, lv * w3 + 0.5 * dt * l3v)
-    ax += l2x
-    av += l2v
-    l1x, l1v = stage_adjoint(cache[0], lx * w6 + 0.5 * dt * l2x, lv * w6 + 0.5 * dt * l2v)
-    return ax + l1x, av + l1v
+    A = L.copy()
+    l4 = stage_adjoint(cache[3], L * w6)
+    A += l4
+    l3 = stage_adjoint(cache[2], L * w3 + dt * l4)
+    A += l3
+    l2 = stage_adjoint(cache[1], L * w3 + 0.5 * dt * l3)
+    A += l2
+    l1 = stage_adjoint(cache[0], L * w6 + 0.5 * dt * l2)
+    return A + l1
 
 
 def reference_tf_loss_grads(h, s0, s1):
     n = s0.shape[0]
-    XP, VP, cache = step_batch(h, s0[:, 0], s0[:, 1], np.ones((), dtype=bool))
-    dx, dv = XP - s1[:, 0], VP - s1[:, 1]
-    loss = float((dx ** 2 + dv ** 2).mean()) + h.branch.l1_value()
+    ZP, cache = step_batch(h, s0, np.ones((), dtype=bool))
+    D = ZP - s1
+    loss = float((D[:, 0] ** 2 + D[:, 1] ** 2).mean()) + h.branch.l1_value()
     grads = np.zeros_like(h.branch.params)
-    reference_step_vjp(h, cache, (2.0 / n) * dx, (2.0 / n) * dv, grads)
+    reference_step_vjp(h, cache, (2.0 / n) * D, grads)
     h.branch.l1_grad_into(grads)
     return loss, grads
 
 
 def reference_bptt_grads(h, starts, targets):
     n, horizon = targets.shape[:2]
-    X, V = starts[:, 0], starts[:, 1]
+    Z = starts
     caches, diffs, total = [], [], 0.0
     for t in range(horizon):
-        X, V, cache = step_batch(h, X, V, np.ones((), dtype=bool))
-        dx, dv = X - targets[:, t, 0], V - targets[:, t, 1]
-        total += float((dx ** 2 + dv ** 2).sum())
+        Z, cache = step_batch(h, Z, np.ones((), dtype=bool))
+        D = Z - targets[:, t]
+        total += float((D[:, 0] ** 2 + D[:, 1] ** 2).sum())
         caches.append(cache)
-        diffs.append((dx, dv))
+        diffs.append(D)
     norm = n * horizon
     loss = total / norm + h.branch.l1_value()
     grads = np.zeros_like(h.branch.params)
-    lx, lv = np.zeros(n), np.zeros(n)
+    L = np.zeros((n, 2))
     for t in range(horizon - 1, -1, -1):
-        lx = lx + (2.0 / norm) * diffs[t][0]
-        lv = lv + (2.0 / norm) * diffs[t][1]
-        lx, lv = reference_step_vjp(h, caches[t], lx, lv, grads)
+        L = reference_step_vjp(h, caches[t], L + (2.0 / norm) * diffs[t], grads)
     h.branch.l1_grad_into(grads)
     return loss, grads
 
@@ -244,8 +240,8 @@ def test_bptt_loss_and_gradient_match_per_call_path(datasets, system, config, n)
 def reference_rollout(h, starts, n):
     states, ok = [starts], np.ones((), dtype=bool)
     for _ in range(n):
-        X, V, _ = step_batch(h, states[-1][:, 0], states[-1][:, 1], ok)
-        states.append(np.stack([X, V], axis=1))
+        Z, _ = step_batch(h, states[-1], ok)
+        states.append(Z)
     assert ok
     return np.stack(states, axis=1)
 
@@ -257,7 +253,7 @@ def test_forward_only_paths_match_per_call_path(datasets, config):
     assert np.array_equal(rollout(h, starts, 50), reference_rollout(ref, starts, 50))
     X, V = np.meshgrid(np.linspace(-2.5, 2.5, 7), np.linspace(-2.5, 2.5, 5), indexing="ij")
     surface = sample_surface(h.branch, vanderpol(), GridSpec(nx=7, nv=5))
-    want, _ = ref.branch.eval_batch((X / 2.5).ravel(), (V / 2.5).ravel())
+    want, _ = ref.branch.eval_batch(np.stack([(X / 2.5).ravel(), (V / 2.5).ravel()], axis=1))
     assert np.array_equal(surface.values.ravel(), want)
 
 

@@ -85,7 +85,8 @@ class TestBasis:
         b = new_branch(arch, seed=0)
         for xs, ys in (([3.0], [1.0]), ([-3.0], [-1.0]), ([3.0, -3.0], [1.0, -1.0])):
             x = b.prepare()
-            assert np.array_equal(forward_batch(x, xs, xs)[0], forward_batch(x, ys, ys)[0])
+            U, W = np.stack([xs, xs], -1), np.stack([ys, ys], -1)
+            assert np.array_equal(forward_batch(x, U)[0], forward_batch(x, W)[0])
 
     @given(st.floats(-1.0, 1.0, allow_nan=False))
     def test_pointwise_unity_property(self, u):
@@ -160,6 +161,20 @@ class TestDerivative:
         spec = SplineSpec(grid_size=5, order=3)
         _, dB = dense_basis(spec, np.linspace(-1, 1, 200))
         assert np.abs(dB.sum(axis=-1)).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 5, 2048, 2049, 10_000])
+    @pytest.mark.parametrize("G,k", [(5, 3), (20, 3), (4, 0)])
+    def test_values_only_call_gives_the_full_calls_bits(self, G, k, n):
+        # A forward-only KAN layer asks for the value columns alone, a GEMM
+        # with k + 1 output columns instead of 2k + 2; B must keep its bits
+        # whatever the BLAS kernel does with the narrower product.
+        spec = SplineSpec(grid_size=G, order=k)
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+        B, _, first = basis_and_derivative(spec, u)
+        only, dB, only_first = basis_and_derivative(spec, u, derivative=False)
+        assert dB is None
+        assert only.shape == B.shape and only.tobytes() == B.tobytes()
+        assert only_first.tobytes() == first.tobytes()
 
 
 class TestFit:
