@@ -146,7 +146,7 @@ def digests(seeds: int, steps_scale: float) -> dict[str, str]:
         branch = new_branch(arch, 0)
         for integrator, suffix in (("rk4", ""), ("euler", " euler")):
             system = HybridSystem(oscillator("duffing"), branch, 0.01, integrator)
-            rep = verify_gradients(branch, system)
+            rep = verify_gradients(system)
             fields = (rep.tf_error.hex(), rep.bptt_error.hex(), str(rep.worst_index))
             out[f"verify_gradients {config}{suffix}"] = sha256(" ".join(fields).encode())
 

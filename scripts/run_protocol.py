@@ -37,7 +37,7 @@ def preflight() -> bool:
     for name in ARCH_REGISTRY:
         branch = new_branch(resolve_arch(ExperimentConfig(config=name))[0], 0)
         t0 = time.perf_counter()
-        rep = verify_gradients(branch, HybridSystem(oscillator(DUFFING), branch, 0.01))
+        rep = verify_gradients(HybridSystem(oscillator(DUFFING), branch, 0.01))
         print(f"grads {name:15s} tf={rep.tf_error:.3e} bptt={rep.bptt_error:.3e} "
               f"{'ok' if rep.passed else 'FAILED'} ({time.perf_counter() - t0:.1f}s)", flush=True)
         passed = passed and rep.passed

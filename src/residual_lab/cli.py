@@ -113,7 +113,7 @@ def _cmd_train(args) -> int:
     arch, _ = resolve_arch(cfg)
     branch = new_branch(arch, args.seed)
     system = HybridSystem(spec, branch, ds.dt, cfg.integrator, ds.scale)
-    report = train(system, ds, make_train_config(cfg, arch, args.seed))
+    report = train(system, ds, make_train_config(cfg, arch), args.seed)
     root = output_root(cfg.out)
     os.makedirs(root, exist_ok=True)
     stem = f"{cfg.system}-{cfg.config}-{cfg.paradigm}-seed{args.seed}"
@@ -192,10 +192,9 @@ def _cmd_verify_grads(args) -> int:
     cfg = _experiment_config(args)
     spec = oscillator(cfg.system)
     arch, _ = resolve_arch(cfg)
-    branch = new_branch(arch, args.seed)
-    system = HybridSystem(spec, branch, cfg.dt, cfg.integrator, DEFAULT_SCALE)
-    report = verify_gradients(branch, system, n_points=args.points,
-                              tolerance=args.tolerance,
+    system = HybridSystem(spec, new_branch(arch, args.seed), cfg.dt, cfg.integrator,
+                          DEFAULT_SCALE)
+    report = verify_gradients(system, n_points=args.points, tolerance=args.tolerance,
                               bptt_tolerance=args.bptt_tolerance)
     print(f"teacher_forcing max_rel_error={report.tf_error:.3e} "
           f"(tol {report.tolerance:g})")

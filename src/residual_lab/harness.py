@@ -187,9 +187,9 @@ class ExperimentConfig:
             if self.paradigm == BPTT and not (self.horizon <= self.data_steps):
                 raise ValueError(f"horizon {self.horizon} exceeds data_steps "
                                  f"{self.data_steps}: no BPTT window fits")
-            # Apply the seeds' TrainConfig bounds before any sweep output exists,
+            # Apply the sweep's TrainConfig bounds before any sweep output exists,
             # and the Adam fields it leaves open: eps = 0 makes a frozen entry 0/0.
-            make_train_config(self, resolve_arch(self)[0], 0)
+            make_train_config(self, resolve_arch(self)[0])
             if not 0 < self.eps < math.inf:
                 raise ValueError("eps must be finite and positive")
             if not (0 <= self.grad_clip < math.inf and 0 <= self.converge_tol < math.inf):
@@ -234,7 +234,7 @@ def resolve_arch(cfg: ExperimentConfig) -> tuple[Arch, PresetConfig]:
     return arch, preset
 
 
-def make_train_config(cfg: ExperimentConfig, arch: Arch, seed: int) -> TrainConfig:
+def make_train_config(cfg: ExperimentConfig, arch: Arch) -> TrainConfig:
     lr = cfg.learning_rate
     if lr == 0:
         lr = 3e-3 if isinstance(arch, KanArch) else 1e-3
@@ -244,8 +244,7 @@ def make_train_config(cfg: ExperimentConfig, arch: Arch, seed: int) -> TrainConf
     return TrainConfig(
         paradigm=cfg.paradigm, steps=cfg.steps, learning_rate=lr,
         batch_size=batch, horizon=cfg.horizon, beta1=cfg.beta1, beta2=cfg.beta2,
-        eps=cfg.eps, grad_clip=cfg.grad_clip, seed=seed,
-        converge_tol=cfg.converge_tol,
+        eps=cfg.eps, grad_clip=cfg.grad_clip, converge_tol=cfg.converge_tol,
     )
 
 
@@ -267,11 +266,10 @@ def _shared_dataset(system, n_train_ics, n_test_ics, dt, data_steps, data_seed, 
     return ds
 
 
-def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | None,
+def run_single_seed(cfg: ExperimentConfig, seed: int, report: TrainReport | None,
                     ds: Dataset) -> MetricRow:
     """Evaluate one seed of a sweep into its row, from the ``report`` of its
     training on ``ds`` (``None`` for an oracle sweep, which trains nothing)."""
-    cfg, seed = task
     spec = oscillator(cfg.system)
     arch, preset = resolve_arch(cfg)
     if cfg.oracle:
@@ -295,9 +293,11 @@ def run_single_seed(task: tuple[ExperimentConfig, int], report: TrainReport | No
                      r2, mse, fit_r2, terms, status)
 
 
-def _run_block(task: tuple[ExperimentConfig, list[int]]) -> list[MetricRow]:
-    """Train a block of seeds together, then evaluate each into its row."""
-    cfg, seeds = task
+def _run_block(task: tuple[int, ExperimentConfig, list[int]]) -> tuple[int, list[MetricRow]]:
+    """Train a block of seeds of sweep ``index`` together, then evaluate each
+    into its row; returns the rows tagged with the index.  Top-level so
+    worker processes can receive it."""
+    index, cfg, seeds = task
     datasets = [_dataset_for(cfg, s) for s in seeds]
     if cfg.oracle:
         reports = [None] * len(seeds)
@@ -306,9 +306,8 @@ def _run_block(task: tuple[ExperimentConfig, list[int]]) -> list[MetricRow]:
         branch = ResidualBranch(arch, np.stack([init_params(arch, s) for s in seeds]))
         system = HybridSystem(oscillator(cfg.system), branch, datasets[0].dt, cfg.integrator,
                               datasets[0].scale)
-        reports = train_block(system, datasets,
-                              [make_train_config(cfg, arch, s) for s in seeds])
-    return [run_single_seed((cfg, s), r, d) for s, r, d in zip(seeds, reports, datasets)]
+        reports = train_block(system, datasets, make_train_config(cfg, arch), seeds)
+    return index, [run_single_seed(cfg, s, r, d) for s, r, d in zip(seeds, reports, datasets)]
 
 
 @dataclass
@@ -347,13 +346,8 @@ def _summarize(cfg: ExperimentConfig, fingerprint: str, rows: list[MetricRow]) -
     mses = [r.test_mse for r in rows]
     mean, lo, hi = bootstrap_ci(r2s, seed=0)
     finite_mses = [m for m in mses if np.isfinite(m)]
-    statuses: dict[str, int] = {}
-    tops: dict[str, int] = {}
-    for row in rows:
-        statuses[row.status] = statuses.get(row.status, 0) + 1
-        top = _top_term(row)
-        if top:
-            tops[top] = tops.get(top, 0) + 1
+    statuses = Counter(r.status for r in rows)
+    tops = Counter(top for top in map(_top_term, rows) if top)
     n_no_ckpt = sum(1 for r in rows if r.discovery_r2 == R2_SENTINEL)
     summary = {
         "fingerprint": fingerprint,
@@ -402,13 +396,6 @@ def _finish(cfg: ExperimentConfig, rows: dict[int, MetricRow]) -> SweepResult:
     return SweepResult(cfg, fingerprint, result_rows, summary, directory)
 
 
-def _run_task(task: tuple[int, ExperimentConfig, list[int]]) -> tuple[int, list[MetricRow]]:
-    """``_run_block`` of a block of sweep ``index``, tagged with the index;
-    top-level so worker processes can receive it."""
-    index, cfg, seeds = task
-    return index, _run_block((cfg, seeds))
-
-
 def run_sweeps(cfgs, workers: int = 1) -> Iterator[SweepResult]:
     """Train and evaluate the ``n_seeds`` seeds of every config, resuming the
     rows already on disk, and yield each sweep's result as it completes.
@@ -451,9 +438,9 @@ def run_sweeps(cfgs, workers: int = 1) -> Iterator[SweepResult]:
     yield from collect(idle)
     if workers > 1 and tasks:
         with get_context("fork").Pool(workers) as pool:
-            yield from collect(pool.imap_unordered(_run_task, tasks))
+            yield from collect(pool.imap_unordered(_run_block, tasks))
     else:
-        yield from collect(map(_run_task, tasks))
+        yield from collect(map(_run_block, tasks))
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -486,8 +473,6 @@ _PARADIGM_HEADS = {TEACHER_FORCING: "TF", BPTT: "BPTT"}
 
 def _cell_text(result: SweepResult) -> str:
     rows = result.rows
-    if not rows:
-        return "(Unstable)"
     n_no_ckpt = sum(1 for r in rows if r.discovery_r2 == R2_SENTINEL)
     if n_no_ckpt * 2 > len(rows):
         return "(Unstable)"

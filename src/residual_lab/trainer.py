@@ -1,16 +1,16 @@
 """Seed-deterministic Adam training of residual branches.
 
-``train_block`` trains a block of seeds of the protocol in lockstep: each
-seed samples batches from its own named PRNG stream, and every step takes
-one batched window loss call and one batched Adam step for the seeds still
-training, recording each seed's loss history.  Both paradigms cut the
-training trajectories into windows and train on the same loss: BPTT on
-windows of ``horizon`` steps, teacher forcing on one-step windows.
-Divergence is data, not an exception: a seed whose step fails is retried
-once with a fresh batch, then halts with status ``Unstable`` and keeps its
-last finite parameters as its checkpoint, while the rest of the block goes
-on.  A seed's result does not depend on the block it trains in; ``train``
-is the block of one, for a lone seed.
+``train_block`` trains a block of seeds of the protocol in lockstep under
+one ``TrainConfig``: each seed samples batches from its own named PRNG
+stream, and every step takes one stacked window loss call and one batched
+Adam step for the seeds still training, recording each seed's loss history.
+Both paradigms cut the training trajectories into windows and train on the
+same loss: BPTT on windows of ``horizon`` steps, teacher forcing on one-step
+windows.  Divergence is data, not an exception: a seed whose step fails is
+retried once with a fresh batch, then halts with status ``Unstable`` and
+keeps its last finite parameters as its checkpoint, while the rest of the
+block goes on.  A seed's result does not depend on the block it trains in;
+``train`` is the block of one, for a lone seed.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     grad_clip: float = 10.0
-    seed: int = 0
     converge_tol: float = 0.0
 
     def __post_init__(self):
@@ -115,57 +114,52 @@ def init_moments(shape):
     return np.zeros(shape), np.zeros(shape)
 
 
-def train(system: HybridSystem, data: Dataset, cfg: TrainConfig) -> TrainReport:
+def train(system: HybridSystem, data: Dataset, cfg: TrainConfig, seed: int = 0) -> TrainReport:
     """Run cfg.steps Adam iterations on one seed: ``train_block`` with a
-    block of one.  Pure function of (system, data, cfg).
-
-    Mutates system.branch.params in place (single writer) and returns the
-    final parameters in the report as a copy.
+    block of one.  Deterministic in (system, data, cfg, seed): writes the
+    trained parameters into ``system.branch.params`` and returns a copy of
+    them in the report.
     """
     branch = ResidualBranch(system.branch.arch, system.branch.params[None])
-    return train_block(replace(system, branch=branch), [data], [cfg])[0]
+    return train_block(replace(system, branch=branch), [data], cfg, [seed])[0]
 
 
-def train_block(system: HybridSystem, data: list[Dataset],
-                cfgs: list[TrainConfig]) -> list[TrainReport]:
+def train_block(system: HybridSystem, data: list[Dataset], cfg: TrainConfig,
+                seeds: list[int]) -> list[TrainReport]:
     """Train the S seeds of an (S, P) parameter block in lockstep.
 
-    Seed s trains on ``data[s]`` with ``cfgs[s]``; the configs differ only
-    in their seed, and the datasets (often one shared object) only in their
-    values.  Every step makes one loss call and one ``adam_step`` call for
-    the seeds still training.  A seed whose attempt diverges or gives a
-    non-finite loss or gradient is retried once, on a fresh batch from its
-    own stream, in a second loss call over only the failed seeds; a seed
-    that fails twice stops ``Unstable`` and keeps its last finite
-    parameters, and one that converges stops too.  Each seed draws the same
-    batches and does the same float operations as it would in a block of
-    its own, so its report does not depend on the block.
+    Row s of the block trains under ``cfg`` on ``data[s]``, drawing its
+    batches from the stream of ``seeds[s]``; the datasets (often one shared
+    object) differ only in their values.  Every step makes one stacked loss
+    call and one ``adam_step`` call for the seeds still training, whatever
+    S is.  A seed whose attempt diverges or gives a non-finite loss or
+    gradient is retried once, on a fresh batch from its own stream, in a
+    second loss call over only the failed seeds; a seed that fails twice
+    stops ``Unstable`` and keeps its last finite parameters, and one that
+    converges stops too.  Each seed draws the same batches and does the same
+    float operations as it would in a block of its own, so its report does
+    not depend on the block.
 
-    Mutates system.branch.params in place and returns one report per seed,
-    each timed with the block's wall time.
+    Writes the trained parameters into system.branch.params and returns one
+    report per seed, each timed with the block's wall time.
     """
     t0 = time.perf_counter()
     arch, params = system.branch.arch, system.branch.params
-    cfg, S = cfgs[0], len(cfgs)
+    S = len(seeds)
     mask = trainable_mask(arch)
-    rngs = [stream(c.seed, "batches") for c in cfgs]
+    rngs = [stream(seed, "batches") for seed in seeds]
     horizon = 1 if cfg.paradigm == TEACHER_FORCING else cfg.horizon
     cuts = {id(ds): windows_of(ds.train, horizon) for ds in data}
     inputs = [cuts[id(ds)] for ds in data]
     pools = [len(pair[0]) for pair in inputs]
 
-    def sample_loss(seeds):
+    def sample_loss(rows):
         batches = []
-        for s in seeds:
+        for s in rows:
             i = rngs[s].choice(pools[s], size=min(cfg.batch_size, pools[s]), replace=False)
             batches.append((inputs[s][0][i], inputs[s][1][i]))
-        if len(seeds) == 1:
-            # A lone seed drops the seed axis, which spares the stacked calls
-            # their overhead; the float operations are the same.
-            one = replace(system, branch=ResidualBranch(arch, params[seeds[0]]))
-            return tuple(r[None] for r in bptt_grads_arrays(one, *batches[0]))
         a, b = (np.stack(part) for part in zip(*batches))
-        return bptt_grads_arrays(replace(system, branch=ResidualBranch(arch, params[seeds])), a, b)
+        return bptt_grads_arrays(replace(system, branch=ResidualBranch(arch, params[rows])), a, b)
 
     m, v = init_moments((S, params.shape[-1]))
     history: list[list[float]] = [[] for _ in range(S)]
@@ -272,12 +266,12 @@ def _fd_gradient(h: HybridSystem, loss_grads, inputs, eps: float = 1e-5) -> np.n
     return (loss[:P] - loss[P:]) / (2.0 * eps)
 
 
-def verify_gradients(branch, system: HybridSystem, n_points: int = 5,
+def verify_gradients(system: HybridSystem, n_points: int = 5,
                      tolerance: float = 1e-4, bptt_tolerance: float = 1e-3,
                      horizon: int = 5, seed: int = 0) -> GradCheckReport:
-    """Pre-flight check: analytic vs central-difference gradients on both
-    loss paths, over probe transitions rolled out from the known part alone
-    (so an all-zero branch agrees bitwise on both sides)."""
+    """Pre-flight check of ``system``'s branch: analytic vs central-difference
+    gradients on both loss paths, over probe transitions rolled out from the
+    known part alone (so an all-zero branch agrees bitwise on both sides)."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if not (0 < tolerance < np.inf and 0 < bptt_tolerance < np.inf):
@@ -286,15 +280,14 @@ def verify_gradients(branch, system: HybridSystem, n_points: int = 5,
     ics = rng.uniform(-1.5, 1.5, size=(n_points, 2))
     # A zero-weight linear branch outputs exactly 0.0: the known part alone.
     zero = ResidualBranch(MlpArch((2, 1)), np.zeros(3))
-    probe = HybridSystem(system.spec, zero, system.dt, system.integrator, system.scale)
+    probe = replace(system, branch=zero)
     path = rollout(probe, ics, horizon)
 
-    h = HybridSystem(system.spec, branch, system.dt, system.integrator, system.scale)
     errors = []
     for loss_grads, inputs in ((tf_loss_grads, (path[:, 0], path[:, 1])),
                                (bptt_grads_arrays, (path[:, 0], path[:, 1:]))):
-        _, analytic, _ = loss_grads(h, *inputs)
-        errors.append(_max_rel_error(analytic, _fd_gradient(h, loss_grads, inputs)))
+        _, analytic, _ = loss_grads(system, *inputs)
+        errors.append(_max_rel_error(analytic, _fd_gradient(system, loss_grads, inputs)))
     (tf_err, tf_idx), (bp_err, bp_idx) = errors
     worst_index = tf_idx if tf_err >= bp_err else bp_idx
     return GradCheckReport(tf_err, bp_err, worst_index, tolerance, bptt_tolerance)

@@ -106,7 +106,7 @@ def test_criterion_03_gradient_suite():
     for name in ARCH_REGISTRY:
         arch, _ = resolve_arch(ExperimentConfig(config=name))
         branch = new_branch(arch, 0)
-        rep = verify_gradients(branch, HybridSystem(duffing(), branch, 0.01))
+        rep = verify_gradients(HybridSystem(duffing(), branch, 0.01))
         worst_tf = max(worst_tf, rep.tf_error)
         worst_bp = max(worst_bp, rep.bptt_error)
         ok &= rep.passed

@@ -263,7 +263,7 @@ def trained_systems(request):
         cfg = ExperimentConfig(system=request.param, config=config, steps=30)
         arch, _ = resolve_arch(cfg)
         h = HybridSystem(spec, new_branch(arch, 3), ds.dt, scale=ds.scale)
-        train(h, ds, make_train_config(cfg, arch, 3))
+        train(h, ds, make_train_config(cfg, arch), 3)
         systems[config] = h
     return systems, ds.test
 

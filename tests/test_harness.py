@@ -163,25 +163,24 @@ class TestExperimentConfig:
     def test_train_config_defaults_by_family(self):
         kan_cfg = ExperimentConfig(config="A")
         kan_arch, _ = resolve_arch(kan_cfg)
-        assert make_train_config(kan_cfg, kan_arch, 0).learning_rate == 3e-3
+        assert make_train_config(kan_cfg, kan_arch).learning_rate == 3e-3
         mlp_cfg = ExperimentConfig(config="mlp-small")
         mlp_arch, _ = resolve_arch(mlp_cfg)
-        assert make_train_config(mlp_cfg, mlp_arch, 0).learning_rate == 1e-3
+        assert make_train_config(mlp_cfg, mlp_arch).learning_rate == 1e-3
 
     def test_train_config_batch_by_paradigm(self):
         arch, _ = resolve_arch(ExperimentConfig(config="A"))
         tf = ExperimentConfig(config="A", paradigm=TEACHER_FORCING)
         bp = ExperimentConfig(config="A", paradigm=BPTT)
-        assert make_train_config(tf, arch, 0).batch_size == 256
-        assert make_train_config(bp, arch, 0).batch_size == 16
+        assert make_train_config(tf, arch).batch_size == 256
+        assert make_train_config(bp, arch).batch_size == 16
 
     def test_explicit_values_pass_through(self):
         cfg = ExperimentConfig(config="A", learning_rate=7e-4, batch_size=32)
         arch, _ = resolve_arch(cfg)
-        tc = make_train_config(cfg, arch, 3)
+        tc = make_train_config(cfg, arch)
         assert tc.learning_rate == 7e-4
         assert tc.batch_size == 32
-        assert tc.seed == 3
 
 
 class TestFingerprint:
@@ -327,7 +326,7 @@ class TestRunSweep:
         real, blocks = harness._run_block, []
 
         def run_block(task, kill_at):
-            blocks.append(task[1])
+            blocks.append(task[2])
             if len(blocks) == kill_at:
                 raise RuntimeError("killed")
             return real(task)
@@ -496,7 +495,7 @@ class TestAggregateTables:
 class TestRunSingleSeed:
     def test_oracle_row(self, tmp_path):
         cfg = oracle_config(tmp_path, system="vanderpol")
-        row, = _run_block((cfg, [7]))
+        _, (row,) = _run_block((0, cfg, [7]))
         assert row.seed == 7
         assert row.status == "Oracle"
         assert row.discovery_r2 == 1.0

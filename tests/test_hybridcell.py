@@ -519,8 +519,8 @@ class TestBptt:
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=8)
         h = HybridSystem(vanderpol(), b, vdp_data.dt)
         cfg = TrainConfig(paradigm="bptt", horizon=10, steps=10, learning_rate=3e-3,
-                          batch_size=4, seed=8)
-        train(h, vdp_data, cfg)
+                          batch_size=4)
+        train(h, vdp_data, cfg, 8)
         # At K=1 there is no path between steps, so the two must agree.
         starts, targets = windows_of(vdp_data.train, 1)
         _, full, _ = bptt_grads_arrays(h, starts[:8], targets[:8])

@@ -58,15 +58,15 @@ def reports(monkeypatch, tmp_path):
     store = tmp_path / "reports"
     store.mkdir()
 
-    def save(cfgs, results):
-        for cfg, report in zip(cfgs, results):
-            with open(store / f"{cfg.seed}.pkl", "wb") as fh:
+    def save(seeds, results):
+        for seed, report in zip(seeds, results):
+            with open(store / f"{seed}.pkl", "wb") as fh:
                 pickle.dump(report, fh)
         return results
 
     real_block = harness.train_block
     monkeypatch.setattr(harness, "train_block",
-                        lambda s, d, cs: save(cs, real_block(s, d, cs)))
+                        lambda s, d, c, seeds: save(seeds, real_block(s, d, c, seeds)))
 
     def take():
         out = {}
@@ -102,7 +102,7 @@ def assert_same_report(got, want):
 
 def alone(cfg, seeds, reports, tmp_path):
     """Rows and reports of each seed trained on its own, in a block of one."""
-    rows = [row for s in seeds for row in _run_block((cfg, [s]))]
+    rows = [row for s in seeds for row in _run_block((0, cfg, [s]))[1]]
     return row_lines(rows, tmp_path), reports()
 
 
@@ -175,8 +175,7 @@ def test_block_beside_diverging_seeds(case, reports, tmp_path):
     ds = _dataset_for(cfg, 0)
     system = HybridSystem(oscillator(cfg.system), ResidualBranch(arch, params), ds.dt,
                           cfg.integrator, ds.scale)
-    got = harness.train_block(system, [ds] * len(order),
-                              [make_train_config(cfg, arch, s) for s in order])
+    got = harness.train_block(system, [ds] * len(order), make_train_config(cfg, arch), order)
     for seed, report in zip(order, got):
         if seed >= 100:
             assert (report.status, report.fail_step, report.loss_history) == ("Unstable", 1, [])

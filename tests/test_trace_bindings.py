@@ -35,7 +35,7 @@ def test_traced_training_reaches_the_cell(perfbench, config, paradigm):
     try:
         assert trainer.tf_loss_grads is not originals[1]
         assert trainer.bptt_grads_arrays is not originals[2]
-        row, = _run_block((cfg, [0]))
+        _, (row,) = _run_block((0, cfg, [0]))
     finally:
         restore()
     assert (hybridcell.step_batch, trainer.tf_loss_grads,

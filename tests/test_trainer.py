@@ -132,7 +132,7 @@ class TestTrain:
     def test_single_step_history(self, duffing_data):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=0)
         h = HybridSystem(duffing(), b, duffing_data.dt)
-        report = train(h, duffing_data, TrainConfig(steps=1, seed=0))
+        report = train(h, duffing_data, TrainConfig(steps=1), 0)
         assert len(report.loss_history) == 1
         assert report.status == MAX_STEPS
 
@@ -141,7 +141,7 @@ class TestTrain:
         for _ in range(2):
             b = new_branch(MlpArch((2, 16, 16, 1)), seed=3)
             h = HybridSystem(duffing(), b, duffing_data.dt)
-            reports.append(train(h, duffing_data, TrainConfig(steps=40, seed=3)))
+            reports.append(train(h, duffing_data, TrainConfig(steps=40), 3))
         assert np.array_equal(reports[0].params, reports[1].params)
         assert reports[0].loss_history == reports[1].loss_history
 
@@ -150,21 +150,21 @@ class TestTrain:
         for seed in (0, 1):
             b = new_branch(MlpArch((2, 16, 16, 1)), seed=0)
             h = HybridSystem(duffing(), b, duffing_data.dt)
-            finals.append(train(h, duffing_data, TrainConfig(steps=20, seed=seed)).params)
+            finals.append(train(h, duffing_data, TrainConfig(steps=20), seed).params)
         assert not np.array_equal(finals[0], finals[1])
 
     def test_loss_decreases(self, duffing_data):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=1)
         h = HybridSystem(duffing(), b, duffing_data.dt)
-        report = train(h, duffing_data, TrainConfig(steps=300, seed=1))
+        report = train(h, duffing_data, TrainConfig(steps=300), 1)
         assert report.loss_history[-1] < report.loss_history[0]
 
     def test_bptt_paradigm_runs(self, duffing_data):
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=2)
         h = HybridSystem(duffing(), b, duffing_data.dt)
         cfg = TrainConfig(paradigm=BPTT, horizon=10, steps=5, learning_rate=3e-3,
-                          batch_size=8, seed=2)
-        report = train(h, duffing_data, cfg)
+                          batch_size=8)
+        report = train(h, duffing_data, cfg, 2)
         assert len(report.loss_history) == 5
         assert np.isfinite(report.params).all()
 
@@ -176,8 +176,8 @@ class TestTrain:
         b = with_params(b, np.full_like(b.params, 1e9))
         h = HybridSystem(duffing(), b, duffing_data.dt)
         cfg = TrainConfig(paradigm=BPTT, horizon=50, steps=50, learning_rate=3e-3,
-                          batch_size=4, seed=0)
-        report = train(h, duffing_data, cfg)
+                          batch_size=4)
+        report = train(h, duffing_data, cfg, 0)
         assert report.status == UNSTABLE
         assert report.fail_step == 1
         assert len(report.loss_history) == report.fail_step - 1
@@ -186,7 +186,7 @@ class TestTrain:
     def test_converge_tol(self, duffing_data):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=4)
         h = HybridSystem(duffing(), b, duffing_data.dt)
-        report = train(h, duffing_data, TrainConfig(steps=500, seed=4, converge_tol=1e3))
+        report = train(h, duffing_data, TrainConfig(steps=500, converge_tol=1e3), 4)
         assert report.status == CONVERGED
         assert len(report.loss_history) == 1
 
@@ -197,7 +197,7 @@ class TestTrain:
         b = new_branch(arch, seed=5)
         before = b.params.copy()
         h = HybridSystem(duffing(), b, duffing_data.dt)
-        train(h, duffing_data, TrainConfig(steps=10, learning_rate=3e-3, seed=5))
+        train(h, duffing_data, TrainConfig(steps=10, learning_rate=3e-3), 5)
         mask = trainable_mask(arch)
         assert np.array_equal(b.params[~mask], before[~mask])
         assert not np.array_equal(b.params[mask], before[mask])
@@ -205,11 +205,33 @@ class TestTrain:
     def test_wall_time_recorded(self, duffing_data):
         b = new_branch(MlpArch((2, 26, 1)), seed=6)
         h = HybridSystem(duffing(), b, duffing_data.dt)
-        report = train(h, duffing_data, TrainConfig(steps=2, seed=6))
+        report = train(h, duffing_data, TrainConfig(steps=2), 6)
         assert report.wall_time > 0
 
 
-def reference_teacher_forcing(system, data, cfg):
+@pytest.mark.parametrize("paradigm,diverge", [(TEACHER_FORCING, False), (BPTT, False),
+                                              (BPTT, True)])
+def test_lone_seed_makes_only_stacked_loss_calls(monkeypatch, duffing_data, paradigm, diverge):
+    # ``train`` is the block of one: every loss call, the retry of a failed
+    # step included, gets an (S, P) block with S = 1, never a (P,) vector.
+    real, ndims = trainer.bptt_grads_arrays, []
+
+    def record(h, *inputs):
+        ndims.append(h.branch.params.ndim)
+        return real(h, *inputs)
+
+    monkeypatch.setattr(trainer, "bptt_grads_arrays", record)
+    b = new_branch(KanArch((2, 4, 1), KAN53), seed=2)
+    if diverge:
+        b = with_params(b, np.full_like(b.params, 1e9))
+    h = HybridSystem(duffing(), b, duffing_data.dt)
+    cfg = TrainConfig(paradigm=paradigm, horizon=10, steps=3, learning_rate=3e-3, batch_size=8)
+    report = train(h, duffing_data, cfg, 2)
+    assert report.status == (UNSTABLE if diverge else MAX_STEPS)
+    assert ndims == [2] * (2 if diverge else 3)
+
+
+def reference_teacher_forcing(system, data, cfg, seed):
     """The teacher-forcing loop ``train`` ran before both paradigms shared
     the window path: batches of ``transitions_of`` pairs through
     ``tf_loss_grads``, for a lone seed that never fails.  Returns the final
@@ -217,7 +239,7 @@ def reference_teacher_forcing(system, data, cfg):
     arch = system.branch.arch
     params = system.branch.params[None].copy()
     mask = trainable_mask(arch)
-    rng = stream(cfg.seed, "batches")
+    rng = stream(seed, "batches")
     s0, s1 = transitions_of(data.train)
     moments = init_moments(params.shape)
     history = []
@@ -240,9 +262,9 @@ def test_teacher_forcing_trains_as_the_transition_loop(duffing_data, config):
     arch, _ = resolve_arch(ExperimentConfig(config=config))
     b = new_branch(arch, seed=3)
     h = HybridSystem(duffing(), b, duffing_data.dt)
-    cfg = TrainConfig(steps=5, learning_rate=3e-3, seed=3)
-    want_params, want_history = reference_teacher_forcing(h, duffing_data, cfg)
-    report = train(h, duffing_data, cfg)
+    cfg = TrainConfig(steps=5, learning_rate=3e-3)
+    want_params, want_history = reference_teacher_forcing(h, duffing_data, cfg, 3)
+    report = train(h, duffing_data, cfg, 3)
     assert report.loss_history == want_history
     assert report.params.tobytes() == want_params.tobytes()
 
@@ -271,7 +293,7 @@ class TestVerifyGradients:
         arch = MlpArch((2, 16, 16, 1))
         b = ResidualBranch(arch, np.zeros(param_count(arch)))
         h = HybridSystem(duffing(), b, 0.01)
-        report = verify_gradients(b, h, n_points=3)
+        report = verify_gradients(h, n_points=3)
         assert report.tf_error == 0.0
         assert report.bptt_error == 0.0
         assert report.passed
@@ -279,7 +301,7 @@ class TestVerifyGradients:
     def test_kan_config_a_passes(self):
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=0)
         h = HybridSystem(vanderpol(), b, 0.01)
-        report = verify_gradients(b, h, n_points=5)
+        report = verify_gradients(h, n_points=5)
         assert report.tf_error < 1e-4
         assert report.bptt_error < 1e-3
         assert report.passed
@@ -288,7 +310,7 @@ class TestVerifyGradients:
     def test_mlp_passes(self):
         b = new_branch(MlpArch((2, 16, 16, 1)), seed=1)
         h = HybridSystem(duffing(), b, 0.01)
-        assert verify_gradients(b, h, n_points=5).passed
+        assert verify_gradients(h, n_points=5).passed
 
     def test_failure_reports_worst_index(self):
         report = GradCheckReport(tf_error=0.5, bptt_error=0.0, worst_index=17,
@@ -300,7 +322,7 @@ class TestVerifyGradients:
         b = new_branch(MlpArch((2, 26, 1)), seed=0)
         h = HybridSystem(duffing(), b, 0.01)
         with pytest.raises(ValueError):
-            verify_gradients(b, h, n_points=0)
+            verify_gradients(h, n_points=0)
 
     def test_non_finite_analytic_gradient_fails(self, monkeypatch):
         # A NaN entry fails every comparison, so it must count as error inf
@@ -315,7 +337,7 @@ class TestVerifyGradients:
 
         monkeypatch.setattr(trainer, "tf_loss_grads", nan_grads)
         b = new_branch(KanArch((2, 4, 1), KAN53), seed=0)
-        report = verify_gradients(b, HybridSystem(vanderpol(), b, 0.01), n_points=2)
+        report = verify_gradients(HybridSystem(vanderpol(), b, 0.01), n_points=2)
         assert report.tf_error == np.inf and report.worst_index == 3
         assert not report.passed
 
@@ -325,7 +347,7 @@ class TestVerifyGradients:
         b = with_params(new_branch(KanArch((2, 4, 1), KAN53), seed=0), np.full(120, 1e9))
         h = HybridSystem(duffing(), b, 0.01)
         with pytest.raises(DivergenceError):
-            verify_gradients(b, h, n_points=1)
+            verify_gradients(h, n_points=1)
 
 
 def loop_max_rel_error(analytic, fd):
@@ -385,9 +407,9 @@ def test_block_gradient_check_equals_sequential_reference(monkeypatch, config, s
     for integrator in (RK4, EULER):
         b = new_branch(arch, 0)
         h = HybridSystem(oscillator(system), b, 0.01, integrator)
-        got = verify_gradients(b, h)
+        got = verify_gradients(h)
         with monkeypatch.context() as m:
             m.setattr(trainer, "_fd_gradient", sequential_fd_gradient)
-            want = verify_gradients(b, h)
+            want = verify_gradients(h)
         assert got == want
         assert np.array_equal(b.params, new_branch(arch, 0).params)
