@@ -135,6 +135,9 @@ def _cmd_eval(args) -> int:
         if ds.oscillator != cfg.system:
             raise _Validation(f"{args.data} holds {ds.oscillator} data, but the run's "
                               f"system is {cfg.system}")
+        if len(ds.test) == 0:
+            raise _Validation(f"{args.data} holds no test trajectories; eval scores "
+                              "the test split")
     else:
         ds = harness._dataset_for(cfg, args.seed)
     branch = _branch_for(args, cfg, spec, ds.scale)

@@ -18,6 +18,9 @@ coordinate and cached, that gives the values and the derivatives.
 ``scatter_to_dense`` places them in all ``grid_size + order`` columns, the
 dense basis a KAN layer multiplies with its coefficients in one GEMM, and
 ``dense_basis`` returns the basis and its derivative in that form.
+A ``BasisWorkspace`` holds the buffers of forward-only evaluations: given
+one, ``basis_and_derivative`` reuses them pass after pass, and its
+``scatter`` fills one dense basis kept from pass to pass.
 
 The right domain endpoint belongs to the last interior interval (closed on
 the right), so evaluation at the boundary is exact and derivatives there are
@@ -122,7 +125,78 @@ def _tables(spec: SplineSpec) -> tuple[np.ndarray, np.ndarray, float, np.ndarray
     return T[spec.order + 1 : spec.n_basis], T[spec.order : spec.n_basis], h, M
 
 
-def basis_and_derivative(spec: SplineSpec, u: np.ndarray, derivative: bool = True
+class BasisWorkspace:
+    """Buffers that forward-only basis evaluations of at most ``points``
+    points reuse, pass after pass.
+
+    It holds the spec's tables and the value columns of its local matrix,
+    the clamped inputs, the powers ``V`` with their ones columns written
+    once, one scratch buffer for the powers of ``t`` and ``s`` before they
+    are interleaved into ``V`` and then for the local product ``P``, each
+    dense-basis row's flat start, and one flat dense basis.  A pass of n
+    points uses the leading slices of each, cut once per n.
+
+    The dense buffer is zeroed once.  Each ``scatter`` refills with zeros
+    the rows its previous call wrote, memory that stays mapped from pass to
+    pass, and writes its own windows.  The arrays that ``clamp``,
+    ``basis_and_derivative`` and ``scatter`` return are views of the
+    buffers, which the next call overwrites.
+    """
+
+    def __init__(self, spec: SplineSpec, points: int):
+        K, M = spec.order + 1, spec.n_basis
+        self.spec = spec
+        self.tables = _tables(spec)
+        self.values = self.tables[3][:, :K]
+        self._clamped = np.empty(points)
+        self._V = np.empty((points, 2, K))
+        self._V[..., 0] = 1.0
+        self._scratch = np.empty(max(2 * K - 2, K) * points)
+        self._row_starts = np.arange(0, points * M, M)
+        self._window = np.arange(K)
+        self._dense = np.zeros(points * M)
+        self._written = 0
+        self._slices = {}
+
+    def slices(self, n: int) -> tuple[np.ndarray, ...]:
+        """The leading slices for a pass of ``n`` points: clamped inputs
+        (n,), V as (n, 2K) and its power columns (n, 2, k), the powers (k,
+        2, n) and their (n, 2, k) view, P (n, K), row starts (n,), and the
+        dense basis (n, n_basis)."""
+        views = self._slices.get(n)
+        if views is None:
+            K, M = self.spec.order + 1, self.spec.n_basis
+            V = self._V[:n]
+            Q = self._scratch[: (K - 1) * 2 * n].reshape(K - 1, 2, n)
+            views = self._slices[n] = (
+                self._clamped[:n], V.reshape(n, 2 * K), V[..., 1:], Q, Q.transpose(2, 1, 0),
+                self._scratch[: n * K].reshape(n, K), self._row_starts[:n],
+                self._dense[: n * M].reshape(n, M))
+        return views
+
+    def clamp(self, u: np.ndarray) -> np.ndarray:
+        """``u`` clamped to the domain, flattened into the clamped-input buffer."""
+        lo, hi = self.spec.domain
+        flat = self.slices(u.size)[0]
+        c = flat.reshape(u.shape)
+        np.maximum(u, lo, out=c)
+        np.minimum(c, hi, out=c)
+        return flat
+
+    def scatter(self, local: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """``scatter_to_dense(local, first, n_basis)`` for the (n, K) local
+        basis and (n,) first columns of a pass, in the dense buffer.  It
+        turns ``first`` in place into each window's flat start."""
+        *_, row_starts, dense = self.slices(first.size)
+        self._dense[: self._written] = 0.0
+        starts = np.add(row_starts, first, out=first)
+        self._dense[starts[:, None] + self._window] = local
+        self._written = dense.size
+        return dense
+
+
+def basis_and_derivative(spec: SplineSpec, u: np.ndarray, derivative: bool = True,
+                         work: BasisWorkspace | None = None
                          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Evaluate the nonzero basis functions and their u-derivatives.
 
@@ -131,8 +205,26 @@ def basis_and_derivative(spec: SplineSpec, u: np.ndarray, derivative: bool = Tru
     ``u.shape + (order + 1,)`` and hold basis columns ``first .. first +
     order`` of the full ``n_basis``-column basis; ``first`` has shape
     ``u.shape``; ``dB`` is None, and not computed, if ``derivative`` is false.
+
+    Given a workspace for ``spec``, the call is forward-only: it takes the
+    (n,) inputs of ``work.clamp`` and returns ``B`` as an (n, order + 1)
+    slice of the workspace, with the same bytes.
     """
     k = spec.order
+    if work is not None:
+        interior, left, h, _ = work.tables
+        _, V2, Vp, Q, Qt, P, *_ = work.slices(u.size)
+        first = interior.searchsorted(u, side="right")
+        if k:
+            # The operations below, on contiguous power rows that one copy
+            # interleaves into V: on a few points, a ufunc that writes one
+            # of V's strided columns costs about three contiguous ones.
+            np.minimum((u - left[first]) / h, 1.0, out=Q[0, 0])
+            np.subtract(1.0, Q[0, 0], out=Q[0, 1])
+            for p in range(1, k):
+                np.multiply(Q[p - 1], Q[0], out=Q[p])
+            Vp[...] = Qt
+        return np.matmul(V2, work.values, out=P), None, first
     interior, left, h, M = _tables(spec)
     u = np.asarray(u, dtype=float)
     # Interval containing u: the count of interior knots <= u, so the right

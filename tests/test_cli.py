@@ -206,9 +206,9 @@ class TestDatasetInput:
     """``eval --data`` on saved dataset files, well-formed and not."""
 
     @staticmethod
-    def _saved(capsys, tmp_path, n_train="2"):
+    def _saved(capsys, tmp_path, n_train="2", n_test="2"):
         code, out, _ = run(capsys, "gen-data", "--system", "duffing", "--n-train", n_train,
-                           "--n-test", "2", "--steps", "20", "--out", str(tmp_path))
+                           "--n-test", n_test, "--steps", "20", "--out", str(tmp_path))
         assert code == 0
         return out.strip()
 
@@ -223,6 +223,13 @@ class TestDatasetInput:
         code, out, _ = self._eval(capsys, path)
         assert code == 0
         assert "discovery_r2=1 " in out
+
+    def test_empty_test_split_is_validation_error(self, capsys, tmp_path):
+        path = self._saved(capsys, tmp_path, n_test="0")
+        assert load_dataset(path).test.shape == (0, 21, 2)
+        code, out, err = self._eval(capsys, path)
+        assert code == 1 and out == ""
+        assert path in err and "no test trajectories" in err
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: [l.replace("#traj test 1", "#traj tset 1") for l in lines],

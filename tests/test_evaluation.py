@@ -131,6 +131,32 @@ class TestSampleSurface:
         assert peak < whole
 
 
+@pytest.mark.parametrize("stage", ["test_mse", "sample_surface"])
+def test_forward_only_workspace_peak_memory(stage):
+    # The passes of one forward-only call share one workspace, sized for the
+    # first pass and shared by the layers.  On config G the peaks were
+    # 3.41 MiB (test_mse) and 3.11 MiB (surface) with fresh arrays on every
+    # pass; one buffer set per layer read 5.9 and 7.2 MiB.
+    cfg = ExperimentConfig(config="G")
+    arch, _ = resolve_arch(cfg)
+    ds = generate_dataset(duffing(), 1, cfg.n_test_ics, cfg.dt, cfg.data_steps, seed=0)
+    system = HybridSystem(duffing(), new_branch(arch, seed=0), ds.dt, scale=ds.scale)
+    if stage == "test_mse":
+        def run():
+            one_step_mse(system, ds.test)
+    else:
+        def run():
+            sample_surface(system.branch, duffing(), GridSpec(), ds.scale)
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 class TestDiscoveryR2:
     def test_exact_match_is_one(self):
         s = surface_from(lambda X, V: -0.3 * X**3)

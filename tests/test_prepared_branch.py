@@ -30,14 +30,16 @@ from residual_lab.hybridcell import (
 )
 from residual_lab.netcore import (
     KanArch,
+    ResidualBranch,
     _kan_layers,
     _mlp_layers,
     _silu,
     add_l1_gradient,
+    forward_batch,
     l1_penalty,
     new_branch,
 )
-from residual_lab.splines import basis_and_derivative, scatter_to_dense
+from residual_lab.splines import SplineSpec, basis_and_derivative, knot_vector, scatter_to_dense
 
 CONFIGS = ("A", "B", "C", "G", "kan-deep", "mlp-small", "oracle")
 HORIZON = 10
@@ -294,3 +296,134 @@ def test_one_plan_per_call(monkeypatch, datasets, config, views):
     seen.clear()
     rollout(h, starts, HORIZON)
     assert len(seen) == 1 and seen[0] is h.branch.params
+
+
+def per_pass_forward_only(x, U):
+    """The forward-only body before plans kept a workspace: every pass of
+    at most ``FORWARD_ROWS`` rows builds fresh arrays for each layer."""
+    values = np.empty(U.shape[:-1])
+    for a in range(0, U.shape[-2], netcore.FORWARD_ROWS):
+        Y = U[..., a : a + netcore.FORWARD_ROWS, :]
+        if isinstance(x.arch, KanArch):
+            spec = x.arch.spline
+            lo, hi = spec.domain
+            with np.errstate(over="ignore"):
+                for _, base, _, W in x.layers:
+                    B, _, first = basis_and_derivative(spec, np.minimum(np.maximum(Y, lo), hi),
+                                                       False)
+                    dense = scatter_to_dense(B, first, spec.n_basis)
+                    Y = _silu(Y)[1] @ base + dense.reshape(Y.shape[:-1] + (-1,)) @ W
+        else:
+            for li, Wb in enumerate(x.layers):
+                if li:
+                    Y = np.maximum(Y, 0.0)
+                Y = np.concatenate([Y, np.ones(Y.shape[:-1] + (1,))], -1) @ Wb
+        values[..., a : a + netcore.FORWARD_ROWS] = Y[..., 0]
+    return values
+
+
+def awkward_inputs(arch, shape, rng):
+    """Normal draws reaching past the spline domain, with NaN, +-0.0, the
+    knots and the domain ends planted at random places."""
+    U = rng.normal(0.0, 1.5, shape)
+    special = [np.nan, 0.0, -0.0]
+    if isinstance(arch, KanArch):
+        special += list(knot_vector(arch.spline))
+    k = min(U.size, len(special))
+    U.reshape(-1)[rng.choice(U.size, k, replace=False)] = special[:k]
+    return U
+
+
+def block(config, seeds):
+    """The config's branch as a (P,) vector (``seeds`` None) or an (S, P) block."""
+    arch, _ = resolve_arch(ExperimentConfig(config=config))
+    params = np.stack([new_branch(arch, seed=s).params for s in range(seeds or 1)])
+    return ResidualBranch(arch, params if seeds else params[0])
+
+
+WORKSPACE_CONFIGS = ("A", "B", "G", "kan-deep", "mlp-small")
+
+
+@pytest.mark.parametrize("seeds", [None, 1, 3])
+@pytest.mark.parametrize("config", WORKSPACE_CONFIGS)
+def test_workspace_passes_match_per_pass_body(config, seeds):
+    # Each plan meets one row count; N = FORWARD_ROWS + 1 and 10^4 take
+    # several passes, the last a leading slice of the first pass's buffers.
+    branch = block(config, seeds)
+    rng = np.random.default_rng(7)
+    lead = () if seeds is None else (seeds,)
+    for n in (1, 5, netcore.FORWARD_ROWS, netcore.FORWARD_ROWS + 1, 10**4):
+        U = awkward_inputs(branch.arch, lead + (n, 2), rng)
+        x = branch.prepare()
+        got, cache = forward_batch(x, U)
+        assert cache == []
+        assert got.tobytes() == per_pass_forward_only(x, U).tobytes()
+
+
+@pytest.mark.parametrize("config", ["A", "G", "kan-deep"])
+def test_successive_passes_leave_no_stale_windows(config):
+    # One plan, passes of varying size whose inputs sit in other knot
+    # intervals each time: a window left over from an earlier pass would
+    # add a basis column the fresh plan does not have.
+    branch = block(config, None)
+    spec = branch.arch.spline
+    lo, hi = spec.domain
+    h = (hi - lo) / spec.grid_size
+    mids = lo + (np.arange(spec.grid_size) + 0.5) * h
+    x = branch.prepare()
+    for i, n in enumerate([7, 7, 3, 5, 7, 1, 6]):
+        U = np.empty((n, 2))
+        U[:, 0] = mids[i % spec.grid_size]
+        U[:, 1] = mids[-1 - (2 * i) % spec.grid_size]
+        U[::2] += 0.1 * h
+        got = forward_batch(x, U)[0]
+        assert got.tobytes() == forward_batch(branch.prepare(), U)[0].tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_one_plan_across_row_counts_for_every_order(order):
+    # The workspace grows for a pass with more rows than it was built for
+    # and serves smaller ones from leading slices; order 0 has no powers.
+    arch = KanArch((2, 3, 2, 1), SplineSpec(4, order, (-1.5, 0.5)))
+    branch = new_branch(arch, seed=0)
+    rng = np.random.default_rng(order)
+    x = branch.prepare()
+    for n in (5, 1, 3000, 4, 5):
+        U = awkward_inputs(arch, (n, 2), rng)
+        assert forward_batch(x, U)[0].tobytes() == per_pass_forward_only(x, U).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, netcore.FORWARD_ROWS + 1])
+@pytest.mark.parametrize("config", ["A", "kan-deep", "mlp-small"])
+def test_a_pass_result_survives_the_next_pass(config, n):
+    branch = block(config, None)
+    rng = np.random.default_rng(3)
+    x = branch.prepare()
+    first = forward_batch(x, rng.normal(size=(n, 2)))[0]
+    kept = first.copy()
+    forward_batch(x, rng.normal(size=(n, 2)))
+    assert first.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("config,kind", [("A", "BasisWorkspace"), ("kan-deep", "BasisWorkspace"),
+                                         ("mlp-small", "MlpWorkspace")])
+def test_one_workspace_per_forward_only_call(monkeypatch, datasets, config, kind):
+    # A rollout's steps and a test-set call's FORWARD_ROWS passes share the
+    # buffers built at the first pass; a loss plan builds none.
+    built = []
+    original = getattr(netcore, kind)
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(netcore, kind, counted)
+    h, _ = systems(config, duffing())
+    starts = datasets["duffing"].test[:, 0]
+    rollout(h, starts, HORIZON)
+    assert len(built) == 1
+    Z = np.random.default_rng(0).normal(size=(netcore.FORWARD_ROWS + 7, 2))
+    step_batch(h.prepare(), Z, np.ones((), dtype=bool))
+    assert len(built) == 2
+    bptt_grads_arrays(h, *batch(windows_of(datasets["duffing"].train, HORIZON), 16))
+    assert len(built) == 2
