@@ -44,18 +44,18 @@ views of the caller's gradient buffer ``grads``.  The plan is built fresh per
 call and never cached on the branch, because training writes ``params`` in
 place between calls.
 
-A plan prepared without a gradient buffer serves ``rollout``, ``test_mse``,
-``sample_surface`` and the probe rollout of the gradient check, thousands
-of passes for one rollout.  It builds one workspace at its first pass,
-sized for that pass's rows times the widest layer, and every later pass
-and every layer reuses it, a smaller pass through leading slices.  A KAN's
-workspace is a ``splines.BasisWorkspace``: the clamped inputs, the basis
-powers with their ones columns written once, the local product, the row
-offsets and one flat dense basis, zeroed once, where each pass clears only
-the rows the previous one wrote.  An MLP's holds each layer's input with
-its ones column written once.  The float operations and their operands are
-those of fresh arrays, so the values are the same bytes.  A loss plan keeps
-fresh arrays: backward reads its cached dense basis.
+A KAN plan prepared without a gradient buffer serves ``rollout``,
+``test_mse``, ``sample_surface`` and the probe rollout of the gradient
+check, thousands of passes for one rollout.  It builds one workspace, a
+``splines.BasisWorkspace``, at its first pass, sized for that pass's rows
+times the widest layer, and every later pass and every layer reuses it, a
+smaller pass through leading slices: the clamped inputs, the basis powers
+with their ones columns written once, the local product, the row offsets
+and one flat dense basis, zeroed once, where each pass clears only the
+rows the previous one wrote.  The float operations and their operands are
+those of fresh arrays, so the values are the same bytes.  A loss plan
+keeps fresh arrays, because backward reads its cached dense basis, and so
+does an MLP, whose passes allocate only a few small arrays.
 
 A branch's ``params`` may also be an (S, P) block: S seeds of one
 architecture, evaluated together.  Every layer view then keeps a leading S
@@ -72,8 +72,8 @@ anything.  Backward adds the parameter gradient into ``grads``, the buffer
 adjoint, so the stages of one loss accumulate into one array, stage by
 stage, with no per-call zero buffer.  A forward-only plan (``grads=None``)
 cannot run backward: its cache is ``[]``, it computes no basis derivative,
-and it runs at most ``FORWARD_ROWS`` rows per pass in its workspace, so a
-large surface grid never holds its whole dense basis.  A KAN layer in a loss caches backward's
+and it runs at most ``FORWARD_ROWS`` rows per pass, so a large surface grid
+never holds its whole dense basis.  A KAN layer in a loss caches backward's
 operands and nothing else, so forward also computes the two input slopes: ``dense`` (N, n_in, M) dense basis,
 ``dspl`` (N, n_in, n_out) scaled edge spline u-slopes, ``silu``/``dsilu``
 (N, n_in) base term and its u-slope, ``mask`` (N, n_in) inputs inside the
@@ -86,7 +86,6 @@ All gradients are exact reverse-mode; finite-difference tests pin them down.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -107,7 +106,7 @@ MLP = "mlp"
 _FLOAT_FMT = "%.17g"
 # First field of a checkpoint header; load_branch rejects any other.
 CHECKPOINT_VERSION = "v2"
-# Rows per pass of a forward-only call: bounds the workspace its plan
+# Rows per pass of a forward-only call: bounds the workspace a KAN plan
 # builds, whose dense basis holds one pass of the widest layer.
 FORWARD_ROWS = 2048
 
@@ -210,8 +209,8 @@ class PreparedBranch:
     and, given a gradient buffer, the per-layer views of that buffer.  For
     an (S, P) block the views and W keep the leading S axis.  W copies the
     coefficients, so a plan goes stale once ``params`` is written: build a
-    fresh one per call.  Without a gradient buffer it also holds the
-    workspace its forward-only passes share, built at the first pass.  Its
+    fresh one per call.  For a KAN without a gradient buffer it also holds
+    the workspace its forward-only passes share, built at the first pass.  Its
     four methods are the branch interface of ``hybridcell``.
     """
 
@@ -232,14 +231,11 @@ class PreparedBranch:
         self.glayers = None if grads is None else views(self.arch, grads)
         self.work, self.work_rows = None, 0
 
-    def workspace(self, rows: int) -> BasisWorkspace | MlpWorkspace:
+    def workspace(self, rows: int) -> BasisWorkspace:
         """The buffers that the forward-only passes share, built for the
         first pass's ``rows`` and rebuilt only for a pass with more."""
-        if rows > self.work_rows:
-            if isinstance(self.arch, KanArch):
-                self.work = BasisWorkspace(self.arch.spline, rows * max(self.arch.widths[:-1]))
-            else:
-                self.work = MlpWorkspace(self.arch, rows)
+        if self.work is None or rows > self.work_rows:
+            self.work = BasisWorkspace(self.arch.spline, rows * max(self.arch.widths[:-1]))
             self.work_rows = rows
         return self.work
 
@@ -307,6 +303,12 @@ def forward_batch(x: PreparedBranch, U: np.ndarray):
     network.  A plan without a gradient buffer gets ``[]`` and runs at most
     ``FORWARD_ROWS`` rows per pass.
     """
+    if isinstance(x.arch, MlpArch):
+        # An MLP input's ones column multiplies the bias row of [W; b].
+        Ub = np.empty(U.shape[:-1] + (3,))
+        Ub[..., :2] = U
+        Ub[..., 2] = 1.0
+        U = Ub
     if x.glayers is not None:
         cache = []
         return _forward_rows(x, U, cache), cache
@@ -318,55 +320,27 @@ def forward_batch(x: PreparedBranch, U: np.ndarray):
     return values, []
 
 
-def _mlp_inputs(arch: MlpArch, lead: tuple[int, ...]) -> list[np.ndarray]:
-    """One (.., n_in + 1) input array per layer, its ones column written:
-    it multiplies the bias row of [W; b]."""
-    out = []
-    for n_in in arch.widths[:-1]:
-        Ub = np.empty(lead + (n_in + 1,))
-        Ub[..., -1] = 1.0
-        out.append(Ub)
-    return out
-
-
-class MlpWorkspace:
-    """Each layer's input buffer for the forward-only passes of an MLP plan,
-    ones column written once, and their leading slices per pass shape."""
-
-    def __init__(self, arch: MlpArch, rows: int):
-        self.inputs = _mlp_inputs(arch, (rows,))
-        self._slices = {}
-
-    def slices(self, lead: tuple[int, ...]) -> list[np.ndarray]:
-        views = self._slices.get(lead)
-        if views is None:
-            n = math.prod(lead)
-            views = self._slices[lead] = [b[:n].reshape(lead + b.shape[-1:])
-                                          for b in self.inputs]
-        return views
-
-
 def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.ndarray:
-    """The branch's values on the (.., N, 2) inputs ``U``; appends each
-    layer's backward operands to ``cache`` and computes the basis slopes
-    unless ``cache`` is None, when the layers share the plan's workspace."""
-    lead = U.shape[:-1]
-    work = None if cache is not None else x.workspace(U.size // U.shape[-1])
+    """The branch's values on the (.., N, 2) inputs ``U``, (.., N, 3) with
+    the ones column for an MLP; appends each layer's backward operands to
+    ``cache`` unless it is None, and only then computes the basis slopes.
+    A KAN's layers without a cache share the plan's workspace."""
     if isinstance(x.arch, KanArch):
+        work = None if cache is not None else x.workspace(U.size // 2)
         spec = x.arch.spline
         lo, hi = spec.domain
         M = spec.n_basis
         with np.errstate(over="ignore"):
             for _, base, _, W in x.layers:
                 n_in, n_out = base.shape[-2:]
-                if work is None:
+                if cache is None:
+                    B, _, first = basis_and_derivative(spec, work.clamp(U), work)
+                    dense = work.scatter(B, first)
+                else:
                     B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
                     dense = scatter_to_dense(B, first, M)
-                else:
-                    B, _, first = basis_and_derivative(spec, work.clamp(U), False, work)
-                    dense = work.scatter(B, first)
                 sig, silu = _silu(U)
-                Y = silu @ base + dense.reshape(lead + (n_in * M,)) @ W
+                Y = silu @ base + dense.reshape(U.shape[:-1] + (n_in * M,)) @ W
                 if cache is not None:
                     # The scaled edge splines' u-slopes, one GEMM per input.
                     dspl = (scatter_to_dense(dB, first, M).swapaxes(-2, -3)
@@ -376,14 +350,17 @@ def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.nd
                                   "mask": (U >= lo) & (U <= hi)})
                 U = Y
     else:
-        inputs = _mlp_inputs(x.arch, lead) if work is None else work.slices(lead)
-        inputs[0][..., :-1] = U
+        last = len(x.layers) - 1
         for li, Wb in enumerate(x.layers):
             if cache is not None:
-                cache.append({"U": inputs[li]})
-            U = inputs[li] @ Wb
-            if li + 1 < len(inputs):
-                np.maximum(U, 0.0, out=inputs[li + 1][..., :-1])
+                cache.append({"U": U})
+            Z = U @ Wb
+            if li < last:
+                U = np.empty(Z.shape[:-1] + (Z.shape[-1] + 1,))
+                np.maximum(Z, 0.0, out=U[..., :-1])
+                U[..., -1] = 1.0
+            else:
+                U = Z
     return U[..., 0]
 
 

@@ -19,8 +19,8 @@ coordinate and cached, that gives the values and the derivatives.
 dense basis a KAN layer multiplies with its coefficients in one GEMM, and
 ``dense_basis`` returns the basis and its derivative in that form.
 A ``BasisWorkspace`` holds the buffers of forward-only evaluations: given
-one, ``basis_and_derivative`` reuses them pass after pass, and its
-``scatter`` fills one dense basis kept from pass to pass.
+one, ``basis_and_derivative`` computes the values alone in them, pass after
+pass, and its ``scatter`` fills one dense basis kept from pass to pass.
 
 The right domain endpoint belongs to the last interior interval (closed on
 the right), so evaluation at the boundary is exact and derivatives there are
@@ -129,12 +129,11 @@ class BasisWorkspace:
     """Buffers that forward-only basis evaluations of at most ``points``
     points reuse, pass after pass.
 
-    It holds the spec's tables and the value columns of its local matrix,
+    It holds the spec's tables with the value columns of its local matrix,
     the clamped inputs, the powers ``V`` with their ones columns written
-    once, one scratch buffer for the powers of ``t`` and ``s`` before they
-    are interleaved into ``V`` and then for the local product ``P``, each
-    dense-basis row's flat start, and one flat dense basis.  A pass of n
-    points uses the leading slices of each, cut once per n.
+    once, the local product ``P``, each dense-basis row's flat start, and
+    one flat dense basis.  A pass of n points uses the leading slices of
+    each, cut once per n.
 
     The dense buffer is zeroed once.  Each ``scatter`` refills with zeros
     the rows its previous call wrote, memory that stays mapped from pass to
@@ -146,12 +145,12 @@ class BasisWorkspace:
     def __init__(self, spec: SplineSpec, points: int):
         K, M = spec.order + 1, spec.n_basis
         self.spec = spec
-        self.tables = _tables(spec)
-        self.values = self.tables[3][:, :K]
+        interior, left, h, local = _tables(spec)
+        self.tables = interior, left, h, local[:, :K]
         self._clamped = np.empty(points)
         self._V = np.empty((points, 2, K))
         self._V[..., 0] = 1.0
-        self._scratch = np.empty(max(2 * K - 2, K) * points)
+        self._P = np.empty((points, K))
         self._row_starts = np.arange(0, points * M, M)
         self._window = np.arange(K)
         self._dense = np.zeros(points * M)
@@ -160,17 +159,13 @@ class BasisWorkspace:
 
     def slices(self, n: int) -> tuple[np.ndarray, ...]:
         """The leading slices for a pass of ``n`` points: clamped inputs
-        (n,), V as (n, 2K) and its power columns (n, 2, k), the powers (k,
-        2, n) and their (n, 2, k) view, P (n, K), row starts (n,), and the
-        dense basis (n, n_basis)."""
+        (n,), V (n, 2, K), P (n, K), row starts (n,), and the dense basis
+        (n, n_basis)."""
         views = self._slices.get(n)
         if views is None:
-            K, M = self.spec.order + 1, self.spec.n_basis
-            V = self._V[:n]
-            Q = self._scratch[: (K - 1) * 2 * n].reshape(K - 1, 2, n)
+            M = self.spec.n_basis
             views = self._slices[n] = (
-                self._clamped[:n], V.reshape(n, 2 * K), V[..., 1:], Q, Q.transpose(2, 1, 0),
-                self._scratch[: n * K].reshape(n, K), self._row_starts[:n],
+                self._clamped[:n], self._V[:n], self._P[:n], self._row_starts[:n],
                 self._dense[: n * M].reshape(n, M))
         return views
 
@@ -195,8 +190,7 @@ class BasisWorkspace:
         return dense
 
 
-def basis_and_derivative(spec: SplineSpec, u: np.ndarray, derivative: bool = True,
-                         work: BasisWorkspace | None = None
+def basis_and_derivative(spec: SplineSpec, u: np.ndarray, work: BasisWorkspace | None = None
                          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Evaluate the nonzero basis functions and their u-derivatives.
 
@@ -204,44 +198,36 @@ def basis_and_derivative(spec: SplineSpec, u: np.ndarray, derivative: bool = Tru
     clamp first).  Returns ``(B, dB, first)``: ``B`` and ``dB`` have shape
     ``u.shape + (order + 1,)`` and hold basis columns ``first .. first +
     order`` of the full ``n_basis``-column basis; ``first`` has shape
-    ``u.shape``; ``dB`` is None, and not computed, if ``derivative`` is false.
+    ``u.shape``.
 
     Given a workspace for ``spec``, the call is forward-only: it takes the
-    (n,) inputs of ``work.clamp`` and returns ``B`` as an (n, order + 1)
-    slice of the workspace, with the same bytes.
+    (n,) inputs of ``work.clamp``, multiplies by the value columns of the
+    local matrix alone, and returns ``B`` as an (n, order + 1) view of the
+    workspace, with the same bytes, and ``dB`` None.
     """
     k = spec.order
-    if work is not None:
-        interior, left, h, _ = work.tables
-        _, V2, Vp, Q, Qt, P, *_ = work.slices(u.size)
-        first = interior.searchsorted(u, side="right")
-        if k:
-            # The operations below, on contiguous power rows that one copy
-            # interleaves into V: on a few points, a ufunc that writes one
-            # of V's strided columns costs about three contiguous ones.
-            np.minimum((u - left[first]) / h, 1.0, out=Q[0, 0])
-            np.subtract(1.0, Q[0, 0], out=Q[0, 1])
-            for p in range(1, k):
-                np.multiply(Q[p - 1], Q[0], out=Q[p])
-            Vp[...] = Qt
-        return np.matmul(V2, work.values, out=P), None, first
-    interior, left, h, M = _tables(spec)
-    u = np.asarray(u, dtype=float)
+    if work is None:
+        interior, left, h, M = _tables(spec)
+        u = np.asarray(u, dtype=float)
+        V = np.empty((u.size, 2, k + 1))
+        V[..., 0] = 1.0
+        P = None
+    else:
+        interior, left, h, M = work.tables
+        _, V, P, *_ = work.slices(u.size)
     # Interval containing u: the count of interior knots <= u, so the right
     # boundary (and NaN) fall in the last interval and the domain is closed.
     first = interior.searchsorted(u, side="right")
     # Powers of the local coordinate t in [0, 1] and of s = 1 - t; the
     # minimum only removes rounding at the right end of the interval.
-    V = np.empty((u.size, 2, k + 1))
-    V[..., 0] = 1.0
     if k:
         np.minimum((u.ravel() - left[first.ravel()]) / h, 1.0, out=V[:, 0, 1])
         np.subtract(1.0, V[:, 0, 1], out=V[:, 1, 1])
         for p in range(2, k + 1):
             np.multiply(V[..., p - 1], V[..., 1], out=V[..., p])
-    P = V.reshape(u.size, 2 * k + 2) @ (M if derivative else M[:, : k + 1])
+    P = np.matmul(V.reshape(u.size, 2 * k + 2), M, out=P)
     shape = u.shape + (k + 1,)
-    dB = P[:, k + 1 :].reshape(shape) if derivative else None
+    dB = None if work is not None else P[:, k + 1 :].reshape(shape)
     return P[:, : k + 1].reshape(shape), dB, first
 
 

@@ -309,8 +309,7 @@ def per_pass_forward_only(x, U):
             lo, hi = spec.domain
             with np.errstate(over="ignore"):
                 for _, base, _, W in x.layers:
-                    B, _, first = basis_and_derivative(spec, np.minimum(np.maximum(Y, lo), hi),
-                                                       False)
+                    B, _, first = basis_and_derivative(spec, np.minimum(np.maximum(Y, lo), hi))
                     dense = scatter_to_dense(B, first, spec.n_basis)
                     Y = _silu(Y)[1] @ base + dense.reshape(Y.shape[:-1] + (-1,)) @ W
         else:
@@ -405,19 +404,18 @@ def test_a_pass_result_survives_the_next_pass(config, n):
     assert first.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("config,kind", [("A", "BasisWorkspace"), ("kan-deep", "BasisWorkspace"),
-                                         ("mlp-small", "MlpWorkspace")])
-def test_one_workspace_per_forward_only_call(monkeypatch, datasets, config, kind):
+@pytest.mark.parametrize("config", ["A", "kan-deep"])
+def test_one_workspace_per_forward_only_call(monkeypatch, datasets, config):
     # A rollout's steps and a test-set call's FORWARD_ROWS passes share the
     # buffers built at the first pass; a loss plan builds none.
     built = []
-    original = getattr(netcore, kind)
+    original = netcore.BasisWorkspace
 
     def counted(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(netcore, kind, counted)
+    monkeypatch.setattr(netcore, "BasisWorkspace", counted)
     h, _ = systems(config, duffing())
     starts = datasets["duffing"].test[:, 0]
     rollout(h, starts, HORIZON)

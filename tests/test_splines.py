@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from residual_lab.netcore import KanArch, forward_batch, new_branch
 from residual_lab.splines import (
+    BasisWorkspace,
     SplineSpec,
     _local_matrix,
     basis_and_derivative,
@@ -165,15 +166,17 @@ class TestDerivative:
     @pytest.mark.parametrize("n", [1, 5, 2048, 2049, 10_000])
     @pytest.mark.parametrize("G,k", [(5, 3), (20, 3), (4, 0)])
     def test_values_only_call_gives_the_full_calls_bits(self, G, k, n):
-        # A forward-only KAN layer asks for the value columns alone, a GEMM
-        # with k + 1 output columns instead of 2k + 2; B must keep its bits
-        # whatever the BLAS kernel does with the narrower product.
+        # A forward-only KAN layer evaluates in a workspace, values only: it
+        # keeps the value columns alone, a GEMM with k + 1 output columns instead of
+        # 2k + 2; B must keep its bits whatever the BLAS kernel does with
+        # the narrower product.
         spec = SplineSpec(grid_size=G, order=k)
         u = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
         B, _, first = basis_and_derivative(spec, u)
-        only, dB, only_first = basis_and_derivative(spec, u, derivative=False)
+        work = BasisWorkspace(spec, u.size)
+        only, dB, only_first = basis_and_derivative(spec, work.clamp(u), work)
         assert dB is None
-        assert only.shape == B.shape and only.tobytes() == B.tobytes()
+        assert only.shape == (u.size, k + 1) and only.tobytes() == B.tobytes()
         assert only_first.tobytes() == first.tobytes()
 
 
