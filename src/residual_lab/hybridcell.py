@@ -7,16 +7,20 @@ The cell advances the state z = [x, v] by integrating
 
 so the branch can only ever model the missing v-dot term.  A state batch
 is one (N, 2) array of [x, v] rows, the layout of the datasets.  A branch is
-any object with a flat ``params`` array and a ``prepare(grads=None)``
-method; ``netcore.ResidualBranch`` and ``OracleResidual`` are the two.  Every loss,
-rollout and ``HybridSystem.prepare`` call prepares the branch once, and
+any object with a flat ``params`` array and a ``prepare(grads=None,
+buffers=None, steps=1, stages=1)`` method; ``netcore.ResidualBranch`` and
+``OracleResidual`` are the two.  Every loss, rollout and
+``HybridSystem.prepare`` call prepares the branch once, for a call of
+``steps`` integrator steps of the scheme's ``stages`` stages, and
 ``step_batch`` and ``step_vjp`` use what that returns through four methods:
 ``eval_batch(U) -> (values, cache)`` on normalized (..., 2) states U, values
-shaped ``U.shape[:-1]``; ``combined_vjp(cache, upstream) -> (grads, dU)``,
-dU the (..., 2) adjoint on U, which adds the stage's parameter gradient
-into the ``grads`` buffer given to ``prepare`` before it returns;
-``l1_value()``; and ``l1_grad_into(grads)``.  The oracle has no parameters
-and prepares to itself.
+shaped ``U.shape[:-1]``, called once per stage in step and stage order;
+``combined_vjp(cache, upstream) -> (grads, dU)``, dU the (..., 2) adjoint
+on U, called for a step's stages last to first, which adds the parameter
+gradient into the ``grads`` buffer given to ``prepare``: a KAN's at every
+stage, an MLP's for the whole step at its stage 0; ``l1_value()``; and
+``l1_grad_into(grads)``.  The oracle has no parameters, prepares to itself
+and ignores the layout.
 
 The cell steps with ``dynamics.rk_step`` and its adjoint reads the same
 ``dynamics.SCHEMES`` table, so the cell and the data generator share one
@@ -65,7 +69,7 @@ class OracleResidual:
         self.scale = float(scale)
         self.params = np.zeros(0)
 
-    def prepare(self, grads=None) -> OracleResidual:
+    def prepare(self, grads=None, buffers=None, steps=1, stages=1) -> OracleResidual:
         return self
 
     def eval_batch(self, U):
@@ -99,11 +103,14 @@ class HybridSystem:
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
-    def prepare(self, grads: np.ndarray | None = None) -> HybridSystem:
+    def prepare(self, grads: np.ndarray | None = None, buffers=None,
+                steps: int = 1) -> HybridSystem:
         """This system with its branch prepared for one call (see
-        ``netcore.PreparedBranch``); ``step_batch`` and ``step_vjp`` take
-        only prepared systems."""
-        return replace(self, branch=self.branch.prepare(grads))
+        ``netcore.PreparedBranch``) of ``steps`` integrator steps, each of
+        the scheme's stages; ``step_batch`` and ``step_vjp`` take only
+        prepared systems."""
+        stages = len(SCHEMES[self.integrator][1])
+        return replace(self, branch=self.branch.prepare(grads, buffers, steps, stages))
 
 
 def oracle_system(spec: OscillatorSpec, dt: float, integrator: str = RK4,
@@ -206,10 +213,12 @@ def _loss_result(h: HybridSystem, loss, grads, ok):
     return loss, grads, ok
 
 
-def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
+def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray, buffers=None):
     """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, or on
     (S, W, 2) and (S, W, K, 2) for a system with an (S, P) block, and its
-    gradient from the full adjoint sweep back through every step.
+    gradient from the full adjoint sweep back through every step.  An MLP
+    branch lays its stage operands out in ``buffers`` (a
+    ``netcore.LossBuffers`` that successive calls may share) or in a fresh set.
 
     Returns (loss, grads, ok): per seed the loss, the gradient and whether
     every state stayed bounded and both are finite.  A seed that is not ok
@@ -219,7 +228,7 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray):
     n, horizon = targets.shape[-3], targets.shape[-2]
     grads = np.zeros_like(h.branch.params)
     ok = np.ones(starts.shape[:-2], dtype=bool)
-    h = h.prepare(grads)
+    h = h.prepare(grads, buffers, horizon)
     Z, caches, diffs = starts, [], []
     total = np.zeros(ok.shape)
     with np.errstate(all="ignore"):

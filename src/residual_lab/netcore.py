@@ -31,9 +31,17 @@ gradient from the cached dense basis, one GEMM per seed, and takes the spline
 scale's gradient from it: the edge spline is sum_m coef_m B_m.
 
 An MLP layer is one GEMM too.  Every layer input carries a trailing ones
-column, so ``Z = U @ [W; b]`` adds the bias in the product, and backward's
-``U^T @ Wz`` gives the weight and bias gradients in one GEMM and one add per
-layer and RK4 stage.
+column, so ``Z = U @ [W; b]`` adds the bias in the product, and ``U^T @ Wz``
+gives the weight and bias gradients in one GEMM.  A loss plan lays its
+operands out in ``LossBuffers``: forward writes stage j of integrator step t
+into slot (t, j) of each layer's inputs, laid out (.., steps, stages, N,
+n_in + 1) with the ones column written once, and backward writes each
+stage's output adjoint Wz into slot j of a (.., stages, N, n_out) buffer.
+Once a step's last reversed stage, stage 0, is done, each layer's gradient
+is one GEMM over all the step's stages and one add, with no copy; the input
+adjoint multiplies by a contiguous W^T the plan builds once.  A training
+block hands all its losses one set of buffers, and any other loss call gets
+a fresh set through the same code.
 
 The cell does not call a ``ResidualBranch`` directly.  Each loss, rollout
 or surface call first turns it into a ``PreparedBranch`` with
@@ -69,23 +77,27 @@ vn] rows U and returns the values and one cache dict per layer, which
 ``backward_batch(x, cache, upstream, grads)`` consumes without re-evaluating
 anything.  Backward adds the parameter gradient into ``grads``, the buffer
 ``x`` was prepared with, and returns that buffer with the (N, 2) input
-adjoint, so the stages of one loss accumulate into one array, stage by
-stage, with no per-call zero buffer.  A forward-only plan (``grads=None``)
-cannot run backward: its cache is ``[]``, it computes no basis derivative,
-and it runs at most ``FORWARD_ROWS`` rows per pass, so a large surface grid
-never holds its whole dense basis.  A KAN layer in a loss caches backward's
+adjoint, so the stages of one loss accumulate into one array with no
+per-call zero buffer: a KAN's stage by stage, an MLP's step by step.  A
+forward-only plan (``grads=None``) cannot run backward: its cache is
+``[]``, it computes no basis derivative, and it runs at most
+``FORWARD_ROWS`` rows per pass, so a large surface grid never holds its
+whole dense basis.  A KAN layer in a loss caches backward's
 operands and nothing else, so forward also computes the two input slopes: ``dense`` (N, n_in, M) dense basis,
 ``dspl`` (N, n_in, n_out) scaled edge spline u-slopes, ``silu``/``dsilu``
 (N, n_in) base term and its u-slope, ``mask`` (N, n_in) inputs inside the
-domain.  MLP layer cache: the layer input ``U`` (N, n_in + 1) with its
-ones column; backward reads a hidden layer's ReLU mask off the next layer's
-input.  With a seed axis, every cache array has a leading S.
+domain.  MLP layer cache: ``U``, the (N, n_in + 1) slot of the plan's
+buffers that holds the layer input with its ones column, and ``slot``, the
+(step, stage) it fills; backward reads a hidden layer's ReLU mask off the
+next layer's input.  With a seed axis, every cache array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Union
 
@@ -195,10 +207,42 @@ class ResidualBranch:
                 f"params length {self.params.shape} != param_count {param_count(self.arch)}"
             )
 
-    def prepare(self, grads: np.ndarray | None = None) -> PreparedBranch:
+    def prepare(self, grads: np.ndarray | None = None, buffers: LossBuffers | None = None,
+                steps: int = 1, stages: int = 1) -> PreparedBranch:
         """The branch as the hybrid cell uses it for one loss, rollout or
-        surface call; ``grads`` is the buffer its backward passes add into."""
-        return PreparedBranch(self, grads)
+        surface call; ``grads`` is the buffer its backward passes add into.
+        An MLP loss lays out ``steps`` integrator steps of ``stages`` stages
+        in ``buffers``, or in a fresh set."""
+        return PreparedBranch(self, grads, buffers, steps, stages)
+
+
+class LossBuffers:
+    """Memory that MLP loss plans lay their stage operands in, reusable by
+    one call after another: per layer, one flat array for the layer inputs
+    and one for the output adjoints.  A call views the leading entries of
+    each, so a call with fewer seeds than the largest one uses leading seed
+    slices, and an array grows only for a call that needs more.  Every
+    (n_in + 1)-th entry of an input array is the ones column of some row,
+    written once when the array is made, so every view has it.
+
+    The arrays are anonymous memory maps, not ``malloc`` blocks.  glibc
+    raises its mmap threshold to the size of each mapped block it frees,
+    so the next set, the same size, would land on the heap, where the
+    process grew by about one array in some training blocks and not in
+    others."""
+
+    def __init__(self):
+        self.flat: dict = {}
+
+    def take(self, key, shape, ones: bool = False) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.flat.get(key)
+        if buf is None or buf.size < size:
+            # A map cannot be empty, so a call on no rows maps one entry.
+            buf = self.flat[key] = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)))[:size]
+            if ones:
+                buf.reshape(-1, shape[-1])[:, -1] = 1.0
+        return buf[:size].reshape(shape)
 
 
 class PreparedBranch:
@@ -210,11 +254,14 @@ class PreparedBranch:
     an (S, P) block the views and W keep the leading S axis.  W copies the
     coefficients, so a plan goes stale once ``params`` is written: build a
     fresh one per call.  For a KAN without a gradient buffer it also holds
-    the workspace its forward-only passes share, built at the first pass.  Its
+    the workspace its forward-only passes share, built at the first pass.
+    For an MLP with one it holds each layer's contiguous W^T, its loss
+    buffers and, from the first pass on, the views of its stage slots.  Its
     four methods are the branch interface of ``hybridcell``.
     """
 
-    def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None):
+    def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None,
+                 buffers: LossBuffers | None = None, steps: int = 1, stages: int = 1):
         self.arch, self.params, self.grads = branch.arch, branch.params, grads
         if isinstance(self.arch, KanArch):
             self.layers = []
@@ -228,8 +275,30 @@ class PreparedBranch:
         else:
             self.layers = _mlp_layers(self.arch, self.params)
             views = _mlp_layers
+            if grads is not None:
+                # Backward's input adjoint multiplies by W^T, made contiguous once.
+                self.wt = [np.ascontiguousarray(Wb[..., :-1, :].swapaxes(-1, -2))
+                           for Wb in self.layers]
+                self.buffers = LossBuffers() if buffers is None else buffers
+                self.steps, self.stages, self.calls, self.inputs = steps, stages, 0, None
         self.glayers = None if grads is None else views(self.arch, grads)
         self.work, self.work_rows = None, 0
+
+    def lay_out(self, n: int) -> None:
+        """View the MLP loss's stage operands for ``n`` rows per stage: each
+        layer's inputs (.., steps, stages, n, n_in + 1) and output adjoints
+        (.., stages, n, n_out), and a step's stages of both as one matrix."""
+        lead, widths = self.params.shape[:-1], self.arch.widths
+        self.inputs, self.step_inputs, self.adjoints, self.step_adjoints = [], [], [], []
+        for li, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+            U = self.buffers.take(("inputs", li), lead + (self.steps, self.stages, n, n_in + 1),
+                                  ones=True)
+            A = self.buffers.take(("adjoints", li), lead + (self.stages, n, n_out))
+            self.inputs.append(U)
+            self.step_inputs.append(
+                U.reshape(lead + (self.steps, self.stages * n, n_in + 1)).swapaxes(-1, -2))
+            self.adjoints.append(A)
+            self.step_adjoints.append(A.reshape(lead + (self.stages * n, n_out)))
 
     def workspace(self, rows: int) -> BasisWorkspace:
         """The buffers that the forward-only passes share, built for the
@@ -304,6 +373,8 @@ def forward_batch(x: PreparedBranch, U: np.ndarray):
     ``FORWARD_ROWS`` rows per pass.
     """
     if isinstance(x.arch, MlpArch):
+        if x.glayers is not None:
+            return _mlp_loss_forward(x, U)
         # An MLP input's ones column multiplies the bias row of [W; b].
         Ub = np.empty(U.shape[:-1] + (3,))
         Ub[..., :2] = U
@@ -322,9 +393,10 @@ def forward_batch(x: PreparedBranch, U: np.ndarray):
 
 def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.ndarray:
     """The branch's values on the (.., N, 2) inputs ``U``, (.., N, 3) with
-    the ones column for an MLP; appends each layer's backward operands to
-    ``cache`` unless it is None, and only then computes the basis slopes.
-    A KAN's layers without a cache share the plan's workspace."""
+    the ones column for a forward-only MLP; for a KAN, appends each layer's
+    backward operands to ``cache`` unless it is None, and only then computes
+    the basis slopes.  A KAN's layers without a cache share the plan's
+    workspace."""
     if isinstance(x.arch, KanArch):
         work = None if cache is not None else x.workspace(U.size // 2)
         spec = x.arch.spline
@@ -352,8 +424,6 @@ def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.nd
     else:
         last = len(x.layers) - 1
         for li, Wb in enumerate(x.layers):
-            if cache is not None:
-                cache.append({"U": U})
             Z = U @ Wb
             if li < last:
                 U = np.empty(Z.shape[:-1] + (Z.shape[-1] + 1,))
@@ -364,13 +434,31 @@ def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.nd
     return U[..., 0]
 
 
+def _mlp_loss_forward(x: PreparedBranch, U: np.ndarray):
+    """An MLP loss plan's forward pass: its c-th call is stage j of step t,
+    (t, j) = divmod(c, stages), and writes each layer's input into that
+    slot of the plan's buffers.  Each layer's cache is its input's slot."""
+    if x.inputs is None:
+        x.lay_out(U.shape[-2])
+    t, j = divmod(x.calls, x.stages)
+    x.calls += 1
+    inputs = [u[..., t, j, :, :] for u in x.inputs]
+    inputs[0][..., :-1] = U
+    for Wb, Ui, Un in zip(x.layers, inputs, inputs[1:]):
+        np.maximum(Ui @ Wb, 0.0, out=Un[..., :-1])
+    values = (inputs[-1] @ x.layers[-1])[..., 0]
+    return values, [{"U": Ui, "slot": (t, j)} for Ui in inputs]
+
+
 def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.ndarray):
     """Reverse sweep for d(sum_n upstream_n * R(x_n, v_n)) / d(params, inputs),
     per seed for a block.
 
     Adds the parameter gradient into ``grads``, the buffer ``x`` was
-    prepared with, through its layer views.  Returns (grads, dU), dU the
-    input adjoint shaped ``upstream.shape + (2,)``: [d/dxn, d/dvn] per row.
+    prepared with, through its layer views: a KAN's on every call, an MLP's
+    on a step's stage 0, for all that step's stages.  Returns (grads, dU),
+    dU the input adjoint shaped ``upstream.shape + (2,)``: [d/dxn, d/dvn]
+    per row.
     """
     Wy = upstream[..., None]
     if isinstance(x.arch, KanArch):
@@ -389,15 +477,22 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
             Wy = c["dsilu"] * (Wy @ base.swapaxes(-1, -2)) + c["mask"] * np.einsum(
                 "...nio,...no->...ni", c["dspl"], Wy)
     else:
+        t, j = cache[0]["slot"]
         last = len(x.layers) - 1
         for li in range(last, -1, -1):
-            # The next layer's input, less its ones column, is max(Z, 0):
-            # positive exactly where Z is.
-            Wz = Wy if li == last else Wy * (cache[li + 1]["U"][..., :-1] > 0)
-            # The input's ones column turns the bias row's gradient into the
-            # row-sum of Wz.
-            x.glayers[li] += cache[li]["U"].swapaxes(-1, -2) @ Wz
-            Wy = Wz @ x.layers[li][..., :-1, :].swapaxes(-1, -2)
+            Wz = x.adjoints[li][..., j, :, :]
+            if li == last:
+                Wz[...] = Wy
+            else:
+                # The next layer's input, less its ones column, is max(Z, 0):
+                # positive exactly where Z is.
+                np.multiply(Wy, cache[li + 1]["U"][..., :-1] > 0, out=Wz)
+            if j == 0:
+                # Stage 0 is the last stage a step reverses: the step's
+                # [W; b] gradient is one GEMM over all its stages, whose ones
+                # column makes the bias row's gradient the row-sum of Wz.
+                x.glayers[li] += x.step_inputs[li][..., t, :, :] @ x.step_adjoints[li]
+            Wy = Wz @ x.wt[li]
     return grads, Wy
 
 

@@ -249,7 +249,7 @@ class Softening:
 
     params = np.zeros(0)
 
-    def prepare(self, grads=None):
+    def prepare(self, grads=None, buffers=None, steps=1, stages=1):
         return self
 
     def eval_batch(self, U):

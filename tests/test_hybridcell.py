@@ -28,6 +28,7 @@ from residual_lab.hybridcell import (
 )
 from residual_lab.netcore import (
     KanArch,
+    LossBuffers,
     MlpArch,
     ResidualBranch,
     init_params,
@@ -165,7 +166,7 @@ def split_window_loss(h, starts, targets):
     n, horizon = targets.shape[-3], targets.shape[-2]
     grads = np.zeros_like(h.branch.params)
     ok = np.ones(starts.shape[:-2], dtype=bool)
-    h = h.prepare(grads)
+    h = h.prepare(grads, None, horizon)
     X, V = starts[..., 0], starts[..., 1]
     caches, diffs = [], []
     total = np.zeros(ok.shape)
@@ -531,6 +532,33 @@ class TestBptt:
         local = local_only_bptt_grads(h, starts[:8], targets[:8])
         assert np.linalg.norm(full - local) / np.linalg.norm(full) > 1e-3
 
+    @pytest.mark.parametrize("integrator", [RK4, EULER])
+    def test_mlp_block_gradient_matches_finite_differences(self, vdp_data, integrator):
+        # A 3-seed mlp-small block at horizon 5, each seed on its own windows:
+        # raising or lowering parameter k in every row moves each seed's loss
+        # by its own partial, since seeds do not interact.
+        arch, _ = resolve_arch(ExperimentConfig(config="mlp-small"))
+        params = np.stack([init_params(arch, s) for s in range(3)])
+        starts, targets = windows_of(vdp_data.train, 5)
+        idx = np.arange(12).reshape(3, 4)
+        starts, targets = starts[idx], targets[idx]
+
+        def block_loss(p):
+            h = HybridSystem(vanderpol(), ResidualBranch(arch, p), vdp_data.dt, integrator)
+            return bptt_grads_arrays(h, starts, targets)
+
+        _, grads, ok = block_loss(params)
+        assert ok.all() and grads.shape == params.shape
+        fd, eps = np.zeros_like(params), 1e-5
+        for k in range(params.shape[1]):
+            up, dn = params.copy(), params.copy()
+            up[:, k] += eps
+            dn[:, k] -= eps
+            fd[:, k] = (block_loss(up)[0] - block_loss(dn)[0]) / (2 * eps)
+        for s in range(3):
+            assert max_rel_error(grads[s], fd[s]) < 1e-3
+        assert np.abs(grads).max() > 0
+
     def test_divergence_identifies_window(self):
         huge = new_branch(KanArch((2, 4, 1), KAN53), seed=9)
         huge = with_params(huge, huge.params * 0 + 1e9)
@@ -543,6 +571,55 @@ class TestBptt:
     def test_empty_windows_rejected(self):
         with pytest.raises(ValueError, match="shorter than one BPTT window"):
             windows_of(np.zeros((0, 21, 2)), 10)
+
+
+class TestLossBuffers:
+    @pytest.mark.parametrize("integrator", [RK4, EULER])
+    def test_reused_buffers_match_fresh_ones(self, vdp_data, integrator):
+        # One set of buffers serves a 16-seed BPTT loss, then a 3-seed retry
+        # of some of its seeds on other windows, then a teacher-forcing loss
+        # on one-step windows, as a training block uses them: each call gives
+        # the bytes of a call on fresh buffers, and none needs more memory.
+        arch, _ = resolve_arch(ExperimentConfig(config="mlp-small"))
+        params = np.stack([init_params(arch, s) for s in range(16)])
+        rng = np.random.default_rng(3)
+        bptt, tf = windows_of(vdp_data.train, 10), windows_of(vdp_data.train, 1)
+        rows = np.array([2, 7, 11])
+        calls = [(params, bptt, rng.choice(len(bptt[0]), (16, 16))),
+                 (params[rows], bptt, rng.choice(len(bptt[0]), (3, 16))),
+                 (params[rows], tf, rng.choice(len(tf[0]), (3, 64)))]
+        buffers = LossBuffers()
+        for i, (p, (starts, targets), pick) in enumerate(calls):
+            h = HybridSystem(vanderpol(), ResidualBranch(arch, p), vdp_data.dt, integrator)
+            got = bptt_grads_arrays(h, starts[pick], targets[pick], buffers)
+            want = bptt_grads_arrays(h, starts[pick], targets[pick])
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert got[2].all() and np.abs(got[1]).max() > 0
+            if i == 0:
+                sized = dict(buffers.flat)
+            assert buffers.flat.keys() == sized.keys()
+            assert all(buffers.flat[key] is buf for key, buf in sized.items())
+
+    def test_block_shares_one_set_of_buffers(self, monkeypatch, vdp_data):
+        # train_block hands every loss call of the block the same buffers.
+        from residual_lab import trainer
+
+        seen = []
+        original = trainer.bptt_grads_arrays
+
+        def spy(h, starts, targets, buffers=None):
+            seen.append(buffers)
+            return original(h, starts, targets, buffers)
+
+        monkeypatch.setattr(trainer, "bptt_grads_arrays", spy)
+        arch, _ = resolve_arch(ExperimentConfig(config="mlp-small"))
+        h = HybridSystem(vanderpol(), ResidualBranch(arch, np.stack(
+            [init_params(arch, s) for s in range(2)])), vdp_data.dt)
+        cfg = trainer.TrainConfig(paradigm="bptt", horizon=5, steps=3, batch_size=4)
+        trainer.train_block(h, [vdp_data] * 2, cfg, [0, 1])
+        assert len(seen) == 3 and isinstance(seen[0], LossBuffers)
+        assert all(b is seen[0] for b in seen)
 
 
 class TestOracleResidual:

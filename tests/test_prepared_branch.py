@@ -4,10 +4,13 @@
 weight matrix and the gradient-buffer views once per loss or rollout call,
 and its backward pass adds straight into the loss's gradient buffer.  The
 reference below is the per-call path: every forward and backward rebuilds
-the views and the weight matrix from the flat vectors, every backward
+the views and the weight matrix from the flat vectors, every KAN backward
 returns a fresh zero-initialized gradient, and ``step_vjp`` adds that into
-the loss's buffer.  Both do the same arithmetic in the same order, so losses
-and gradients must agree bit for bit.
+the loss's buffer.  An MLP backward keeps each stage's layer inputs and
+output adjoints instead, and once a step's stages are all reversed, its
+parameter gradient is one GEMM per layer over them, stacked in stage order,
+and is added into the buffer.  Both do the same arithmetic in the same
+order, so losses and gradients must agree bit for bit.
 """
 
 import numpy as np
@@ -76,8 +79,10 @@ def reference_forward(branch, U):
     return U[:, 0], layers
 
 
-def reference_backward(branch, cache, upstream):
-    """Per-call backward: a fresh zero gradient and a second view build."""
+def reference_backward(branch, cache, upstream, operands):
+    """Per-call backward: a fresh zero gradient and a second view build.  An
+    MLP's gradient stays zero: each layer's (input, output adjoint) pair is
+    appended to ``operands`` for the step's one GEMM."""
     Wy = np.asarray(upstream, dtype=float)[:, None]
     grads = np.zeros_like(branch.params)
     if isinstance(branch.arch, KanArch):
@@ -98,26 +103,45 @@ def reference_backward(branch, cache, upstream):
             Wy = dsilu * (Wy @ base.T) + c["mask"] * np.einsum("nio,no->ni", dspl, Wy)
     else:
         views = _mlp_layers(branch.arch, branch.params)
-        gviews = _mlp_layers(branch.arch, grads)
+        pairs = [None] * len(views)
         for li in range(len(views) - 1, -1, -1):
-            Wb, gWb, c = views[li], gviews[li], cache[li]
+            Wb, c = views[li], cache[li]
             Wz = Wy if li == len(views) - 1 else Wy * (c["Z"] > 0)
-            gWb += c["U"].T @ Wz
-            Wy = Wz @ Wb[:-1].T
+            pairs[li] = (c["U"], Wz)
+            # A contiguous W^T, as the plan holds it: on one row, a GEMV on
+            # the transposed view rounds differently.
+            Wy = Wz @ np.ascontiguousarray(Wb[:-1].T)
+        operands.append(pairs)
     return grads, Wy.copy()
+
+
+def add_step_gradient(branch, operands, grads):
+    """An MLP step's parameter gradient: per layer, the stages' inputs and
+    output adjoints stacked in stage order (``operands`` holds them last
+    stage first), one GEMM, one add."""
+    if operands:
+        gviews = _mlp_layers(branch.arch, grads)
+        for li, gWb in enumerate(gviews):
+            U = np.concatenate([pairs[li][0] for pairs in operands[::-1]])
+            Wz = np.concatenate([pairs[li][1] for pairs in operands[::-1]])
+            gWb += U.T @ Wz
+        operands.clear()
 
 
 class PerCallBranch:
     """A ``ResidualBranch`` wearing the cell's branch interface directly."""
 
     def __init__(self, branch):
-        self.branch, self.params = branch, branch.params
+        self.branch, self.params, self.operands = branch, branch.params, []
 
     def eval_batch(self, U):
         return reference_forward(self.branch, U)
 
     def combined_vjp(self, cache, upstream):
-        return reference_backward(self.branch, cache, upstream)
+        return reference_backward(self.branch, cache, upstream, self.operands)
+
+    def end_step(self, grads):
+        add_step_gradient(self.branch, self.operands, grads)
 
     def l1_value(self):
         return l1_penalty(self.branch)
@@ -128,7 +152,15 @@ class PerCallBranch:
 
 def reference_step_vjp(h, cache, L, grads):
     """Per-call adjoint step: a closure per stage, array partials of the
-    known part, and each stage's fresh gradient added into ``grads``."""
+    known part, each stage's fresh gradient added into ``grads``, and an
+    MLP's gradient added once the step's last stage is reversed."""
+    A = reference_stage_sweep(h, cache, L, grads)
+    if isinstance(h.branch, PerCallBranch):
+        h.branch.end_step(grads)
+    return A
+
+
+def reference_stage_sweep(h, cache, L, grads):
     dt = h.dt
 
     def stage_adjoint(stage, W):
