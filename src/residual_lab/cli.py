@@ -49,7 +49,7 @@ from .harness import (
     run_sweep,
 )
 from .hybridcell import HybridSystem, OracleResidual
-from .netcore import load_branch, new_branch, param_count, save_branch
+from .netcore import KAN, load_branch, new_branch, param_count, save_branch
 from .trainer import save_report, train, verify_gradients
 
 
@@ -219,7 +219,7 @@ def _cmd_list_configs(args) -> int:
         arch, _ = resolve_arch(cfg)
         spline = (f"G={preset.grid_size} k={preset.order} "
                   f"l1={preset.l1_weight:g} base={'on' if preset.base_blend else 'off'}"
-                  if entry.kind == "kan" else "-")
+                  if entry.kind == KAN else "-")
         rows.append((preset.name, preset.label, entry.kind,
                      "x".join(map(str, entry.widths)), str(param_count(arch)),
                      spline, "yes" if preset.reconstructed else "no"))

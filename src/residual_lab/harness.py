@@ -54,6 +54,8 @@ from .evaluation import (
 )
 from .hybridcell import HybridSystem, OracleResidual
 from .netcore import (
+    KAN,
+    MLP,
     Arch,
     KanArch,
     MlpArch,
@@ -78,14 +80,14 @@ class ArchEntry:
 ARCH_REGISTRY: dict[str, ArchEntry] = {
     e.name: e
     for e in (
-        ArchEntry("kan-very-small", "KAN Very Small", "kan", (2, 4, 1)),
-        ArchEntry("kan-small", "KAN Small", "kan", (2, 8, 1)),
-        ArchEntry("kan-wide", "KAN Wide", "kan", (2, 16, 1)),
-        ArchEntry("kan-deep", "KAN Deep", "kan", (2, 8, 8, 1)),
-        ArchEntry("mlp-tiny", "MLP Tiny", "mlp", (2, 26, 1)),
-        ArchEntry("mlp-small", "MLP Small", "mlp", (2, 16, 16, 1)),
-        ArchEntry("mlp-medium", "MLP Medium", "mlp", (2, 32, 32, 1)),
-        ArchEntry("mlp-large", "MLP Large", "mlp", (2, 64, 64, 1)),
+        ArchEntry("kan-very-small", "KAN Very Small", KAN, (2, 4, 1)),
+        ArchEntry("kan-small", "KAN Small", KAN, (2, 8, 1)),
+        ArchEntry("kan-wide", "KAN Wide", KAN, (2, 16, 1)),
+        ArchEntry("kan-deep", "KAN Deep", KAN, (2, 8, 8, 1)),
+        ArchEntry("mlp-tiny", "MLP Tiny", MLP, (2, 26, 1)),
+        ArchEntry("mlp-small", "MLP Small", MLP, (2, 16, 16, 1)),
+        ArchEntry("mlp-medium", "MLP Medium", MLP, (2, 32, 32, 1)),
+        ArchEntry("mlp-large", "MLP Large", MLP, (2, 64, 64, 1)),
     )
 }
 
@@ -216,7 +218,7 @@ def resolve_arch(cfg: ExperimentConfig) -> tuple[Arch, PresetConfig]:
         raise ValueError(f"unknown config {cfg.config!r}; see list-configs")
     preset = presets[cfg.config]
     entry = ARCH_REGISTRY[preset.arch]
-    if entry.kind == "kan":
+    if entry.kind == KAN:
         spline = SplineSpec(
             cfg.grid_size if cfg.grid_size is not None else preset.grid_size,
             cfg.order if cfg.order is not None else preset.order,

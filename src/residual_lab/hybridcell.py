@@ -8,15 +8,15 @@ The cell advances the state z = [x, v] by integrating
 so the branch can only ever model the missing v-dot term.  A state batch
 is one (N, 2) array of [x, v] rows, the layout of the datasets.  A branch is
 any object with a flat ``params`` array and a ``prepare(grads=None,
-buffers=None, steps=1, stages=1)`` method; ``netcore.ResidualBranch`` and
+store=None, steps=1, stages=1)`` method; ``netcore.ResidualBranch`` and
 ``OracleResidual`` are the two.  Every loss, rollout and
 ``HybridSystem.prepare`` call prepares the branch once, for a call of
 ``steps`` integrator steps of the scheme's ``stages`` stages, and
 ``step_batch`` and ``step_vjp`` use what that returns through four methods:
 ``eval_batch(U) -> (values, cache)`` on normalized (..., 2) states U, values
 shaped ``U.shape[:-1]``, called once per stage in step and stage order;
-``combined_vjp(cache, upstream) -> (grads, dU)``, dU the (..., 2) adjoint
-on U, called for a step's stages last to first, which adds the parameter
+``combined_vjp(cache, upstream) -> dU``, the (..., 2) adjoint on U,
+called for a step's stages last to first, which adds the parameter
 gradient into the ``grads`` buffer given to ``prepare``: a KAN's at every
 stage, an MLP's for the whole step at its stage 0; ``l1_value()``; and
 ``l1_grad_into(grads)``.  The oracle has no parameters, prepares to itself
@@ -69,7 +69,7 @@ class OracleResidual:
         self.scale = float(scale)
         self.params = np.zeros(0)
 
-    def prepare(self, grads=None, buffers=None, steps=1, stages=1) -> OracleResidual:
+    def prepare(self, grads=None, store=None, steps=1, stages=1) -> OracleResidual:
         return self
 
     def eval_batch(self, U):
@@ -78,7 +78,7 @@ class OracleResidual:
 
     def combined_vjp(self, cache, upstream):
         px, pv = self.spec.true_residual_partials(cache[..., 0], cache[..., 1])
-        return self.params, np.stack((upstream * px, upstream * pv), -1) * self.scale
+        return np.stack((upstream * px, upstream * pv), -1) * self.scale
 
     def l1_value(self) -> float:
         return 0.0
@@ -103,14 +103,14 @@ class HybridSystem:
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
-    def prepare(self, grads: np.ndarray | None = None, buffers=None,
+    def prepare(self, grads: np.ndarray | None = None, store=None,
                 steps: int = 1) -> HybridSystem:
         """This system with its branch prepared for one call (see
         ``netcore.PreparedBranch``) of ``steps`` integrator steps, each of
         the scheme's stages; ``step_batch`` and ``step_vjp`` take only
         prepared systems."""
         stages = len(SCHEMES[self.integrator][1])
-        return replace(self, branch=self.branch.prepare(grads, buffers, steps, stages))
+        return replace(self, branch=self.branch.prepare(grads, store, steps, stages))
 
 
 def oracle_system(spec: OscillatorSpec, dt: float, integrator: str = RK4,
@@ -157,7 +157,7 @@ def step_vjp(h: HybridSystem, cache, L):
         Z, bc = cache[i]
         W = L * weights[i] if S is None else L * weights[i] + feeds[i] * S
         wx, wv = W[..., 0], W[..., 1]
-        dU = branch.combined_vjp(bc, wv)[1] / scale
+        dU = branch.combined_vjp(bc, wv) / scale
         kx, kv = spec.known_vdot_partials(Z[..., 0], Z[..., 1])
         S = np.empty(W.shape)
         S[..., 0] = wv * kx + dU[..., 0]
@@ -213,12 +213,12 @@ def _loss_result(h: HybridSystem, loss, grads, ok):
     return loss, grads, ok
 
 
-def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray, buffers=None):
+def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray, store=None):
     """K-step free-rollout loss on (W, 2) starts and (W, K, 2) targets, or on
     (S, W, 2) and (S, W, K, 2) for a system with an (S, P) block, and its
-    gradient from the full adjoint sweep back through every step.  An MLP
-    branch lays its stage operands out in ``buffers`` (a
-    ``netcore.LossBuffers`` that successive calls may share) or in a fresh set.
+    gradient from the full adjoint sweep back through every step.  A
+    network branch lays its stage operands out in ``store`` (a
+    ``netcore.BufferStore`` that successive calls may share) or in a fresh one.
 
     Returns (loss, grads, ok): per seed the loss, the gradient and whether
     every state stayed bounded and both are finite.  A seed that is not ok
@@ -228,7 +228,7 @@ def bptt_grads_arrays(h: HybridSystem, starts: np.ndarray, targets: np.ndarray, 
     n, horizon = targets.shape[-3], targets.shape[-2]
     grads = np.zeros_like(h.branch.params)
     ok = np.ones(starts.shape[:-2], dtype=bool)
-    h = h.prepare(grads, buffers, horizon)
+    h = h.prepare(grads, store, horizon)
     Z, caches, diffs = starts, [], []
     total = np.zeros(ok.shape)
     with np.errstate(all="ignore"):

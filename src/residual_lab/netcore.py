@@ -22,7 +22,7 @@ Flat parameter layout, in layer order:
 A KAN layer is one GEMM over its spline basis, the basis-expansion form of
 Liu et al.'s KAN (2024).  ``splines.basis_and_derivative`` returns the K =
 order + 1 nonzero basis functions of each input and the first nonzero
-column, and ``splines.scatter_to_dense`` places them in a dense (N, n_in, M)
+column, and ``splines.scatter_windows`` places them in a dense (N, n_in, M)
 basis.  With the spline scale folded into the coefficients, W[i M + m, o] =
 spline_scale[i, o] coef[i, o, m], a layer's values are ``silu(U) @ base_scale
 + dense @ W``; in a loss the dense basis derivative times W, one GEMM per
@@ -32,16 +32,11 @@ scale's gradient from it: the edge spline is sum_m coef_m B_m.
 
 An MLP layer is one GEMM too.  Every layer input carries a trailing ones
 column, so ``Z = U @ [W; b]`` adds the bias in the product, and ``U^T @ Wz``
-gives the weight and bias gradients in one GEMM.  A loss plan lays its
-operands out in ``LossBuffers``: forward writes stage j of integrator step t
-into slot (t, j) of each layer's inputs, laid out (.., steps, stages, N,
-n_in + 1) with the ones column written once, and backward writes each
-stage's output adjoint Wz into slot j of a (.., stages, N, n_out) buffer.
-Once a step's last reversed stage, stage 0, is done, each layer's gradient
-is one GEMM over all the step's stages and one add, with no copy; the input
-adjoint multiplies by a contiguous W^T the plan builds once.  A training
-block hands all its losses one set of buffers, and any other loss call gets
-a fresh set through the same code.
+gives the weight and bias gradients in one GEMM.  A loss adds them once per
+integrator step: once a step's last reversed stage, stage 0, is done, each
+layer's gradient is one GEMM over the inputs and output adjoints of all the
+step's stages and one add, with no copy; the input adjoint multiplies by a
+contiguous W^T the plan builds once.
 
 The cell does not call a ``ResidualBranch`` directly.  Each loss, rollout
 or surface call first turns it into a ``PreparedBranch`` with
@@ -52,18 +47,30 @@ views of the caller's gradient buffer ``grads``.  The plan is built fresh per
 call and never cached on the branch, because training writes ``params`` in
 place between calls.
 
-A KAN plan prepared without a gradient buffer serves ``rollout``,
-``test_mse``, ``sample_surface`` and the probe rollout of the gradient
-check, thousands of passes for one rollout.  It builds one workspace, a
-``splines.BasisWorkspace``, at its first pass, sized for that pass's rows
-times the widest layer, and every later pass and every layer reuses it, a
-smaller pass through leading slices: the clamped inputs, the basis powers
-with their ones columns written once, the local product, the row offsets
-and one flat dense basis, zeroed once, where each pass clears only the
-rows the previous one wrote.  The float operations and their operands are
-those of fresh arrays, so the values are the same bytes.  A loss plan
-keeps fresh arrays, because backward reads its cached dense basis, and so
-does an MLP, whose passes allocate only a few small arrays.
+Each family has one forward body, which loss and forward-only plans share,
+and every pass lays its arrays out in a ``BufferStore``.  A loss plan
+prepared for ``steps`` integrator steps of ``stages`` stages has that many
+slots in its store, and its c-th forward call, stage j of step t for (t, j)
+= divmod(c, stages), runs in slot c, whose arrays are the call's cache.  A
+training block hands all its losses one store, and any other loss call gets
+a fresh one through the same code.  A forward-only plan (``grads=None``)
+serves ``rollout``, ``test_mse``, ``sample_surface`` and the probe rollout
+of the gradient check, thousands of passes for one rollout: it makes a
+fresh store, runs every pass in its one slot and keeps no cache.  The views
+of each slot are built at the first pass of each row count and kept, so a
+pass looks up no array in the store.  The float operations and their
+operands are those of fresh arrays, so the values are the same bytes.
+
+A KAN slot holds each layer's cache, laid out slot-major so that every slot
+is contiguous; the basis scratch (clamped inputs, basis powers with their
+ones column written once, local product, row starts and, in a loss, the dB
+scatter) is shared by all slots and layers, and a forward-only plan's
+layers share its slot too.  Each pass zeroes its slot's dense basis before
+it writes its windows, so no window of an earlier pass or call is left.  An
+MLP slot holds each layer's input, its ones column written once, laid out
+(.., steps, stages, N, n_in + 1), and a loss also keeps each stage's output
+adjoints (.., stages, N, n_out), so that a step's stages of each are one
+matrix per seed.
 
 A branch's ``params`` may also be an (S, P) block: S seeds of one
 architecture, evaluated together.  Every layer view then keeps a leading S
@@ -79,17 +86,18 @@ anything.  Backward adds the parameter gradient into ``grads``, the buffer
 ``x`` was prepared with, and returns that buffer with the (N, 2) input
 adjoint, so the stages of one loss accumulate into one array with no
 per-call zero buffer: a KAN's stage by stage, an MLP's step by step.  A
-forward-only plan (``grads=None``) cannot run backward: its cache is
-``[]``, it computes no basis derivative, and it runs at most
-``FORWARD_ROWS`` rows per pass, so a large surface grid never holds its
-whole dense basis.  A KAN layer in a loss caches backward's
-operands and nothing else, so forward also computes the two input slopes: ``dense`` (N, n_in, M) dense basis,
-``dspl`` (N, n_in, n_out) scaled edge spline u-slopes, ``silu``/``dsilu``
-(N, n_in) base term and its u-slope, ``mask`` (N, n_in) inputs inside the
-domain.  MLP layer cache: ``U``, the (N, n_in + 1) slot of the plan's
-buffers that holds the layer input with its ones column, and ``slot``, the
-(step, stage) it fills; backward reads a hidden layer's ReLU mask off the
-next layer's input.  With a seed axis, every cache array has a leading S.
+forward-only plan cannot run backward: its cache is ``[]``, it computes no
+basis derivative, and it runs at most ``FORWARD_ROWS`` rows per pass, so a
+large surface grid never holds its whole dense basis.  A KAN layer in a
+loss caches backward's operands and nothing else, so forward also computes
+the two input slopes: ``dense`` (N, n_in, M) dense basis, ``dspl`` (N,
+n_in, n_out) scaled edge spline u-slopes, ``silu``/``dsilu`` (N, n_in) base
+term and its u-slope, ``mask`` (N, n_in) inputs inside the domain.  MLP
+layer cache: ``U``, the layer input with its ones column, ``Wz``, the slot
+backward writes its output adjoint into, and ``step``, for stage 0 only, the
+step's inputs (transposed) and output adjoints as one matrix each; backward
+reads a hidden layer's ReLU mask off the next layer's input.  With a seed
+axis, every cache array has a leading S.
 
 All gradients are exact reverse-mode; finite-difference tests pin them down.
 """
@@ -105,21 +113,22 @@ import numpy as np
 
 from .rng import stream
 from .splines import (
-    BasisWorkspace,
     SplineSpec,
     basis_and_derivative,
     fit_coefficients,
-    scatter_to_dense,
+    scatter_windows,
+    window_view,
 )
 
+# The family names: a checkpoint header's kind field and ``harness.ArchEntry.kind``.
 KAN = "kan"
 MLP = "mlp"
 
 _FLOAT_FMT = "%.17g"
 # First field of a checkpoint header; load_branch rejects any other.
 CHECKPOINT_VERSION = "v2"
-# Rows per pass of a forward-only call: bounds the workspace a KAN plan
-# builds, whose dense basis holds one pass of the widest layer.
+# Rows per pass of a forward-only call: bounds the store a plan builds,
+# whose KAN dense bases hold one pass of each layer.
 FORWARD_ROWS = 2048
 
 
@@ -207,23 +216,24 @@ class ResidualBranch:
                 f"params length {self.params.shape} != param_count {param_count(self.arch)}"
             )
 
-    def prepare(self, grads: np.ndarray | None = None, buffers: LossBuffers | None = None,
+    def prepare(self, grads: np.ndarray | None = None, store: BufferStore | None = None,
                 steps: int = 1, stages: int = 1) -> PreparedBranch:
         """The branch as the hybrid cell uses it for one loss, rollout or
         surface call; ``grads`` is the buffer its backward passes add into.
-        An MLP loss lays out ``steps`` integrator steps of ``stages`` stages
-        in ``buffers``, or in a fresh set."""
-        return PreparedBranch(self, grads, buffers, steps, stages)
+        A loss lays out ``steps`` integrator steps of ``stages`` stages in
+        ``store``, or in a fresh one."""
+        return PreparedBranch(self, grads, store, steps, stages)
 
 
-class LossBuffers:
-    """Memory that MLP loss plans lay their stage operands in, reusable by
-    one call after another: per layer, one flat array for the layer inputs
-    and one for the output adjoints.  A call views the leading entries of
-    each, so a call with fewer seeds than the largest one uses leading seed
-    slices, and an array grows only for a call that needs more.  Every
-    (n_in + 1)-th entry of an input array is the ones column of some row,
-    written once when the array is made, so every view has it.
+class BufferStore:
+    """Memory that prepared branches lay their per-pass arrays in, reusable
+    by one call after another: one flat array per key.  A call views the
+    leading entries of each, so a call with fewer seeds or rows than the
+    largest one uses leading slices, and an array is mapped afresh only for
+    a call that needs more.  ``fill`` writes the entries that every view of
+    an array shares, such as a ones column, once, when the array is mapped;
+    they depend on the architecture, so a store serves one architecture's
+    plans.
 
     The arrays are anonymous memory maps, not ``malloc`` blocks.  glibc
     raises its mmap threshold to the size of each mapped block it frees,
@@ -234,34 +244,38 @@ class LossBuffers:
     def __init__(self):
         self.flat: dict = {}
 
-    def take(self, key, shape, ones: bool = False) -> np.ndarray:
+    def take(self, key, shape, dtype=np.float64, fill=None) -> np.ndarray:
         size = math.prod(shape)
         buf = self.flat.get(key)
         if buf is None or buf.size < size:
             # A map cannot be empty, so a call on no rows maps one entry.
-            buf = self.flat[key] = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)))[:size]
-            if ones:
-                buf.reshape(-1, shape[-1])[:, -1] = 1.0
+            raw = mmap.mmap(-1, np.dtype(dtype).itemsize * max(size, 1))
+            buf = self.flat[key] = np.frombuffer(raw, dtype)[:size]
+            if fill is not None:
+                fill(buf)
         return buf[:size].reshape(shape)
 
 
 class PreparedBranch:
-    """Per-parameter work of one call, done once for all its RK4 stages.
+    """Per-parameter work of one call, done once for all its passes.
 
     Holds the per-layer views of ``params`` (an MLP layer's is its [W; b]
     block), for a KAN each layer's scaled weight matrix W (n_in M, n_out),
     and, given a gradient buffer, the per-layer views of that buffer.  For
     an (S, P) block the views and W keep the leading S axis.  W copies the
     coefficients, so a plan goes stale once ``params`` is written: build a
-    fresh one per call.  For a KAN without a gradient buffer it also holds
-    the workspace its forward-only passes share, built at the first pass.
-    For an MLP with one it holds each layer's contiguous W^T, its loss
-    buffers and, from the first pass on, the views of its stage slots.  Its
-    four methods are the branch interface of ``hybridcell``.
+    fresh one per call.  For an MLP with a gradient buffer it also holds
+    each layer's contiguous W^T.
+
+    Its passes lay their arrays out in a ``BufferStore``: a loss plan's in
+    the one it is given, or a fresh one, in ``steps * stages`` slots, its
+    c-th pass in slot c; a forward-only plan's in a fresh store, every pass
+    in one slot.  The views of each slot are built once per row count and
+    kept.  Its four methods are the branch interface of ``hybridcell``.
     """
 
     def __init__(self, branch: ResidualBranch, grads: np.ndarray | None = None,
-                 buffers: LossBuffers | None = None, steps: int = 1, stages: int = 1):
+                 store: BufferStore | None = None, steps: int = 1, stages: int = 1):
         self.arch, self.params, self.grads = branch.arch, branch.params, grads
         if isinstance(self.arch, KanArch):
             self.layers = []
@@ -271,48 +285,25 @@ class PreparedBranch:
                 # in: W[.., i M + m, o] = scale[.., i, o] coef[.., i, o, m].
                 W = (scale[..., None] * coef).swapaxes(-1, -2)
                 self.layers.append((coef, base, scale, W.reshape(W.shape[:-3] + (n_in * M, n_out))))
-            views = _kan_layers
+            self.body, self.lay_out, views = _kan_forward, _kan_slots, _kan_layers
         else:
             self.layers = _mlp_layers(self.arch, self.params)
-            views = _mlp_layers
+            self.body, self.lay_out, views = _mlp_forward, _mlp_slots, _mlp_layers
             if grads is not None:
                 # Backward's input adjoint multiplies by W^T, made contiguous once.
                 self.wt = [np.ascontiguousarray(Wb[..., :-1, :].swapaxes(-1, -2))
                            for Wb in self.layers]
-                self.buffers = LossBuffers() if buffers is None else buffers
-                self.steps, self.stages, self.calls, self.inputs = steps, stages, 0, None
         self.glayers = None if grads is None else views(self.arch, grads)
-        self.work, self.work_rows = None, 0
-
-    def lay_out(self, n: int) -> None:
-        """View the MLP loss's stage operands for ``n`` rows per stage: each
-        layer's inputs (.., steps, stages, n, n_in + 1) and output adjoints
-        (.., stages, n, n_out), and a step's stages of both as one matrix."""
-        lead, widths = self.params.shape[:-1], self.arch.widths
-        self.inputs, self.step_inputs, self.adjoints, self.step_adjoints = [], [], [], []
-        for li, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            U = self.buffers.take(("inputs", li), lead + (self.steps, self.stages, n, n_in + 1),
-                                  ones=True)
-            A = self.buffers.take(("adjoints", li), lead + (self.stages, n, n_out))
-            self.inputs.append(U)
-            self.step_inputs.append(
-                U.reshape(lead + (self.steps, self.stages * n, n_in + 1)).swapaxes(-1, -2))
-            self.adjoints.append(A)
-            self.step_adjoints.append(A.reshape(lead + (self.stages * n, n_out)))
-
-    def workspace(self, rows: int) -> BasisWorkspace:
-        """The buffers that the forward-only passes share, built for the
-        first pass's ``rows`` and rebuilt only for a pass with more."""
-        if self.work is None or rows > self.work_rows:
-            self.work = BasisWorkspace(self.arch.spline, rows * max(self.arch.widths[:-1]))
-            self.work_rows = rows
-        return self.work
+        self.store = BufferStore() if store is None else store
+        # A forward-only plan runs every pass in one slot.
+        self.steps, self.stages = (1, 1) if grads is None else (steps, stages)
+        self.calls, self.slots = 0, {}
 
     def eval_batch(self, U):
         return forward_batch(self, U)
 
     def combined_vjp(self, cache, upstream):
-        return backward_batch(self, cache, upstream, self.grads)
+        return backward_batch(self, cache, upstream, self.grads)[1]
 
     def l1_value(self) -> float:
         return l1_penalty(self)
@@ -358,9 +349,14 @@ def trainable_mask(arch: Arch) -> np.ndarray:
     return mask
 
 
-def _silu(u):
-    sig = 1.0 / (1.0 + np.exp(-u))
-    return sig, u * sig
+def _silu(u, sig=None, silu=None):
+    """sigmoid(u) and silu(u) = u sigmoid(u), written into ``sig`` and
+    ``silu`` when given."""
+    sig = np.negative(u, out=sig)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    np.divide(1.0, sig, out=sig)
+    return sig, np.multiply(u, sig, out=silu)
 
 
 def forward_batch(x: PreparedBranch, U: np.ndarray):
@@ -369,85 +365,162 @@ def forward_batch(x: PreparedBranch, U: np.ndarray):
 
     Returns (values, cache), values shaped ``U.shape[:-1]``; the cache holds
     everything ``backward_batch`` needs, so gradients never re-evaluate the
-    network.  A plan without a gradient buffer gets ``[]`` and runs at most
-    ``FORWARD_ROWS`` rows per pass.
+    network.  A loss plan's c-th call runs in slot c of its store.  A plan
+    without a gradient buffer gets ``[]`` and runs at most ``FORWARD_ROWS``
+    rows per pass, each in its one slot.
     """
-    if isinstance(x.arch, MlpArch):
-        if x.glayers is not None:
-            return _mlp_loss_forward(x, U)
-        # An MLP input's ones column multiplies the bias row of [W; b].
-        Ub = np.empty(U.shape[:-1] + (3,))
-        Ub[..., :2] = U
-        Ub[..., 2] = 1.0
-        U = Ub
     if x.glayers is not None:
-        cache = []
-        return _forward_rows(x, U, cache), cache
+        x.calls += 1
+        return x.body(x, U, x.calls - 1)
     if U.shape[-2] <= FORWARD_ROWS:
-        return _forward_rows(x, U, None), []
+        return x.body(x, U, 0)[0], []
     values = np.empty(U.shape[:-1])
     for a in range(0, values.shape[-1], FORWARD_ROWS):
-        values[..., a : a + FORWARD_ROWS] = _forward_rows(x, U[..., a : a + FORWARD_ROWS, :], None)
+        values[..., a : a + FORWARD_ROWS] = x.body(x, U[..., a : a + FORWARD_ROWS, :], 0)[0]
     return values, []
 
 
-def _forward_rows(x: PreparedBranch, U: np.ndarray, cache: list | None) -> np.ndarray:
-    """The branch's values on the (.., N, 2) inputs ``U``, (.., N, 3) with
-    the ones column for a forward-only MLP; for a KAN, appends each layer's
-    backward operands to ``cache`` unless it is None, and only then computes
-    the basis slopes.  A KAN's layers without a cache share the plan's
-    workspace."""
-    if isinstance(x.arch, KanArch):
-        work = None if cache is not None else x.workspace(U.size // 2)
-        spec = x.arch.spline
-        lo, hi = spec.domain
-        M = spec.n_basis
-        with np.errstate(over="ignore"):
-            for _, base, _, W in x.layers:
-                n_in, n_out = base.shape[-2:]
-                if cache is None:
-                    B, _, first = basis_and_derivative(spec, work.clamp(U), work)
-                    dense = work.scatter(B, first)
-                else:
-                    B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
-                    dense = scatter_to_dense(B, first, M)
-                sig, silu = _silu(U)
-                Y = silu @ base + dense.reshape(U.shape[:-1] + (n_in * M,)) @ W
-                if cache is not None:
-                    # The scaled edge splines' u-slopes, one GEMM per input.
-                    dspl = (scatter_to_dense(dB, first, M).swapaxes(-2, -3)
-                            @ W.reshape(W.shape[:-2] + (n_in, M, n_out))).swapaxes(-2, -3)
-                    cache.append({"dense": dense, "dspl": dspl, "silu": silu,
-                                  "dsilu": sig * (1.0 + U * (1.0 - sig)),
-                                  "mask": (U >= lo) & (U <= hi)})
-                U = Y
-    else:
-        last = len(x.layers) - 1
-        for li, Wb in enumerate(x.layers):
-            Z = U @ Wb
-            if li < last:
-                U = np.empty(Z.shape[:-1] + (Z.shape[-1] + 1,))
-                np.maximum(Z, 0.0, out=U[..., :-1])
-                U[..., -1] = 1.0
+def _slot(x: PreparedBranch, n: int, c: int):
+    """Slot c's views for passes of ``n`` rows, laid out at the first such pass."""
+    slots = x.slots.get(n)
+    if slots is None:
+        slots = x.slots[n] = x.lay_out(x, n)
+    return slots[c]
+
+
+def _by_slot(per_layer: list) -> list:
+    """Each layer's (views, cache entry) per slot, regrouped as one (layer
+    views, cache) pair per slot."""
+    return [tuple(map(list, zip(*slot))) for slot in zip(*per_layer)]
+
+
+def _kan_slots(x: PreparedBranch, n: int) -> list:
+    """Per slot, each KAN layer's views for a pass of ``n`` rows and the
+    slot's cache, whose entries a forward-only plan leaves None.
+
+    Each layer's slot arrays are laid out slot-major, (steps, stages, ..,
+    n, ..), so that each slot is contiguous and its dense basis can be
+    written through its flat windows.  The basis scratch (clamped inputs,
+    powers, local product, row starts and, in a loss, the dB scatter) is
+    shared by every slot and layer, each layer viewing its leading entries.
+    """
+    spec, lead, store, grid = x.arch.spline, x.params.shape[:-1], x.store, (x.steps, x.stages)
+    K, M = spec.order + 1, spec.n_basis
+    loss = x.glayers is not None
+    per_layer = [None] * len(x.layers)
+    # The widest layer first, so that an array the layers share is mapped once.
+    for li in sorted(range(len(x.layers)), key=lambda li: -x.layers[li][1].shape[-2]):
+        _, base, _, W = x.layers[li]
+        n_in, n_out = base.shape[-2:]
+        rows = lead + (n, n_in)
+        points = math.prod(rows)
+        scratch = (store.take("clamped", rows),
+                   store.take("powers", (points, 2, K),
+                              fill=lambda flat: flat.reshape(-1, K)[:, 0].fill(1.0)),
+                   store.take("product", (points, 2 * K if loss else K)),
+                   store.take("starts", rows, np.intp,
+                              fill=lambda flat: np.multiply(np.arange(flat.size), M, out=flat)))
+        # A forward-only pass needs a layer's arrays only until the next
+        # layer's, so its layers share them.
+        own = li if loss else 0
+        dense = store.take(("dense", own), grid + rows + (M,))
+        silu = store.take(("silu", own), grid + rows)
+        # sigmoid(u), which a loss turns into the silu slope in place.
+        dsilu = store.take(("dsilu", own), grid + rows)
+        if loss:
+            mask = store.take(("mask", li), grid + rows, np.bool_)
+            dspl = store.take(("dspl", li), grid + lead + (n_in, n, n_out))
+            ddense = store.take("ddense", rows + (M,))
+            slope = (ddense, window_view(ddense, K), W.reshape(lead + (n_in, M, n_out)))
+        views = []
+        for t, j in np.ndindex(grid):
+            d = dense[t, j]
+            layer = scratch + (d, window_view(d, K), d.reshape(lead + (n, n_in * M)),
+                               silu[t, j], dsilu[t, j])
+            if loss:
+                views.append((layer + (mask[t, j], dspl[t, j]) + slope, {
+                    "dense": d, "dspl": dspl[t, j].swapaxes(-2, -3), "silu": silu[t, j],
+                    "dsilu": dsilu[t, j], "mask": mask[t, j]}))
             else:
-                U = Z
-    return U[..., 0]
+                views.append((layer, None))
+        per_layer[li] = views
+    return _by_slot(per_layer)
 
 
-def _mlp_loss_forward(x: PreparedBranch, U: np.ndarray):
-    """An MLP loss plan's forward pass: its c-th call is stage j of step t,
-    (t, j) = divmod(c, stages), and writes each layer's input into that
-    slot of the plan's buffers.  Each layer's cache is its input's slot."""
-    if x.inputs is None:
-        x.lay_out(U.shape[-2])
-    t, j = divmod(x.calls, x.stages)
-    x.calls += 1
-    inputs = [u[..., t, j, :, :] for u in x.inputs]
+def _kan_forward(x: PreparedBranch, U: np.ndarray, c: int):
+    """A KAN's forward pass on (.., N, 2) rows ``U`` in slot c of the plan's
+    store.  A forward-only pass computes the basis values alone; a loss
+    pass also fills the slot's cache, which backward reads."""
+    layers, cache = _slot(x, U.shape[-2], c)
+    spec = x.arch.spline
+    lo, hi = spec.domain
+    with np.errstate(over="ignore"):
+        for (_, base, _, W), (u, V, P, starts, dense, windows, flat, silu, dsilu, *loss) in zip(
+                x.layers, layers):
+            np.maximum(U, lo, out=u)
+            np.minimum(u, hi, out=u)
+            B, dB, first = basis_and_derivative(spec, u, V, P)
+            # Each row's window starts at its row start plus its first column.
+            at = np.add(first, starts, out=first)
+            scatter_windows(dense, windows, at, B)
+            sig, _ = _silu(U, dsilu, silu)
+            Y = silu @ base + flat @ W
+            if loss:
+                mask, dspl, ddense, dwindows, W3 = loss
+                # U lies in the domain exactly where clamping leaves it as it is.
+                np.equal(U, u, out=mask)
+                # The scaled edge splines' u-slopes, one GEMM per input.
+                np.matmul(scatter_windows(ddense, dwindows, at, dB).swapaxes(-2, -3), W3,
+                          out=dspl)
+                # silu'(u) = sig (1 + u (1 - sig)), over sig.
+                np.subtract(1.0, sig, out=u)
+                np.multiply(U, u, out=u)
+                np.add(1.0, u, out=u)
+                np.multiply(sig, u, out=sig)
+            U = Y
+    return U[..., 0], cache
+
+
+def _mlp_slots(x: PreparedBranch, n: int) -> list:
+    """Per slot, each MLP layer's input view for a pass of ``n`` rows and
+    the slot's cache, whose entries a forward-only plan leaves None.
+
+    Each layer's inputs are laid out (.., steps, stages, n, n_in + 1), the
+    ones column written once, and a loss's output adjoints (.., stages, n,
+    n_out), so that a step's stages of each are one matrix per seed."""
+    lead, widths, store = x.params.shape[:-1], x.arch.widths, x.store
+    per_layer = []
+    for li, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+        inputs = store.take(("inputs", li), lead + (x.steps, x.stages, n, n_in + 1),
+                            fill=lambda flat: flat.reshape(-1, n_in + 1)[:, -1].fill(1.0))
+        if x.glayers is not None:
+            adjoints = store.take(("adjoints", li), lead + (x.stages, n, n_out))
+            step_adjoints = adjoints.reshape(lead + (x.stages * n, n_out))
+        views = []
+        for t, j in np.ndindex(x.steps, x.stages):
+            Ui = inputs[..., t, j, :, :]
+            if x.glayers is None:
+                views.append((Ui, None))
+                continue
+            # Stage 0 is the last stage a step reverses: it adds the step's
+            # gradient, one GEMM over the inputs and adjoints of all its stages.
+            step = None if j else (
+                inputs[..., t, :, :, :].reshape(lead + (x.stages * n, n_in + 1)).swapaxes(-1, -2),
+                step_adjoints)
+            views.append((Ui, {"U": Ui, "Wz": adjoints[..., j, :, :], "step": step}))
+        per_layer.append(views)
+    return _by_slot(per_layer)
+
+
+def _mlp_forward(x: PreparedBranch, U: np.ndarray, c: int):
+    """An MLP's forward pass on (.., N, 2) rows ``U`` in slot c of the
+    plan's store: it writes each layer's input into the slot, whose views
+    are a loss pass's cache."""
+    inputs, cache = _slot(x, U.shape[-2], c)
     inputs[0][..., :-1] = U
     for Wb, Ui, Un in zip(x.layers, inputs, inputs[1:]):
         np.maximum(Ui @ Wb, 0.0, out=Un[..., :-1])
-    values = (inputs[-1] @ x.layers[-1])[..., 0]
-    return values, [{"U": Ui, "slot": (t, j)} for Ui in inputs]
+    return (inputs[-1] @ x.layers[-1])[..., 0], cache
 
 
 def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.ndarray):
@@ -477,21 +550,20 @@ def backward_batch(x: PreparedBranch, cache, upstream: np.ndarray, grads: np.nda
             Wy = c["dsilu"] * (Wy @ base.swapaxes(-1, -2)) + c["mask"] * np.einsum(
                 "...nio,...no->...ni", c["dspl"], Wy)
     else:
-        t, j = cache[0]["slot"]
         last = len(x.layers) - 1
         for li in range(last, -1, -1):
-            Wz = x.adjoints[li][..., j, :, :]
+            c = cache[li]
+            Wz = c["Wz"]
             if li == last:
                 Wz[...] = Wy
             else:
                 # The next layer's input, less its ones column, is max(Z, 0):
                 # positive exactly where Z is.
                 np.multiply(Wy, cache[li + 1]["U"][..., :-1] > 0, out=Wz)
-            if j == 0:
-                # Stage 0 is the last stage a step reverses: the step's
-                # [W; b] gradient is one GEMM over all its stages, whose ones
+            if c["step"] is not None:
+                # The step's [W; b] gradient, U_step^T @ Wz_step: the ones
                 # column makes the bias row's gradient the row-sum of Wz.
-                x.glayers[li] += x.step_inputs[li][..., t, :, :] @ x.step_adjoints[li]
+                x.glayers[li] += np.matmul(*c["step"])
             Wy = Wz @ x.wt[li]
     return grads, Wy
 

@@ -14,13 +14,13 @@ the index of the first nonzero column.  It finds the knot interval among the
 ``grid_size - 1`` interior knots, takes the local coordinate ``t`` in [0, 1]
 inside it, and multiplies the powers of ``t`` and ``1 - t`` by one small
 matrix, built once per order from the Cox-de Boor recursion in the local
-coordinate and cached, that gives the values and the derivatives.
-``scatter_to_dense`` places them in all ``grid_size + order`` columns, the
-dense basis a KAN layer multiplies with its coefficients in one GEMM, and
+coordinate and cached, that gives the values and the derivatives.  The
+caller hands it the arrays to work in, so a network layer can reuse them
+pass after pass, and picks the values alone or the values and derivatives
+by the width of the product array it passes.  ``scatter_windows`` places a
+local basis in all ``grid_size + order`` columns of a dense basis, the form
+a KAN layer multiplies with its coefficients in one GEMM, and
 ``dense_basis`` returns the basis and its derivative in that form.
-A ``BasisWorkspace`` holds the buffers of forward-only evaluations: given
-one, ``basis_and_derivative`` computes the values alone in them, pass after
-pass, and its ``scatter`` fills one dense basis kept from pass to pass.
 
 The right domain endpoint belongs to the last interior interval (closed on
 the right), so evaluation at the boundary is exact and derivatives there are
@@ -125,96 +125,23 @@ def _tables(spec: SplineSpec) -> tuple[np.ndarray, np.ndarray, float, np.ndarray
     return T[spec.order + 1 : spec.n_basis], T[spec.order : spec.n_basis], h, M
 
 
-class BasisWorkspace:
-    """Buffers that forward-only basis evaluations of at most ``points``
-    points reuse, pass after pass.
-
-    It holds the spec's tables with the value columns of its local matrix,
-    the clamped inputs, the powers ``V`` with their ones columns written
-    once, the local product ``P``, each dense-basis row's flat start, and
-    one flat dense basis.  A pass of n points uses the leading slices of
-    each, cut once per n.
-
-    The dense buffer is zeroed once.  Each ``scatter`` refills with zeros
-    the rows its previous call wrote, memory that stays mapped from pass to
-    pass, and writes its own windows.  The arrays that ``clamp``,
-    ``basis_and_derivative`` and ``scatter`` return are views of the
-    buffers, which the next call overwrites.
-    """
-
-    def __init__(self, spec: SplineSpec, points: int):
-        K, M = spec.order + 1, spec.n_basis
-        self.spec = spec
-        interior, left, h, local = _tables(spec)
-        self.tables = interior, left, h, local[:, :K]
-        self._clamped = np.empty(points)
-        self._V = np.empty((points, 2, K))
-        self._V[..., 0] = 1.0
-        self._P = np.empty((points, K))
-        self._row_starts = np.arange(0, points * M, M)
-        self._window = np.arange(K)
-        self._dense = np.zeros(points * M)
-        self._written = 0
-        self._slices = {}
-
-    def slices(self, n: int) -> tuple[np.ndarray, ...]:
-        """The leading slices for a pass of ``n`` points: clamped inputs
-        (n,), V (n, 2, K), P (n, K), row starts (n,), and the dense basis
-        (n, n_basis)."""
-        views = self._slices.get(n)
-        if views is None:
-            M = self.spec.n_basis
-            views = self._slices[n] = (
-                self._clamped[:n], self._V[:n], self._P[:n], self._row_starts[:n],
-                self._dense[: n * M].reshape(n, M))
-        return views
-
-    def clamp(self, u: np.ndarray) -> np.ndarray:
-        """``u`` clamped to the domain, flattened into the clamped-input buffer."""
-        lo, hi = self.spec.domain
-        flat = self.slices(u.size)[0]
-        c = flat.reshape(u.shape)
-        np.maximum(u, lo, out=c)
-        np.minimum(c, hi, out=c)
-        return flat
-
-    def scatter(self, local: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """``scatter_to_dense(local, first, n_basis)`` for the (n, K) local
-        basis and (n,) first columns of a pass, in the dense buffer.  It
-        turns ``first`` in place into each window's flat start."""
-        *_, row_starts, dense = self.slices(first.size)
-        self._dense[: self._written] = 0.0
-        starts = np.add(row_starts, first, out=first)
-        self._dense[starts[:, None] + self._window] = local
-        self._written = dense.size
-        return dense
-
-
-def basis_and_derivative(spec: SplineSpec, u: np.ndarray, work: BasisWorkspace | None = None
+def basis_and_derivative(spec: SplineSpec, u: np.ndarray, V: np.ndarray, P: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Evaluate the nonzero basis functions and their u-derivatives.
+    """Evaluate the nonzero basis functions and, optionally, their
+    u-derivatives, in the caller's arrays.
 
     ``u`` may have any shape but must already lie inside the domain (callers
-    clamp first).  Returns ``(B, dB, first)``: ``B`` and ``dB`` have shape
-    ``u.shape + (order + 1,)`` and hold basis columns ``first .. first +
-    order`` of the full ``n_basis``-column basis; ``first`` has shape
-    ``u.shape``.
-
-    Given a workspace for ``spec``, the call is forward-only: it takes the
-    (n,) inputs of ``work.clamp``, multiplies by the value columns of the
-    local matrix alone, and returns ``B`` as an (n, order + 1) view of the
-    workspace, with the same bytes, and ``dB`` None.
+    clamp first).  ``V`` is (u.size, 2, order + 1) with ones in ``V[..., 0]``,
+    which the call leaves in place, and receives the powers; ``P`` is
+    (u.size, order + 1) for the values alone or (u.size, 2 (order + 1)) for
+    the values and the derivatives, and receives them.  Returns ``(B, dB,
+    first)``: ``B`` and ``dB`` are views of ``P`` of shape ``u.shape +
+    (order + 1,)`` that hold basis columns ``first .. first + order`` of the
+    full ``n_basis``-column basis, ``dB`` None for the values alone, and
+    ``first`` has shape ``u.shape``.  Either width gives ``B`` the same bytes.
     """
     k = spec.order
-    if work is None:
-        interior, left, h, M = _tables(spec)
-        u = np.asarray(u, dtype=float)
-        V = np.empty((u.size, 2, k + 1))
-        V[..., 0] = 1.0
-        P = None
-    else:
-        interior, left, h, M = work.tables
-        _, V, P, *_ = work.slices(u.size)
+    interior, left, h, M = _tables(spec)
     # Interval containing u: the count of interior knots <= u, so the right
     # boundary (and NaN) fall in the last interval and the domain is closed.
     first = interior.searchsorted(u, side="right")
@@ -225,34 +152,48 @@ def basis_and_derivative(spec: SplineSpec, u: np.ndarray, work: BasisWorkspace |
         np.subtract(1.0, V[:, 0, 1], out=V[:, 1, 1])
         for p in range(2, k + 1):
             np.multiply(V[..., p - 1], V[..., 1], out=V[..., p])
-    P = np.matmul(V.reshape(u.size, 2 * k + 2), M, out=P)
+    np.matmul(V.reshape(u.size, 2 * k + 2), M[:, : P.shape[-1]], out=P)
     shape = u.shape + (k + 1,)
-    dB = None if work is not None else P[:, k + 1 :].reshape(shape)
+    dB = P[:, k + 1 :].reshape(shape) if P.shape[-1] > k + 1 else None
     return P[:, : k + 1].reshape(shape), dB, first
 
 
-def scatter_to_dense(local: np.ndarray, first: np.ndarray, n_basis: int) -> np.ndarray:
-    """Place local columns ``local[..., c]`` at column ``first + c`` of a
-    zero array of shape ``first.shape + (n_basis,)``.
+def window_view(dense: np.ndarray, K: int) -> np.ndarray:
+    """Every ``K``-entry window of the contiguous array ``dense``, flattened:
+    row r of the (dense.size - K + 1, K) view is entries r .. r + K - 1.  A
+    strided ``dense`` raises rather than giving a view of a copy."""
+    return np.ndarray((max(dense.size - K + 1, 0), K), buffer=dense,
+                      strides=(dense.itemsize, dense.itemsize))
 
-    Each row's ``K`` local columns are one length-``K`` window of the flat
-    output, starting at ``row * n_basis + first``, so one assignment through
-    a view of all overlapping windows writes every row; ``K`` spare zeros at
-    the end keep the last windows inside the buffer."""
-    K = local.shape[-1]
-    size = first.size * n_basis
-    flat = np.zeros(size + K)
-    windows = np.ndarray((size, K), buffer=flat, strides=(flat.itemsize, flat.itemsize))
-    windows[np.arange(0, size, n_basis) + first.ravel()] = local.reshape(-1, K)
-    return flat[:size].reshape(first.shape + (n_basis,))
+
+def scatter_windows(dense: np.ndarray, windows: np.ndarray, starts: np.ndarray,
+                    local: np.ndarray) -> np.ndarray:
+    """Zero ``dense`` and write each row's local columns into it, returning it.
+
+    ``windows`` is ``window_view(dense, K)`` and ``starts`` holds each row's
+    flat window start, ``row * n_basis + first``: row r of the (.., K)
+    ``local`` lands in columns ``first .. first + K - 1`` of its
+    ``n_basis``-wide row, through one assignment to the overlapping
+    windows."""
+    dense[...] = 0.0
+    windows[starts.reshape(-1)] = local.reshape(-1, local.shape[-1])
+    return dense
 
 
 def dense_basis(spec: SplineSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All ``n_basis`` columns of the basis and its derivative at ``u``: the
     local result of ``basis_and_derivative`` scattered into zeros, two arrays
     of shape ``u.shape + (n_basis,)``."""
-    B, dB, first = basis_and_derivative(spec, u)
-    return scatter_to_dense(B, first, spec.n_basis), scatter_to_dense(dB, first, spec.n_basis)
+    u = np.asarray(u, dtype=float)
+    K, M = spec.order + 1, spec.n_basis
+    V = np.empty((u.size, 2, K))
+    V[..., 0] = 1.0
+    B, dB, first = basis_and_derivative(spec, u, V, np.empty((u.size, 2 * K)))
+    starts = np.arange(0, u.size * M, M) + first.ravel()
+    out = np.empty((2,) + u.shape + (M,))
+    for dense, local in zip(out, (B, dB)):
+        scatter_windows(dense, window_view(dense, K), starts, local)
+    return out[0], out[1]
 
 
 def fit_coefficients(spec: SplineSpec, fn, n_samples: int = 200) -> np.ndarray:

@@ -29,7 +29,7 @@ from .hybridcell import (
     tf_loss_grads,
     windows_of,
 )
-from .netcore import LossBuffers, MlpArch, ResidualBranch, trainable_mask
+from .netcore import BufferStore, MlpArch, ResidualBranch, trainable_mask
 from .rng import stream
 
 TEACHER_FORCING = "teacher_forcing"
@@ -37,10 +37,10 @@ BPTT = "bptt"
 
 # Seeds evaluated in lockstep by one block, in a sweep or a gradient check.
 # Memory bounds the block, not speed (config A BPTT still costs less per seed
-# at 64): a BPTT loss keeps every step's and RK4 stage's KAN cache, 582 bytes
-# per row and stage for config A, 1302 for G and 2162 for kan-deep.  An MLP
-# keeps each layer's input with its ones column, 296 bytes for mlp-small, in
-# loss buffers that last as long as the block.
+# at 64): a BPTT loss keeps every step's and RK4 stage's cache, in a store
+# that lasts as long as the block.  A KAN keeps 582 bytes per row and stage
+# for config A, 1302 for G and 2162 for kan-deep; an MLP keeps each layer's
+# input with its ones column, 296 bytes for mlp-small.
 BLOCK_SEEDS = 16
 
 CONVERGED = "Converged"
@@ -141,10 +141,11 @@ def train_block(system: HybridSystem, data: list[Dataset], cfg: TrainConfig,
     float operations as it would in a block of its own, so its report does
     not depend on the block.
 
-    The block owns one ``netcore.LossBuffers`` that all its loss calls
-    share: the first call sizes them, retries and the calls of a block
-    whose seeds have stopped use leading seed slices, and they are dropped
-    when the block returns.
+    The block owns one ``netcore.BufferStore`` that all its loss calls
+    share, where a KAN lays out its caches and basis scratch and an MLP its
+    stage inputs and output adjoints: the first call sizes it, retries and
+    the calls of a block whose seeds have stopped use leading seed slices,
+    and it is dropped when the block returns.
 
     Writes the trained parameters into system.branch.params and returns one
     report per seed, each timed with the block's wall time.
@@ -158,7 +159,7 @@ def train_block(system: HybridSystem, data: list[Dataset], cfg: TrainConfig,
     cuts = {id(ds): windows_of(ds.train, horizon) for ds in data}
     inputs = [cuts[id(ds)] for ds in data]
     pools = [len(pair[0]) for pair in inputs]
-    buffers = LossBuffers()
+    store = BufferStore()
 
     def sample_loss(rows):
         batches = []
@@ -167,7 +168,7 @@ def train_block(system: HybridSystem, data: list[Dataset], cfg: TrainConfig,
             batches.append((inputs[s][0][i], inputs[s][1][i]))
         a, b = (np.stack(part) for part in zip(*batches))
         return bptt_grads_arrays(replace(system, branch=ResidualBranch(arch, params[rows])), a, b,
-                                 buffers)
+                                 store)
 
     m, v = init_moments((S, params.shape[-1]))
     history: list[list[float]] = [[] for _ in range(S)]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from conftest import zero_branch
 
-from residual_lab import hybridcell
+from residual_lab import hybridcell, netcore
 from residual_lab.dynamics import (
     duffing,
     generate_dataset,
@@ -112,7 +112,7 @@ class TestSampleSurface:
         with pytest.raises(ValueError):
             SurfaceSample(SMALL_GRID, np.zeros((20, 19)), np.zeros((20, 20)))
 
-    def test_peak_memory_below_one_whole_dense_basis(self):
+    def test_peak_memory_below_one_whole_dense_basis(self, monkeypatch):
         # The forward-only pass runs FORWARD_ROWS rows at a time, so the 10^4
         # nodes of the default grid never hold config G's whole dense basis:
         # 10^4 rows x 4 inputs x 23 columns x 8 bytes in its second layer.
@@ -122,21 +122,36 @@ class TestSampleSurface:
         whole = grid.nx * grid.nv * arch.widths[1] * arch.spline.n_basis * 8
         assert whole > 7.3e6
         sample_surface(branch, duffing(), grid)
-        tracemalloc.start()
-        try:
-            sample_surface(branch, duffing(), grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < whole
+        assert peak_with_stores(monkeypatch, lambda: sample_surface(branch, duffing(), grid)) < whole
+
+
+def peak_with_stores(monkeypatch, run) -> int:
+    """Peak bytes of ``run()``: tracemalloc's peak plus every array that the
+    buffer stores made during the call map, memory tracemalloc does not see,
+    counted as held for the whole call."""
+    stores = []
+    original = netcore.BufferStore.__init__
+
+    def counted(store):
+        stores.append(store)
+        original(store)
+
+    monkeypatch.setattr(netcore.BufferStore, "__init__", counted)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak + sum(a.nbytes for store in stores for a in store.flat.values())
 
 
 @pytest.mark.parametrize("stage", ["test_mse", "sample_surface"])
-def test_forward_only_workspace_peak_memory(stage):
-    # The passes of one forward-only call share one workspace, sized for the
-    # first pass and shared by the layers.  On config G the peaks were
-    # 3.41 MiB (test_mse) and 3.11 MiB (surface) with fresh arrays on every
-    # pass; one buffer set per layer read 5.9 and 7.2 MiB.
+def test_forward_only_workspace_peak_memory(monkeypatch, stage):
+    # The passes of one forward-only call share one store, sized for the
+    # first pass; a KAN's layers share its arrays.  On config G the peaks
+    # were 3.41 MiB (test_mse) and 3.11 MiB (surface) with fresh arrays on
+    # every pass; one buffer set per layer read 5.9 and 7.2 MiB.
     cfg = ExperimentConfig(config="G")
     arch, _ = resolve_arch(cfg)
     ds = generate_dataset(duffing(), 1, cfg.n_test_ics, cfg.dt, cfg.data_steps, seed=0)
@@ -148,13 +163,7 @@ def test_forward_only_workspace_peak_memory(stage):
         def run():
             sample_surface(system.branch, duffing(), GridSpec(), ds.scale)
     run()
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak_with_stores(monkeypatch, run) < 4 * 2**20
 
 
 class TestDiscoveryR2:

@@ -28,7 +28,7 @@ from residual_lab.hybridcell import (
 )
 from residual_lab.netcore import (
     KanArch,
-    LossBuffers,
+    BufferStore,
     MlpArch,
     ResidualBranch,
     init_params,
@@ -152,7 +152,7 @@ def split_step_vjp(h, cache, lx, lv):
             wx, wv = lx * weights[i], lv * weights[i]
         else:
             wx, wv = lx * weights[i] + feeds[i] * sx, lv * weights[i] + feeds[i] * sv
-        _, dU = branch.combined_vjp(bc, wv)
+        dU = branch.combined_vjp(bc, wv)
         dxn, dvn = dU[..., 0], dU[..., 1]
         kx, kv = spec.known_vdot_partials(X, V)
         sx = wv * kx + dxn / scale
@@ -387,7 +387,7 @@ def local_only_bptt_grads(h, starts, targets):
     norm = n * horizon
     Z = starts
     grads = np.zeros_like(h.branch.params)
-    h = h.prepare(grads)
+    h = h.prepare(grads, None, horizon)
     for t in range(horizon):
         Z, cache = step_batch(h, Z, np.ones((), dtype=bool))
         step_vjp(h, cache, (2.0 / norm) * (Z - targets[:, t]))
@@ -573,52 +573,67 @@ class TestBptt:
             windows_of(np.zeros((0, 21, 2)), 10)
 
 
-class TestLossBuffers:
+STORE_CONFIGS = ("A", "G", "mlp-small")
+
+
+class TestBufferStore:
     @pytest.mark.parametrize("integrator", [RK4, EULER])
-    def test_reused_buffers_match_fresh_ones(self, vdp_data, integrator):
-        # One set of buffers serves a 16-seed BPTT loss, then a 3-seed retry
-        # of some of its seeds on other windows, then a teacher-forcing loss
-        # on one-step windows, as a training block uses them: each call gives
-        # the bytes of a call on fresh buffers, and none needs more memory.
-        arch, _ = resolve_arch(ExperimentConfig(config="mlp-small"))
+    @pytest.mark.parametrize("config", STORE_CONFIGS)
+    def test_reused_store_matches_fresh_ones(self, vdp_data, config, integrator):
+        # One store serves a 16-seed BPTT loss, then a 3-seed retry of some
+        # of its seeds on other windows, then a 16-seed loss again and a
+        # teacher-forcing loss on one-step windows, as a training block uses
+        # it: each call gives the bytes of a call on a fresh store, and none
+        # maps a new array.  Each seed of the first call also gives the bytes
+        # of its call alone: with ten steps of slots in the store, a slot laid
+        # out seed-major, not contiguous, fails there.
+        arch, _ = resolve_arch(ExperimentConfig(config=config))
         params = np.stack([init_params(arch, s) for s in range(16)])
         rng = np.random.default_rng(3)
         bptt, tf = windows_of(vdp_data.train, 10), windows_of(vdp_data.train, 1)
         rows = np.array([2, 7, 11])
         calls = [(params, bptt, rng.choice(len(bptt[0]), (16, 16))),
                  (params[rows], bptt, rng.choice(len(bptt[0]), (3, 16))),
+                 (params, bptt, rng.choice(len(bptt[0]), (16, 16))),
                  (params[rows], tf, rng.choice(len(tf[0]), (3, 64)))]
-        buffers = LossBuffers()
+        store = BufferStore()
         for i, (p, (starts, targets), pick) in enumerate(calls):
             h = HybridSystem(vanderpol(), ResidualBranch(arch, p), vdp_data.dt, integrator)
-            got = bptt_grads_arrays(h, starts[pick], targets[pick], buffers)
+            got = bptt_grads_arrays(h, starts[pick], targets[pick], store)
             want = bptt_grads_arrays(h, starts[pick], targets[pick])
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
             assert got[2].all() and np.abs(got[1]).max() > 0
             if i == 0:
-                sized = dict(buffers.flat)
-            assert buffers.flat.keys() == sized.keys()
-            assert all(buffers.flat[key] is buf for key, buf in sized.items())
+                for s in range(len(p)):
+                    h1 = HybridSystem(vanderpol(), ResidualBranch(arch, p[s : s + 1]),
+                                      vdp_data.dt, integrator)
+                    alone = bptt_grads_arrays(h1, starts[pick[s : s + 1]], targets[pick[s : s + 1]])
+                    for g, w in zip(got, alone):
+                        assert g[s].tobytes() == w[0].tobytes()
+                sized = dict(store.flat)
+            assert store.flat.keys() == sized.keys()
+            assert all(store.flat[key] is buf for key, buf in sized.items())
 
-    def test_block_shares_one_set_of_buffers(self, monkeypatch, vdp_data):
-        # train_block hands every loss call of the block the same buffers.
+    @pytest.mark.parametrize("config", STORE_CONFIGS)
+    def test_block_shares_one_store(self, monkeypatch, vdp_data, config):
+        # train_block hands every loss call of the block the same store.
         from residual_lab import trainer
 
         seen = []
         original = trainer.bptt_grads_arrays
 
-        def spy(h, starts, targets, buffers=None):
-            seen.append(buffers)
-            return original(h, starts, targets, buffers)
+        def spy(h, starts, targets, store=None):
+            seen.append(store)
+            return original(h, starts, targets, store)
 
         monkeypatch.setattr(trainer, "bptt_grads_arrays", spy)
-        arch, _ = resolve_arch(ExperimentConfig(config="mlp-small"))
+        arch, _ = resolve_arch(ExperimentConfig(config=config))
         h = HybridSystem(vanderpol(), ResidualBranch(arch, np.stack(
             [init_params(arch, s) for s in range(2)])), vdp_data.dt)
         cfg = trainer.TrainConfig(paradigm="bptt", horizon=5, steps=3, batch_size=4)
         trainer.train_block(h, [vdp_data] * 2, cfg, [0, 1])
-        assert len(seen) == 3 and isinstance(seen[0], LossBuffers)
+        assert len(seen) == 3 and isinstance(seen[0], BufferStore)
         assert all(b is seen[0] for b in seen)
 
 
@@ -634,9 +649,9 @@ class TestOracleResidual:
         for xn, vn in (([0.3], [-0.5]), ([0.3, -0.8, 0.1], [-0.5, 0.2, 0.9])):
             xn, vn = np.array(xn), np.array(vn)
             _, cache = ev(xn, vn)
-            g, dU = orc.combined_vjp(cache, np.ones(len(xn)))
+            dU = orc.combined_vjp(cache, np.ones(len(xn)))
             dx, dv = dU[..., 0], dU[..., 1]
-            assert g.shape == (0,)
+            assert orc.params.shape == (0,)
             eps = 1e-6
             fdx = (ev(xn + eps, vn)[0] - ev(xn - eps, vn)[0]) / (2 * eps)
             fdv = (ev(xn, vn + eps)[0] - ev(xn, vn - eps)[0]) / (2 * eps)
@@ -647,13 +662,15 @@ class TestOracleResidual:
         # The zero-weight linear branch that stands in for "known part only":
         # outputs are +0.0 (never -0.0), input partials are zero.
         for n in (1, 3):
-            z = zero_branch().prepare(np.zeros(3))
+            grads = np.zeros(3)
+            z = zero_branch().prepare(grads)
             xn, vn = -np.arange(1.0, n + 1), -np.ones(n)
             vals, cache = z.eval_batch(np.stack([xn, vn], axis=-1))
             assert np.array_equal(vals, np.zeros(n))
             assert not np.signbit(vals).any()
-            g, dU = z.combined_vjp(cache, np.ones(n))
+            dU = z.combined_vjp(cache, np.ones(n))
             dx, dv = dU[..., 0], dU[..., 1]
-            assert g is z.grads and g.shape == (3,)
+            # The gradient lands in the plan's buffer: [sum xn, sum vn, n].
+            assert z.grads is grads and np.array_equal(grads, [xn.sum(), vn.sum(), n])
             assert np.array_equal(dx, np.zeros(n)) and np.array_equal(dv, np.zeros(n))
         assert z.l1_value() == 0.0

@@ -1,7 +1,7 @@
 """The spline kernel against two references.
 
 ``splines.basis_and_derivative`` returns only the order+1 nonzero basis
-weights per point; ``splines.scatter_to_dense`` places them in all
+weights per point; ``splines.scatter_windows`` places them in all
 grid_size + order columns, and a KAN layer is one GEMM of that dense basis
 with its scaled coefficients.  The references below are
 
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import local_basis, scatter_to_dense
 
 from residual_lab.harness import ExperimentConfig, resolve_arch
 from residual_lab.netcore import (
@@ -31,13 +32,7 @@ from residual_lab.netcore import (
     param_count,
 )
 from residual_lab.rng import stream
-from residual_lab.splines import (
-    SplineSpec,
-    basis_and_derivative,
-    dense_basis,
-    knot_vector,
-    scatter_to_dense,
-)
+from residual_lab.splines import SplineSpec, dense_basis, knot_vector
 
 DOMAINS = [(-1.0, 1.0), (-2.0, 2.0), (0.0, 1.0), (-0.5, 3.0), (-7.5, -2.5), (10.0, 12.0)]
 
@@ -137,13 +132,13 @@ class TestLocalBasis:
     @given(spec_and_points())
     def test_local_shape_and_first_column(self, case):
         spec, u = case
-        B, dB, first = basis_and_derivative(spec, u)
+        B, dB, first = local_basis(spec, u)
         assert B.shape == dB.shape == u.shape + (spec.order + 1,)
         assert first.shape == u.shape
         assert first.min() >= 0 and first.max() <= spec.grid_size - 1
 
     def test_scalar_input(self):
-        B, dB, first = basis_and_derivative(SplineSpec(), np.asarray(0.3))
+        B, dB, first = local_basis(SplineSpec(), np.asarray(0.3))
         assert B.shape == dB.shape == (4,) and first.shape == ()
 
 
@@ -180,7 +175,7 @@ class TestKanContraction:
 
 
 def fancy_scatter(local, first, n_basis):
-    """The 2-D fancy-index scatter that ``scatter_to_dense`` replaced."""
+    """The 2-D fancy-index scatter that the window scatter replaced."""
     K = local.shape[-1]
     out = np.zeros((first.size, n_basis))
     out[np.arange(first.size)[:, None], first.reshape(-1, 1) + np.arange(K)] = local.reshape(-1, K)
@@ -201,7 +196,7 @@ def gather_forward(branch, xn, vn):
         # Row first + G i holds the K coefficients of input i's interval for
         # every out unit: local[n, i, c, o] = coef[i, o, first[n, i] + c].
         table = np.moveaxis(coef[..., windows], -3, -1).reshape(-1, K * n_out)
-        B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
+        B, dB, first = local_basis(spec, np.minimum(np.maximum(U, lo), hi))
         local = np.take(table, first + G * np.arange(n_in), axis=0).reshape(first.shape + (K, -1))
         sig, silu = _silu(U)
         spl = np.einsum("nic,nico->nio", B, local)

@@ -13,9 +13,11 @@ and is added into the buffer.  Both do the same arithmetic in the same
 order, so losses and gradients must agree bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import with_params
+from conftest import local_basis, scatter_to_dense, with_params
 
 from residual_lab import netcore
 from residual_lab.dynamics import EULER, RK4, duffing, generate_dataset, vanderpol
@@ -42,7 +44,8 @@ from residual_lab.netcore import (
     l1_penalty,
     new_branch,
 )
-from residual_lab.splines import SplineSpec, basis_and_derivative, knot_vector, scatter_to_dense
+from residual_lab.splines import SplineSpec, knot_vector
+from residual_lab.trainer import TrainConfig, train_block
 
 CONFIGS = ("A", "B", "C", "G", "kan-deep", "mlp-small", "oracle")
 HORIZON = 10
@@ -63,7 +66,7 @@ def reference_forward(branch, U):
         lo, hi = spec.domain
         M = spec.n_basis
         for coef, base, scale in _kan_layers(branch.arch, branch.params):
-            B, dB, first = basis_and_derivative(spec, np.minimum(np.maximum(U, lo), hi))
+            B, dB, first = local_basis(spec, np.minimum(np.maximum(U, lo), hi))
             dense = scatter_to_dense(B, first, M)
             sig, silu = _silu(U)
             layers.append({"U": U, "sig": sig, "silu": silu, "dense": dense, "dB": dB,
@@ -138,7 +141,10 @@ class PerCallBranch:
         return reference_forward(self.branch, U)
 
     def combined_vjp(self, cache, upstream):
-        return reference_backward(self.branch, cache, upstream, self.operands)
+        """The input adjoint; the call's fresh parameter gradient is left in
+        ``fresh`` for the adjoint step to add into the loss's buffer."""
+        self.fresh, dU = reference_backward(self.branch, cache, upstream, self.operands)
+        return dU
 
     def end_step(self, grads):
         add_step_gradient(self.branch, self.operands, grads)
@@ -166,9 +172,9 @@ def reference_stage_sweep(h, cache, L, grads):
     def stage_adjoint(stage, W):
         Z, bc = stage
         wx, wv = W[:, 0], W[:, 1]
-        g, dU = h.branch.combined_vjp(bc, wv)
-        if g.size:
-            grads[...] += g
+        dU = h.branch.combined_vjp(bc, wv)
+        if isinstance(h.branch, PerCallBranch):
+            grads[...] += h.branch.fresh
         kx, kv = -np.ones_like(wx), np.zeros_like(wx)
         return np.stack([wv * kx + dU[:, 0] / h.scale,
                          wx + wv * kv + dU[:, 1] / h.scale], axis=1)
@@ -331,8 +337,8 @@ def test_one_plan_per_call(monkeypatch, datasets, config, views):
 
 
 def per_pass_forward_only(x, U):
-    """The forward-only body before plans kept a workspace: every pass of
-    at most ``FORWARD_ROWS`` rows builds fresh arrays for each layer."""
+    """The forward-only body before plans kept a store: every pass of at
+    most ``FORWARD_ROWS`` rows builds fresh arrays for each layer."""
     values = np.empty(U.shape[:-1])
     for a in range(0, U.shape[-2], netcore.FORWARD_ROWS):
         Y = U[..., a : a + netcore.FORWARD_ROWS, :]
@@ -341,7 +347,7 @@ def per_pass_forward_only(x, U):
             lo, hi = spec.domain
             with np.errstate(over="ignore"):
                 for _, base, _, W in x.layers:
-                    B, _, first = basis_and_derivative(spec, np.minimum(np.maximum(Y, lo), hi))
+                    B, _, first = local_basis(spec, np.minimum(np.maximum(Y, lo), hi))
                     dense = scatter_to_dense(B, first, spec.n_basis)
                     Y = _silu(Y)[1] @ base + dense.reshape(Y.shape[:-1] + (-1,)) @ W
         else:
@@ -379,7 +385,7 @@ WORKSPACE_CONFIGS = ("A", "B", "G", "kan-deep", "mlp-small")
 @pytest.mark.parametrize("config", WORKSPACE_CONFIGS)
 def test_workspace_passes_match_per_pass_body(config, seeds):
     # Each plan meets one row count; N = FORWARD_ROWS + 1 and 10^4 take
-    # several passes, the last a leading slice of the first pass's buffers.
+    # several passes, the last in leading slices of the first pass's arrays.
     branch = block(config, seeds)
     rng = np.random.default_rng(7)
     lead = () if seeds is None else (seeds,)
@@ -413,7 +419,7 @@ def test_successive_passes_leave_no_stale_windows(config):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_one_plan_across_row_counts_for_every_order(order):
-    # The workspace grows for a pass with more rows than it was built for
+    # The store maps larger arrays for a pass with more rows than it holds
     # and serves smaller ones from leading slices; order 0 has no powers.
     arch = KanArch((2, 3, 2, 1), SplineSpec(4, order, (-1.5, 0.5)))
     branch = new_branch(arch, seed=0)
@@ -436,18 +442,18 @@ def test_a_pass_result_survives_the_next_pass(config, n):
     assert first.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("config", ["A", "kan-deep"])
+@pytest.mark.parametrize("config", ["A", "kan-deep", "mlp-small"])
 def test_one_workspace_per_forward_only_call(monkeypatch, datasets, config):
-    # A rollout's steps and a test-set call's FORWARD_ROWS passes share the
-    # buffers built at the first pass; a loss plan builds none.
+    # A rollout's steps and a test-set call's FORWARD_ROWS passes share one
+    # store; the losses of a training block share the block's store.
     built = []
-    original = netcore.BasisWorkspace
+    original = netcore.BufferStore.__init__
 
-    def counted(*args):
-        built.append(args)
-        return original(*args)
+    def counted(store):
+        built.append(store)
+        original(store)
 
-    monkeypatch.setattr(netcore, "BasisWorkspace", counted)
+    monkeypatch.setattr(netcore.BufferStore, "__init__", counted)
     h, _ = systems(config, duffing())
     starts = datasets["duffing"].test[:, 0]
     rollout(h, starts, HORIZON)
@@ -455,5 +461,6 @@ def test_one_workspace_per_forward_only_call(monkeypatch, datasets, config):
     Z = np.random.default_rng(0).normal(size=(netcore.FORWARD_ROWS + 7, 2))
     step_batch(h.prepare(), Z, np.ones((), dtype=bool))
     assert len(built) == 2
-    bptt_grads_arrays(h, *batch(windows_of(datasets["duffing"].train, HORIZON), 16))
-    assert len(built) == 2
+    cfg = TrainConfig(paradigm="bptt", horizon=5, steps=3, batch_size=4)
+    train_block(replace(h, branch=block(config, 2)), [datasets["duffing"]] * 2, cfg, [0, 1])
+    assert len(built) == 3

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import local_basis
+
 from residual_lab.netcore import KanArch, forward_batch, new_branch
 from residual_lab.splines import (
-    BasisWorkspace,
     SplineSpec,
     _local_matrix,
-    basis_and_derivative,
     dense_basis,
     fit_coefficients,
     knot_vector,
@@ -136,7 +136,7 @@ class TestIntervalSearch:
         ])
         for points in (u, u.reshape(-1, 3)[:, :2]):
             want = reference_basis_and_derivative(spec, points)
-            for g, w in zip(basis_and_derivative(spec, points), want):
+            for g, w in zip(local_basis(spec, points), want):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
 
@@ -166,17 +166,15 @@ class TestDerivative:
     @pytest.mark.parametrize("n", [1, 5, 2048, 2049, 10_000])
     @pytest.mark.parametrize("G,k", [(5, 3), (20, 3), (4, 0)])
     def test_values_only_call_gives_the_full_calls_bits(self, G, k, n):
-        # A forward-only KAN layer evaluates in a workspace, values only: it
-        # keeps the value columns alone, a GEMM with k + 1 output columns instead of
-        # 2k + 2; B must keep its bits whatever the BLAS kernel does with
-        # the narrower product.
+        # A forward-only KAN layer computes the values alone: a GEMM with
+        # k + 1 output columns instead of 2k + 2; B must keep its bits
+        # whatever the BLAS kernel does with the narrower product.
         spec = SplineSpec(grid_size=G, order=k)
         u = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
-        B, _, first = basis_and_derivative(spec, u)
-        work = BasisWorkspace(spec, u.size)
-        only, dB, only_first = basis_and_derivative(spec, work.clamp(u), work)
+        B, _, first = local_basis(spec, u)
+        only, dB, only_first = local_basis(spec, u, values_only=True)
         assert dB is None
-        assert only.shape == (u.size, k + 1) and only.tobytes() == B.tobytes()
+        assert only.shape == u.shape + (k + 1,) and only.tobytes() == B.tobytes()
         assert only_first.tobytes() == first.tobytes()
 
 
